@@ -23,9 +23,6 @@ MAX_DATASETS = 64
 # Hard memory stop for dense truth tables (2^26 bytes each).
 MAX_TRUTH_TABLE_DATASETS = 26
 
-UNIFORM_DEGREE_DISJOINT = "uniform-degree-disjoint"
-GENERAL_XOR_OF_MONOMIALS = "general-xor-of-monomials"
-
 
 class ParseError(ValueError):
     """Malformed function, placement, or scheme input."""
@@ -69,19 +66,6 @@ def indices_from_mask(mask: int) -> tuple[int, ...]:
 def monomial_sort_key(mask: int) -> tuple[int, tuple[int, ...]]:
     """Canonical monomial order: by degree, then lexicographic on indices."""
     return (mask.bit_count(), indices_from_mask(mask))
-
-
-def assignment_from_bits(text: str) -> tuple[int, int]:
-    """Parse a bit string like ``"101"`` (W_1 first) into (mask, length)."""
-    if not text or any(c not in "01" for c in text):
-        raise ParseError(f"assignment must be a nonempty 0/1 string, got {text!r}")
-    if len(text) > MAX_DATASETS:
-        raise ParseError(f"assignment longer than {MAX_DATASETS} bits")
-    mask = 0
-    for pos, c in enumerate(text):
-        if c == "1":
-            mask |= 1 << pos
-    return mask, len(text)
 
 
 def bits_from_assignment(mask: int, num_datasets: int) -> str:
@@ -240,23 +224,17 @@ def flip_assignment(assignment: int, flip_mask: int, num_datasets: int) -> int:
     return assignment ^ flip_mask
 
 
-def classify_linearly_separable(f: BooleanFunctionANF, cache_size: int) -> str:
-    """Classify f against the degree-``cache_size`` XOR-of-disjoint-products shape.
+def uniform_assignments(
+    rng: np.random.Generator, num_datasets: int, size: int
+) -> np.ndarray:
+    """``size`` uniform assignment masks over K datasets, as uint64.
 
-    Returns :data:`UNIFORM_DEGREE_DISJOINT` iff f has at least one
-    monomial, every monomial has degree exactly ``cache_size``, and the
-    monomial supports are pairwise disjoint.  A constant term (degree 0)
-    always classifies as general.
+    numpy bounds its integer draws below 2^64, so K = 64 joins a high
+    and a low 32-bit draw.
     """
-    if cache_size < 1:
-        raise ValueError(f"cache size must be positive, got {cache_size}")
-    if not f.monomials:
-        return GENERAL_XOR_OF_MONOMIALS
-    seen = 0
-    for m in f.monomials:
-        if m.bit_count() != cache_size:
-            return GENERAL_XOR_OF_MONOMIALS
-        if seen & m:
-            return GENERAL_XOR_OF_MONOMIALS
-        seen |= m
-    return UNIFORM_DEGREE_DISJOINT
+    k = num_datasets
+    if k <= 63:
+        return rng.integers(0, 1 << k, size=size, dtype=np.uint64)
+    hi = rng.integers(0, 1 << (k - 32), size=size, dtype=np.uint64)
+    lo = rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
+    return (hi << np.uint64(32)) | lo

@@ -19,10 +19,12 @@ import csv
 import hashlib
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, islice
+from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -47,8 +49,8 @@ from .placement import (
     EnumerationBudgetError,
     PlacementConfig,
     PlacementConstraints,
+    PlacementSpace,
     count_placements,
-    enumerate_placements,
     parse_placement,
     placement_to_json,
     search_min_as,
@@ -178,9 +180,7 @@ def _cmd_place(args, inputs):
     f = _load_function(args.function, inputs)
     constraints = PlacementConstraints(f.num_datasets, args.num_servers, args.cache_size)
     method = "exhaustive" if args.method == "exhaustive" else "greedy-aligned"
-    placement, value = search_min_as(
-        f, constraints, method=method, budget=args.budget, threads=args.threads
-    )
+    placement, value = search_min_as(f, constraints, method=method, budget=args.budget)
     note = f"as = {value.fraction if value.is_exact else value}\n"
     _write_primary(args.output, placement_to_json(placement), note)
     return EXIT_OK, args.output, {}
@@ -256,18 +256,14 @@ def _cmd_oracle(args, inputs):
             f = _load_function(args.function, inputs)
         else:
             f = disjoint_products(args.num_servers, args.cache_size)
-        constraints = PlacementConstraints(
-            f.num_datasets, args.num_servers, args.cache_size
+        space = PlacementSpace(
+            PlacementConstraints(f.num_datasets, args.num_servers, args.cache_size), f
         )
-        support = f.support_mask
-        placements = []
-        for p in enumerate_placements(constraints):
-            if support & ~p.union_mask():
-                continue
-            placements.append(p)
-            if len(placements) >= args.limit:
-                break
-        report = corollary_study(f, placements)
+        space.check_budget(ENUMERATION_BUDGET)
+        covering = (space.config(c) for c in space.ordered() if space.computable(c))
+        # The first computable placements in order; at least one, as a
+        # --limit below 1 has always taken one.
+        report = corollary_study(f, list(islice(covering, max(args.limit, 1))))
 
     summary = "; ".join(f"{k}={v}" for k, v in sorted(report.summary.items()))
     note = f"{report.claim}: {'pass' if report.passed else 'FAIL'}; {summary}\n"
@@ -280,17 +276,11 @@ def _cmd_oracle(args, inputs):
 
 def _cmd_sweep(args, inputs):
     f = _load_function(args.function, inputs)
-    k = f.num_datasets
-    constraints = PlacementConstraints(k, args.num_servers, args.cache_size)
+    constraints = PlacementConstraints(f.num_datasets, args.num_servers, args.cache_size)
+    space = PlacementSpace(constraints, f)
     total = count_placements(constraints)
     emit = min(total, args.budget)
 
-    influences = {}
-    for combo in combinations(range(1, k + 1), args.cache_size):
-        mask = mask_from_indices(combo)
-        influences[mask] = joint_influence_exact(f, mask).fraction
-
-    support = f.support_mask
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     servers = range(1, args.num_servers + 1)
@@ -299,12 +289,11 @@ def _cmd_sweep(args, inputs):
         + [f"inf_server_{n}" for n in servers]
         + [f"pieces_server_{n}" for n in servers]
     )
-    for pid, placement in enumerate(
-        islice(enumerate_placements(constraints, budget=max(total, 1)), emit)
-    ):
-        per = [influences[s] for s in placement.subset_masks]
-        as_value = sum(per)
-        if support & ~placement.union_mask():
+    for pid, combo in enumerate(islice(space.ordered(), emit)):
+        placement = space.config(combo)
+        counts = [space.influence(i) for i in combo]
+        as_value = Fraction(sum(counts), 1 << f.num_datasets)
+        if not space.computable(combo):
             t_exact = t_greedy = ""
             pieces = [""] * args.num_servers
         else:
@@ -317,7 +306,7 @@ def _cmd_sweep(args, inputs):
             )
         writer.writerow(
             [pid, str(placement), str(as_value), repr(float(as_value)), t_exact, t_greedy]
-            + [str(v) for v in per]
+            + [str(Fraction(c, 1 << f.num_datasets)) for c in counts]
             + pieces
         )
     note = f"{emit} placements swept\n"
@@ -330,13 +319,26 @@ def _cmd_sweep(args, inputs):
     return EXIT_OK, args.output, extras
 
 
+def _thread_count(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return min(n, os.cpu_count() or 1)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, help="seed for all randomized paths"
     )
     common.add_argument(
-        "--threads", type=int, default=1, help="internal parallelism bound"
+        "--threads",
+        type=_thread_count,
+        default=1,
+        help="Monte Carlo worker threads (at least 1; capped at the CPU count)",
     )
 
     parser = argparse.ArgumentParser(

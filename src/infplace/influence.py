@@ -19,7 +19,14 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .anf import BooleanFunctionANF, evaluate, evaluate_batch, flip_assignment, truth_table
+from .anf import (
+    BooleanFunctionANF,
+    evaluate,
+    evaluate_batch,
+    flip_assignment,
+    truth_table,
+    uniform_assignments,
+)
 
 if TYPE_CHECKING:
     from .placement import PlacementConfig
@@ -186,13 +193,7 @@ def _mc_block_mismatches(
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
     )
-    k = f.num_datasets
-    if k <= 63:
-        w = rng.integers(0, 1 << k, size=block_len, dtype=np.uint64)
-    else:
-        hi = rng.integers(0, 1 << (k - 32), size=block_len, dtype=np.uint64)
-        lo = rng.integers(0, 1 << 32, size=block_len, dtype=np.uint64)
-        w = (hi << np.uint64(32)) | lo
+    w = uniform_assignments(rng, f.num_datasets, block_len)
     base = evaluate_batch(f, w)
     flipped = evaluate_batch(f, w ^ np.uint64(flip_mask))
     return int(np.count_nonzero(base != flipped))

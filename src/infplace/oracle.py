@@ -21,7 +21,6 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from .anf import BooleanFunctionANF, indices_from_mask, mask_from_indices
@@ -33,12 +32,12 @@ from .influence import (
 )
 from .placement import (
     ENUMERATION_BUDGET,
-    EnumerationBudgetError,
     PlacementConfig,
     PlacementConstraints,
+    PlacementSpace,
     aligned_placement,
     count_placements,
-    enumerate_placements,
+    orderings,
 )
 from .transmission import count_transmissions, synthesize_exact
 
@@ -243,36 +242,30 @@ def check_theorem(
     k = n * m
     f = disjoint_products(n, m)
     constraints = PlacementConstraints(k, n, m)
+    space = PlacementSpace(constraints, f)
+    space.check_budget(budget)
     total = count_placements(constraints)
-    if total > budget:
-        raise EnumerationBudgetError(
-            f"{total} strict placements exceed the budget {budget}"
-        )
     target_as = Fraction(n, 1 << (m - 1))
 
-    # Per-subset influence cache: every placement's value is a sum of these.
-    subset_influence = {}
-    for combo in combinations(range(1, k + 1), m):
-        mask = mask_from_indices(combo)
-        subset_influence[mask] = joint_influence_exact(f, mask).fraction
-
-    support = f.support_mask
+    # Every quantity here ignores server order: scan multisets, weighting
+    # each by its orderings so the computable count stays an ordered one.
     min_as = None
     num_computable = 0
     min_t = None
     min_t_placement = None
-    for placement in enumerate_placements(constraints, budget=budget):
-        value = sum(subset_influence[s] for s in placement.subset_masks)
+    for combo in space.multisets():
+        value = sum(space.influence(i) for i in combo)
         if min_as is None or value < min_as:
             min_as = value
-        union = placement.union_mask()
-        if support & ~union:
+        if not space.computable(combo):
             continue
-        num_computable += 1
+        num_computable += orderings(combo)
+        placement = space.config(combo)
         t = count_transmissions(synthesize_exact(f, placement)).total
         if min_t is None or t < min_t:
             min_t = t
             min_t_placement = placement
+    min_as = Fraction(min_as, 1 << k)
 
     aligned = aligned_placement(f, constraints)
     aligned_as = avg_joint_sensitivity(f, aligned).fraction

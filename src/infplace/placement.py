@@ -1,19 +1,19 @@
-"""Placement configurations: construction, validation, enumeration, search.
+"""Placement configurations: construction, enumeration, search.
 
 A placement assigns each of N servers a subset of the K datasets under
 a cache size M.  Strict mode demands exactly M datasets per server;
 relaxed mode only caps the size.  The two deterministic generators are
 the cyclic baseline (circularly shifted index windows) and the aligned
 placement (one monomial support per server, padded in strict mode).
+Every scan over strict placements goes through :class:`PlacementSpace`.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import comb
+from itertools import combinations, combinations_with_replacement, groupby
+from math import comb, factorial
 from typing import Iterator, Sequence
 
 from .anf import (
@@ -126,46 +126,6 @@ def placement_to_json(p: PlacementConfig) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@dataclass(frozen=True)
-class PlacementReport:
-    """Validation findings; report-style, nothing raises."""
-
-    cache_violations: tuple[tuple[int, int], ...]  # (server, subset size)
-    index_violations: tuple[int, ...]  # servers referencing datasets > K
-    computable: bool
-    uncovered_indices: tuple[int, ...]  # support datasets on no server
-
-    @property
-    def ok(self) -> bool:
-        return not self.cache_violations and not self.index_violations and self.computable
-
-
-def validate(
-    p: PlacementConfig, c: PlacementConstraints, f: BooleanFunctionANF
-) -> PlacementReport:
-    """Check cache sizes, index ranges, and computability of f.
-
-    Computability means every dataset appearing in f is held by at
-    least one server; single-dataset pieces then always suffice, so
-    this is exactly what any partial-product scheme needs.
-    """
-    full = (1 << c.num_datasets) - 1
-    cache, index = [], []
-    for server, mask in enumerate(p.subset_masks, start=1):
-        size = mask.bit_count()
-        if (c.strict_cache and size != c.cache_size) or size > c.cache_size:
-            cache.append((server, size))
-        if mask & ~full:
-            index.append(server)
-    uncovered = f.support_mask & ~p.union_mask()
-    return PlacementReport(
-        cache_violations=tuple(cache),
-        index_violations=tuple(index),
-        computable=uncovered == 0,
-        uncovered_indices=indices_from_mask(uncovered),
-    )
-
-
 def cyclic_placement(c: PlacementConstraints) -> PlacementConfig:
     """Baseline placement: server n holds an M-wide index window shifted by
     ceil(K/N) per server (the shift rule also covers K != N*M)."""
@@ -197,22 +157,24 @@ def aligned_placement(
 ) -> PlacementConfig:
     """Support-aligned placement: server n caches the variables of monomial n.
 
-    Monomials are taken in canonical order.  In strict mode short
-    subsets are padded to M, preferring datasets that appear in no
-    monomial (padding with those never changes the subset's influence);
-    only when none remain does padding fall back to the lowest-index
-    datasets missing from the subset.  Servers beyond the monomial
-    count get padding-only subsets.
+    Non-constant monomials are taken in canonical order; the constant
+    term needs no server.  In strict mode short subsets are padded to
+    M, preferring datasets that appear in no monomial (padding with
+    those never changes the subset's influence); only when none remain
+    does padding fall back to the lowest-index datasets missing from
+    the subset.  Servers beyond the monomial count get padding-only
+    subsets.
     """
     k, n, m = c.num_datasets, c.num_servers, c.cache_size
-    if len(f.monomials) > n:
+    monomials = f.non_constant_monomials
+    if len(monomials) > n:
         raise ValueError(
-            f"{len(f.monomials)} monomials cannot be aligned onto {n} servers"
+            f"{len(monomials)} monomials cannot be aligned onto {n} servers"
         )
     unused = ((1 << k) - 1) & ~f.support_mask
     masks = []
     for server in range(n):
-        mask = f.monomials[server] if server < len(f.monomials) else 0
+        mask = monomials[server] if server < len(monomials) else 0
         if mask.bit_count() > m:
             raise ValueError(
                 f"monomial {indices_from_mask(mask)} has degree {mask.bit_count()} > M={m}"
@@ -227,64 +189,125 @@ def count_placements(c: PlacementConstraints) -> int:
     return comb(c.num_datasets, c.cache_size) ** c.num_servers
 
 
+def orderings(combo: Sequence[int]) -> int:
+    """Ordered placements sharing this sorted multiset of subsets: n!/prod(mult!)."""
+    out = factorial(len(combo))
+    for _, run in groupby(combo):
+        out //= factorial(len(list(run)))
+    return out
+
+
+class PlacementSpace:
+    """Every strict placement of one grid, and f's influence over its subsets.
+
+    Size-M subsets are numbered in lexicographic order of their index
+    tuples, so a placement is a tuple of subset numbers whose
+    lexicographic order is the placements' own.  Subset masks and exact
+    influence counts are built on first use: scanning the first rows of
+    a huge grid costs only those rows.
+
+    Summed influence, computability and the exact piece count do not
+    depend on server order, so callers that need only those scan server
+    multisets.  The sorted tuple of any minimiser is also a minimiser
+    and comes no later, so the first minimising multiset is the first
+    minimising ordered placement.
+    """
+
+    def __init__(self, c: PlacementConstraints, f: BooleanFunctionANF | None = None):
+        self.constraints = c
+        self.function = f
+        self.num_subsets = comb(c.num_datasets, c.cache_size)
+        self._combos = combinations(range(1, c.num_datasets + 1), c.cache_size)
+        self._masks: list[int] = []
+        self._counts: dict[int, int] = {}
+
+    def check_budget(self, budget: int) -> None:
+        """Refuse a grid of more than ``budget`` ordered placements, decided
+        without forming the count, which can have thousands of digits."""
+        c = self.constraints
+        total = 1
+        for _ in range(c.num_servers):
+            total *= self.num_subsets
+            if total > budget or self.num_subsets < 2:
+                break
+        if total > budget:
+            k, n, m = c.num_datasets, c.num_servers, c.cache_size
+            raise EnumerationBudgetError(
+                f"C({k},{m})^{n} placements exceed the enumeration budget {budget}"
+            )
+
+    def mask(self, i: int) -> int:
+        masks = self._masks
+        while len(masks) <= i:
+            masks.append(mask_from_indices(next(self._combos)))
+        return masks[i]
+
+    def influence(self, i: int) -> int:
+        """Exact joint influence of subset ``i`` as a count over 2^K inputs."""
+        if i not in self._counts:
+            self._counts[i] = joint_influence_exact(self.function, self.mask(i)).count
+        return self._counts[i]
+
+    def computable(self, combo: Sequence[int]) -> bool:
+        """Every dataset of f is held by some server of the placement."""
+        union = 0
+        for i in combo:
+            union |= self.mask(i)
+        return not self.function.support_mask & ~union
+
+    def config(self, combo: Sequence[int]) -> PlacementConfig:
+        c = self.constraints
+        return PlacementConfig(c.num_servers, c.cache_size, tuple(self.mask(i) for i in combo))
+
+    def ordered(self) -> Iterator[tuple[int, ...]]:
+        """Every ordered placement once, lexicographic, generated lazily."""
+        n, last = self.constraints.num_servers, self.num_subsets - 1
+        if last < 0:
+            return
+        combo = [0] * n
+        while True:
+            yield tuple(combo)
+            pos = n - 1
+            while combo[pos] == last:
+                combo[pos] = 0
+                pos -= 1
+                if pos < 0:
+                    return
+            combo[pos] += 1
+
+    def multisets(self) -> Iterator[tuple[int, ...]]:
+        """Every server multiset once, as a sorted tuple, lexicographic;
+        :func:`orderings` gives the ordered placements behind each."""
+        return combinations_with_replacement(
+            range(self.num_subsets), self.constraints.num_servers
+        )
+
+
 def enumerate_placements(
     c: PlacementConstraints, budget: int = ENUMERATION_BUDGET
 ) -> Iterator[PlacementConfig]:
     """Every ordered N-tuple of size-M subsets of [K], lexicographic, exactly once."""
-    total = count_placements(c)
-    if total > budget:
-        raise EnumerationBudgetError(
-            f"{total} placements exceed the enumeration budget {budget}"
-        )
-    k, n, m = c.num_datasets, c.num_servers, c.cache_size
-    subsets = [mask_from_indices(ix) for ix in combinations(range(1, k + 1), m)]
-    for combo in product(subsets, repeat=n):
-        yield PlacementConfig(n, m, combo)
+    space = PlacementSpace(c)
+    space.check_budget(budget)
+    for combo in space.ordered():
+        yield space.config(combo)
 
 
 def _exhaustive_min(
-    f: BooleanFunctionANF, c: PlacementConstraints, budget: int, threads: int
+    f: BooleanFunctionANF, c: PlacementConstraints, budget: int
 ) -> tuple[PlacementConfig, InfluenceValue]:
-    total = count_placements(c)
-    if total > budget:
-        raise EnumerationBudgetError(
-            f"{total} placements exceed the enumeration budget {budget}"
-        )
-    k, n, m = c.num_datasets, c.num_servers, c.cache_size
-    subsets = [mask_from_indices(ix) for ix in combinations(range(1, k + 1), m)]
-    counts = [joint_influence_exact(f, s).count for s in subsets]
-    support = f.support_mask
-    num_subsets = len(subsets)
-
-    def scan_block(first: int) -> tuple[int, tuple[int, ...]] | None:
-        # Placements sharing the first subset, in lexicographic order.
-        best: tuple[int, tuple[int, ...]] | None = None
-        for rest in product(range(num_subsets), repeat=n - 1):
-            combo = (first, *rest)
-            union = 0
-            for i in combo:
-                union |= subsets[i]
-            if support & ~union:
-                continue  # not computable for f
-            as_count = sum(counts[i] for i in combo)
-            if best is None or as_count < best[0]:
-                best = (as_count, combo)
-        return best
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            block_bests = list(pool.map(scan_block, range(num_subsets)))
-    else:
-        block_bests = [scan_block(first) for first in range(num_subsets)]
-
+    space = PlacementSpace(c, f)
+    space.check_budget(budget)
     best = None
-    for cand in block_bests:  # block order preserves lexicographic tie-breaking
-        if cand is not None and (best is None or cand[0] < best[0]):
-            best = cand
+    for combo in space.multisets():
+        if not space.computable(combo):
+            continue
+        total = sum(space.influence(i) for i in combo)
+        if best is None or total < best[0]:
+            best = (total, combo)
     if best is None:
         raise ValueError("no placement can cover the function's datasets")
-    placement = PlacementConfig(n, m, tuple(subsets[i] for i in best[1]))
-    return placement, InfluenceValue.exact_value(best[0], 1 << k)
+    return space.config(best[1]), InfluenceValue.exact_value(best[0], 1 << c.num_datasets)
 
 
 def search_min_as(
@@ -292,12 +315,12 @@ def search_min_as(
     c: PlacementConstraints,
     method: str = SEARCH_EXHAUSTIVE,
     budget: int = ENUMERATION_BUDGET,
-    threads: int = 1,
 ) -> tuple[PlacementConfig, InfluenceValue]:
     """Find a placement minimizing the summed joint influence.
 
-    ``exhaustive`` scans every strict placement that can compute f
-    (lexicographic first wins ties); ``greedy-aligned`` returns the
+    ``exhaustive`` scans every server multiset of strict subsets that
+    can compute f (the lexicographically first placement wins ties; the
+    budget still counts ordered placements); ``greedy-aligned`` returns the
     aligned placement directly.  K must be within the exact enumeration
     limit.
     """
@@ -306,7 +329,7 @@ def search_min_as(
             f"search requires K <= {EXACT_ENUMERATION_LIMIT}, got {f.num_datasets}"
         )
     if method == SEARCH_EXHAUSTIVE:
-        return _exhaustive_min(f, c, budget, threads)
+        return _exhaustive_min(f, c, budget)
     if method == SEARCH_GREEDY_ALIGNED:
         from .influence import avg_joint_sensitivity
 

@@ -30,6 +30,7 @@ from .anf import (
     indices_from_mask,
     mask_from_indices,
     truth_table,
+    uniform_assignments,
 )
 from .placement import PlacementConfig
 
@@ -459,12 +460,7 @@ def verify_scheme(
         counter = int(bad[0]) if bad.size else None
         return VerifyResult(counter is None, "exhaustive", 1 << k, counter, None)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
-    if k <= 63:
-        w = rng.integers(0, 1 << k, size=sample_count, dtype=np.uint64)
-    else:
-        hi = rng.integers(0, 1 << (k - 32), size=sample_count, dtype=np.uint64)
-        lo = rng.integers(0, 1 << 32, size=sample_count, dtype=np.uint64)
-        w = (hi << np.uint64(32)) | lo
+    w = uniform_assignments(rng, k, sample_count)
     expect = evaluate_batch(f, w)
     got = _decode_batch(s, w)
     bad = np.nonzero(expect != got)[0]

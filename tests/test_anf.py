@@ -8,13 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infplace.anf import (
-    GENERAL_XOR_OF_MONOMIALS,
-    UNIFORM_DEGREE_DISJOINT,
     BooleanFunctionANF,
     ParseError,
-    assignment_from_bits,
     bits_from_assignment,
-    classify_linearly_separable,
     evaluate,
     evaluate_batch,
     flip_assignment,
@@ -171,16 +167,8 @@ def test_evaluate_rejects_out_of_range_assignment():
 
 
 def test_assignment_bits_first_dataset_first():
-    mask, length = assignment_from_bits("100")
-    assert (mask, length) == (1, 3)
     assert bits_from_assignment(0b0000101, 7) == "1010000"
-    assert assignment_from_bits(bits_from_assignment(0b1011, 4))[0] == 0b1011
-
-
-@pytest.mark.parametrize("text", ["", "012", "1x0"])
-def test_assignment_bits_rejects_bad_strings(text):
-    with pytest.raises(ParseError):
-        assignment_from_bits(text)
+    assert bits_from_assignment(0b1011, 4) == "1101"
 
 
 def test_flip_assignment_is_involution():
@@ -189,19 +177,6 @@ def test_flip_assignment_is_involution():
     assert flip_assignment(0b1010, 0, 4) == 0b1010
     with pytest.raises(ValueError):
         flip_assignment(0b1010, 1 << 4, 4)
-
-
-def test_classification():
-    disj = BooleanFunctionANF.from_indices(6, [[1, 2], [3, 4], [5, 6]])
-    assert classify_linearly_separable(disj, 2) == UNIFORM_DEGREE_DISJOINT
-    shared = BooleanFunctionANF.from_indices(4, [[1, 2], [2, 3]])
-    assert classify_linearly_separable(shared, 2) == GENERAL_XOR_OF_MONOMIALS
-    mixed = BooleanFunctionANF.from_indices(5, [[1, 2], [3, 4, 5]])
-    assert classify_linearly_separable(mixed, 2) == GENERAL_XOR_OF_MONOMIALS
-    with_const = BooleanFunctionANF.from_indices(4, [[], [1, 2], [3, 4]])
-    assert classify_linearly_separable(with_const, 2) == GENERAL_XOR_OF_MONOMIALS
-    empty = BooleanFunctionANF.from_indices(4, [])
-    assert classify_linearly_separable(empty, 2) == GENERAL_XOR_OF_MONOMIALS
 
 
 def test_support_mask(example_function):

@@ -13,8 +13,11 @@ from pathlib import Path
 
 import pytest
 
+import argparse
+from math import comb
+
 import infplace
-from infplace.cli import main
+from infplace.cli import _thread_count, main
 
 from conftest import (
     DISJOINT_PAIRS_JSON,
@@ -273,6 +276,61 @@ def test_sweep_budget_truncates(capsys, tmp_path):
     manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
     assert manifest["placements_emitted"] == 5
     assert manifest["truncated"] is True
+
+
+def pairs_k24(tmp_path):
+    """12 disjoint pairs over K=24: C(24,12) = 2,704,156 subsets of size 12."""
+    path = tmp_path / "pairs24.json"
+    monomials = [[2 * i + 1, 2 * i + 2] for i in range(12)]
+    path.write_text(json.dumps({"K": 24, "monomials": monomials}))
+    return str(path)
+
+
+def test_place_budget_is_checked_before_the_count_is_formed(capsys, tmp_path):
+    # C(24,12)^1000 has over 6,400 digits: too long to print as an integer.
+    argv = ["place", "-f", pairs_k24(tmp_path), "-N", "1000", "-M", "12"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[0] == (
+        "error: C(24,12)^1000 placements exceed the enumeration budget 10000000"
+    )
+
+
+def test_sweep_on_a_huge_grid_builds_only_the_rows_it_writes(capsys, tmp_path):
+    out_path = tmp_path / "sweep.csv"
+    argv = [
+        "sweep", "-f", pairs_k24(tmp_path), "-N", "2", "-M", "12",
+        "--budget", "1", "-o", str(out_path),
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "1 placements swept\n"
+    lines = out_path.read_text().splitlines()
+    assert len(lines) == 2
+    first = "{1,2,3,4,5,6,7,8,9,10,11,12}"
+    assert lines[1] == f'0,"{first}; {first}",1,1.0,,,1/2,1/2,,'
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert manifest["placements_total"] == comb(24, 12) ** 2
+    assert manifest["truncated"] is True
+
+
+@pytest.mark.parametrize("text", ["0", "-3", "two"])
+def test_threads_below_one_are_rejected(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        _thread_count(text)
+
+
+def test_threads_are_capped_at_the_cpu_count():
+    cpus = os.cpu_count() or 1
+    assert _thread_count("1") == 1
+    assert _thread_count(str(cpus)) == cpus
+    assert _thread_count(str(cpus + 1000)) == cpus
+
+
+def test_threads_zero_exits_2(files, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["influence", "-f", files["f.json"], "--subset", "1", "--threads", "0"])
+    assert exc.value.code == 2
+    assert "--threads: must be at least 1, got 0" in capsys.readouterr().err
 
 
 def test_exit_2_for_bad_function_json(capsys, tmp_path):

@@ -253,6 +253,14 @@ def test_mc_deterministic_across_threads():
     assert one.samples == 38005 and one.seed == 2024
 
 
+def test_mc_sample_stream_at_k64_is_pinned():
+    # K = 64 joins two draws per sample; the stream, so the estimate, is fixed.
+    f = BooleanFunctionANF.from_indices(64, [[1, 64], [2, 33], [63]])
+    est = joint_influence_mc(f, 1 << 63 | 1 << 32, EstimatorConfig(0.05, 0.01, seed=7))
+    assert est.samples == 1060
+    assert est.mean == 517 / 1060
+
+
 def test_mc_seed_changes_stream():
     f = BooleanFunctionANF.from_indices(30, [[1, 2, 3, 4, 5]])
     a = joint_influence_mc(f, 0b11, EstimatorConfig(0.01, 1e-3, seed=1))

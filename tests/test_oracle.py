@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from infplace.anf import BooleanFunctionANF
+from infplace.anf import BooleanFunctionANF, mask_from_indices
+from infplace.influence import joint_influence_exact
 from infplace.oracle import (
     check_lemma1,
     check_lemma2,
@@ -15,6 +18,7 @@ from infplace.oracle import (
     disjoint_products,
 )
 from infplace.placement import EnumerationBudgetError, PlacementConfig
+from infplace.transmission import count_transmissions, synthesize_exact
 
 
 def test_disjoint_products_layout():
@@ -100,6 +104,37 @@ def test_theorem_two_servers_triples():
     assert report.summary["min_as"] == "1/2"
     assert report.summary["min_T"] == "2"
     assert report.summary["min_T_placement"] == "{1,2,3}; {4,5,6}"
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
+def test_theorem_summary_matches_ordered_reference(n, m):
+    # Every ordered placement, one by one, as the checker once scanned them.
+    f = disjoint_products(n, m)
+    k = n * m
+    subsets = [mask_from_indices(ix) for ix in combinations(range(1, k + 1), m)]
+    influence = {s: joint_influence_exact(f, s).fraction for s in subsets}
+    min_as, computable, min_t, min_t_placement = None, 0, None, None
+    for combo in product(subsets, repeat=n):
+        value = sum(influence[s] for s in combo)
+        if min_as is None or value < min_as:
+            min_as = value
+        union = 0
+        for s in combo:
+            union |= s
+        if f.support_mask & ~union:
+            continue
+        computable += 1
+        placement = PlacementConfig(n, m, combo)
+        t = count_transmissions(synthesize_exact(f, placement)).total
+        if min_t is None or t < min_t:
+            min_t, min_t_placement = t, placement
+
+    summary = check_theorem(n, m).summary
+    assert summary["placements"] == str(len(subsets) ** n)
+    assert summary["min_as"] == str(min_as) == str(Fraction(n, 1 << (m - 1)))
+    assert summary["computable"] == str(computable)
+    assert summary["min_T"] == str(min_t)
+    assert summary["min_T_placement"] == str(min_t_placement)
 
 
 def test_theorem_respects_enumeration_budget():

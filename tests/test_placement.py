@@ -1,24 +1,27 @@
-"""Placement construction, validation, enumeration, and search."""
+"""Placement construction, enumeration, and search."""
 
+import random
 from fractions import Fraction
+from itertools import combinations, product
 from math import comb
 
 import pytest
 
-from infplace.anf import BooleanFunctionANF, ParseError
+from infplace.anf import BooleanFunctionANF, ParseError, evaluate, mask_from_indices
 from infplace.influence import joint_influence_exact
 from infplace.placement import (
     EnumerationBudgetError,
     PlacementConfig,
     PlacementConstraints,
+    PlacementSpace,
     aligned_placement,
     count_placements,
     cyclic_placement,
     enumerate_placements,
+    orderings,
     parse_placement,
     placement_to_json,
     search_min_as,
-    validate,
 )
 
 
@@ -99,35 +102,21 @@ def test_aligned_relaxed_mode_skips_padding(example_function):
     assert subsets_of(p) == [[1, 4, 7], [3, 6, 9], [2, 5, 7, 8]]
 
 
+def test_aligned_gives_the_constant_term_no_server():
+    f = BooleanFunctionANF.from_indices(6, [[], [1, 2], [3, 4], [5, 6]])
+    c = PlacementConstraints(6, 3, 2)
+    p = aligned_placement(f, c)
+    assert subsets_of(p) == [[1, 2], [3, 4], [5, 6]]
+    assert sum(joint_influence_exact(f, s).fraction for s in p.subset_masks) == Fraction(3, 2)
+    _, value = search_min_as(f, c, method="greedy-aligned")
+    assert value.fraction == Fraction(3, 2)
+
+
 def test_aligned_rejects_impossible_shapes(example_function):
     with pytest.raises(ValueError):
         aligned_placement(example_function, PlacementConstraints(9, 2, 6))
     with pytest.raises(ValueError):
         aligned_placement(example_function, PlacementConstraints(9, 3, 3))
-
-
-def test_validate_reports(disjoint_pairs):
-    c = PlacementConstraints(6, 2, 2)
-    bad = PlacementConfig.from_indices(2, [[1, 2, 3], [7, 8]])
-    report = validate(bad, c, disjoint_pairs)
-    assert report.cache_violations == ((1, 3),)
-    assert report.index_violations == (2,)
-    assert not report.computable
-    assert 5 in report.uncovered_indices and 6 in report.uncovered_indices
-    assert not report.ok
-
-    good = PlacementConfig.from_indices(2, [[1, 2], [3, 4]])
-    f = BooleanFunctionANF.from_indices(6, [[1, 2], [3, 4]])
-    assert validate(good, PlacementConstraints(6, 2, 2), f).ok
-
-
-def test_validate_relaxed_allows_short_subsets():
-    f = BooleanFunctionANF.from_indices(4, [[1]])
-    c = PlacementConstraints(4, 2, 3, strict_cache=False)
-    p = PlacementConfig.from_indices(3, [[1], [2, 3, 4]])
-    assert validate(p, c, f).ok
-    strict = PlacementConstraints(4, 2, 3)
-    assert validate(p, strict, f).cache_violations == ((1, 1),)
 
 
 def test_enumeration_is_lexicographic_and_complete():
@@ -167,13 +156,6 @@ def test_exhaustive_search_constant_function_ties_lexicographically():
     assert value.fraction == 0
 
 
-def test_search_threads_do_not_change_result(disjoint_pairs):
-    c = PlacementConstraints(6, 3, 2)
-    assert search_min_as(disjoint_pairs, c, threads=1) == search_min_as(
-        disjoint_pairs, c, threads=4
-    )
-
-
 def test_greedy_aligned_search(disjoint_pairs):
     placement, value = search_min_as(
         disjoint_pairs, PlacementConstraints(6, 3, 2), method="greedy-aligned"
@@ -205,3 +187,96 @@ def test_exhaustive_search_matches_direct_scan():
         if best is None or total < best:
             best = total
     assert value.fraction == best
+
+
+def test_space_scans_match_product_and_multiset_counts():
+    c = PlacementConstraints(4, 3, 2)
+    space = PlacementSpace(c)
+    subsets = [mask_from_indices(ix) for ix in combinations(range(1, 5), 2)]
+    ordered = list(space.ordered())
+    assert ordered == list(product(range(len(subsets)), repeat=3))
+    assert [space.config(t).subset_masks for t in ordered[:3]] == [
+        tuple(subsets[i] for i in t) for t in ordered[:3]
+    ]
+    multisets = list(space.multisets())
+    assert multisets == sorted({tuple(sorted(t)) for t in ordered})
+    assert sum(orderings(m) for m in multisets) == len(ordered) == count_placements(c)
+    assert orderings((0, 0, 0)) == 1 and orderings((0, 0, 2)) == 3 and orderings((0, 1, 2)) == 6
+
+
+def test_budget_guard_never_forms_the_count():
+    # C(24,12)^1000 has over 6,400 digits, past int-to-str conversion;
+    # the guard must decide without it and keep it out of the message.
+    space = PlacementSpace(PlacementConstraints(24, 1000, 12))
+    with pytest.raises(EnumerationBudgetError) as exc:
+        space.check_budget(10**7)
+    assert str(exc.value) == "C(24,12)^1000 placements exceed the enumeration budget 10000000"
+    PlacementSpace(PlacementConstraints(4, 2, 2)).check_budget(36)
+    with pytest.raises(EnumerationBudgetError):
+        PlacementSpace(PlacementConstraints(4, 2, 2)).check_budget(35)
+    PlacementSpace(PlacementConstraints(4, 1000, 4)).check_budget(1)  # one subset
+    PlacementSpace(PlacementConstraints(3, 5, 4)).check_budget(0)  # empty grid
+    with pytest.raises(EnumerationBudgetError):
+        PlacementSpace(PlacementConstraints(3, 5, 4)).check_budget(-1)
+
+
+def test_space_builds_only_the_subsets_it_visits():
+    f = BooleanFunctionANF.from_indices(24, [[2 * i + 1, 2 * i + 2] for i in range(12)])
+    space = PlacementSpace(PlacementConstraints(24, 2, 12), f)
+    assert next(space.ordered()) == (0, 0)
+    assert space.computable((0, 0)) is False
+    assert len(space._masks) == 1
+
+
+def reference_influence(f, flip):
+    k = f.num_datasets
+    changed = sum(evaluate(f, w) != evaluate(f, w ^ flip) for w in range(1 << k))
+    return Fraction(changed, 1 << k)
+
+
+def reference_min(f, c):
+    """Lexicographically first minimiser over every ordered placement."""
+    subsets = [
+        mask_from_indices(ix)
+        for ix in combinations(range(1, c.num_datasets + 1), c.cache_size)
+    ]
+    influence = {s: reference_influence(f, s) for s in subsets}
+    best = None
+    for combo in product(subsets, repeat=c.num_servers):
+        union = 0
+        for s in combo:
+            union |= s
+        if f.support_mask & ~union:
+            continue
+        value = sum(influence[s] for s in combo)
+        if best is None or value < best[1]:
+            best = (combo, value)
+    return best
+
+
+def random_instance(rng):
+    k = rng.randint(1, 6)
+    n = rng.randint(1, 3)
+    m = rng.randint(1, k)
+    monomials = [
+        rng.sample(range(1, k + 1), rng.randint(0, min(k, 3)))
+        for _ in range(rng.randint(0, 3))
+    ]
+    return BooleanFunctionANF.from_indices(k, monomials), PlacementConstraints(k, n, m)
+
+
+def test_exhaustive_search_matches_ordered_reference_on_random_instances():
+    rng = random.Random(20240)
+    found = 0
+    for _ in range(240):
+        f, c = random_instance(rng)
+        expected = reference_min(f, c)
+        if expected is None:
+            with pytest.raises(ValueError):
+                search_min_as(f, c)
+            continue
+        placement, value = search_min_as(f, c)
+        assert placement.subset_masks == expected[0], (str(f), c)
+        assert value.fraction == expected[1], (str(f), c)
+        found += 1
+    assert found >= 200

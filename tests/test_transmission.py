@@ -180,6 +180,19 @@ def test_verify_sampled_path_for_large_k():
     assert result.inputs_checked == 100_000 and result.seed == 9
 
 
+def test_verify_sample_stream_at_k64_is_pinned():
+    # Decoding W1W63 for W1W64 fails on the first sample where those bits
+    # differ under W1; the counterexample pins all 64 bits of the stream.
+    f = BooleanFunctionANF.from_indices(64, [[1, 64]])
+    wrong = TransmissionScheme((Piece(1, 1), Piece(1, 1 << 62)), ((0, 1),))
+    result = verify_scheme(wrong, f, seed=11)
+    assert not result.passed and result.mode == "sampled"
+    assert result.counterexample == 0x99FBCBDEC813392B
+    assert result.counterexample_bits(64) == (
+        "1101010010011100110010000001001101111011110100111101111110011001"
+    )
+
+
 def test_verify_rejects_plan_shape_mismatch(example_function):
     scheme = TransmissionScheme(pieces=(Piece(1, 0b1),), plan=((0,),), constant=0)
     with pytest.raises(ValueError):
