@@ -2,10 +2,10 @@
 
 Every command is deterministic given its inputs, --seed, and flags.
 Randomized paths (Monte Carlo estimation, sampled verification, oracle
-subset sampling) draw all randomness from --seed, and --threads never
-changes results.  Each completed run emits a RunManifest: as a
-``<output>.manifest.json`` sidecar when the command writes a file, on
-stderr otherwise.
+subset sampling) draw all randomness from --seed.  --threads is
+validated and otherwise ignored: every command runs on one thread.
+Each completed run emits a RunManifest: as a ``<output>.manifest.json``
+sidecar when the command writes a file, on stderr otherwise.
 
 Exit codes: 0 success, 2 bad input, 3 infeasible mode (exact paths past
 their limits, enumeration budgets), 4 placement cannot compute the
@@ -152,7 +152,7 @@ def _cmd_influence(args, inputs):
     f = _load_function(args.function, inputs)
     flip = _parse_subset(args.subset, f.num_datasets)
     if args.mc:
-        value = joint_influence_mc(f, flip, _estimator(args), threads=args.threads)
+        value = joint_influence_mc(f, flip, _estimator(args))
     else:
         value = joint_influence_exact(f, flip)
     sys.stdout.write(str(value) + "\n")
@@ -164,14 +164,11 @@ def _cmd_avg_sensitivity(args, inputs):
     p = _load_placement(args.placement, inputs)
     if args.mc:
         cfg = _estimator(args)
-        per = [
-            joint_influence_mc(f, s, cfg, threads=args.threads)
-            for s in p.subset_masks
-        ]
+        per = [joint_influence_mc(f, s, cfg) for s in p.subset_masks]
         value = sum_influences(per)
         sys.stdout.write(str(value) + "\n")
     else:
-        value = avg_joint_sensitivity(f, p, threads=args.threads)
+        value = avg_joint_sensitivity(f, p)
         sys.stdout.write(str(value.fraction) + "\n")
     return EXIT_OK, None, {}
 
@@ -202,20 +199,28 @@ def _cmd_verify(args, inputs):
     scheme = parse_scheme(Path(args.scheme).read_text())
     inputs[args.scheme] = _sha256(scheme_to_json(scheme))
     f = _load_function(args.function, inputs)
-    for problem in scheme_structure_errors(scheme, f):
+    problems = scheme_structure_errors(scheme, f)
+    for problem in problems:
         sys.stderr.write(f"structure: {problem}\n")
     result = verify_scheme(scheme, f, seed=args.seed)
     if result.mode == "sampled":
         mode = f"sampled, seed={result.seed}"
     else:
         mode = "exhaustive"
-    if result.passed:
-        n = result.inputs_checked
-        sys.stdout.write(f"PASS {n}/{n} inputs ({mode})\n")
-        return EXIT_OK, None, {}
-    bits = result.counterexample_bits(f.num_datasets)
-    sys.stdout.write(f"FAIL counterexample={bits} ({mode})\n")
-    return EXIT_ASSERTION_FAILED, None, {}
+    if not result.passed:
+        bits = result.counterexample_bits(f.num_datasets)
+        sys.stdout.write(f"FAIL counterexample={bits} ({mode})\n")
+        return EXIT_ASSERTION_FAILED, None, {}
+    n = result.inputs_checked
+    if problems:
+        # Overlapping pieces still multiply to the monomial, so decoding
+        # passes, yet the row is no partition and its piece count is wrong.
+        sys.stdout.write(
+            f"FAIL structure errors={len(problems)}, decoded {n}/{n} inputs ({mode})\n"
+        )
+        return EXIT_ASSERTION_FAILED, None, {}
+    sys.stdout.write(f"PASS {n}/{n} inputs ({mode})\n")
+    return EXIT_OK, None, {}
 
 
 def _parse_degrees(text: str) -> list[int]:
@@ -261,9 +266,7 @@ def _cmd_oracle(args, inputs):
         )
         space.check_budget(ENUMERATION_BUDGET)
         covering = (space.config(c) for c in space.ordered() if space.computable(c))
-        # The first computable placements in order; at least one, as a
-        # --limit below 1 has always taken one.
-        report = corollary_study(f, list(islice(covering, max(args.limit, 1))))
+        report = corollary_study(f, list(islice(covering, args.limit)))
 
     summary = "; ".join(f"{k}={v}" for k, v in sorted(report.summary.items()))
     note = f"{report.claim}: {'pass' if report.passed else 'FAIL'}; {summary}\n"
@@ -312,21 +315,25 @@ def _cmd_sweep(args, inputs):
     note = f"{emit} placements swept\n"
     _write_primary(args.output, buf.getvalue(), note)
     extras = {
-        "placements_total": total,
+        "placements_total": space.size_text,
         "placements_emitted": emit,
         "truncated": emit < total,
     }
     return EXIT_OK, args.output, extras
 
 
-def _thread_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return min(n, os.cpu_count() or 1)
+    return n
+
+
+def _thread_count(text: str) -> int:
+    return min(_positive_int(text), os.cpu_count() or 1)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -338,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_thread_count,
         default=1,
-        help="Monte Carlo worker threads (at least 1; capped at the CPU count)",
+        help="accepted for compatibility and ignored (at least 1)",
     )
 
     parser = argparse.ArgumentParser(
@@ -422,7 +429,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", "--num-servers", type=int)
     p.add_argument("-M", "--cache-size", type=int)
     p.add_argument("-f", "--function", metavar="FILE", help="corollary study input")
-    p.add_argument("--limit", type=int, default=200, help="corollary placement cap")
+    p.add_argument(
+        "--limit", type=_positive_int, default=200, help="corollary placement cap (at least 1)"
+    )
     p.add_argument("-o", "--output", metavar="FILE", help="JSON report (default stdout)")
     p.add_argument("--csv", metavar="FILE", help="also write per-case CSV")
     p.set_defaults(func=_cmd_oracle)

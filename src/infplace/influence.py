@@ -12,7 +12,6 @@ Monte Carlo estimator takes over.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -33,8 +32,9 @@ if TYPE_CHECKING:
 
 # 2^24 evaluations per influence; above this the MC path is mandatory.
 EXACT_ENUMERATION_LIMIT = 24
-# Samples per deterministic RNG block; the block grid, not the thread
-# count, defines the sample stream.
+# Samples per RNG block.  Block b draws from its own stream keyed by
+# (seed, b), so this size is part of the pinned sample stream: changing
+# it changes every Monte Carlo estimate.
 MC_BLOCK_SIZE = 8192
 
 
@@ -188,7 +188,7 @@ def _mc_block_mismatches(
     """Mismatch count for one deterministic sample block.
 
     Each block owns an independent RNG stream keyed by (seed, block
-    index), so the result is the same no matter which worker runs it.
+    index).
     """
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
@@ -200,33 +200,24 @@ def _mc_block_mismatches(
 
 
 def joint_influence_mc(
-    f: BooleanFunctionANF, flip_mask: int, config: EstimatorConfig, threads: int = 1
+    f: BooleanFunctionANF, flip_mask: int, config: EstimatorConfig
 ) -> InfluenceValue:
     """Monte Carlo joint influence under the (epsilon, delta) Hoeffding contract.
 
-    Deterministic for a fixed seed regardless of ``threads``: samples
-    are partitioned into fixed blocks with per-block RNG streams and the
-    per-block counts are summed in block order.
+    Deterministic for a fixed seed: samples are partitioned into fixed
+    blocks with per-block RNG streams and the per-block counts are
+    summed in block order.
     """
     k = f.num_datasets
     if flip_mask < 0 or flip_mask >> k:
         raise ValueError(f"flip set {flip_mask!r} not within [1, {k}]")
     n = config.sample_count
-    blocks = [
-        (b, min(MC_BLOCK_SIZE, n - b * MC_BLOCK_SIZE))
+    mismatches = sum(
+        _mc_block_mismatches(
+            f, flip_mask, config.seed, b, min(MC_BLOCK_SIZE, n - b * MC_BLOCK_SIZE)
+        )
         for b in range((n + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE)
-    ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(
-                pool.map(
-                    lambda blk: _mc_block_mismatches(f, flip_mask, config.seed, blk[0], blk[1]),
-                    blocks,
-                )
-            )
-    else:
-        counts = [_mc_block_mismatches(f, flip_mask, config.seed, b, ln) for b, ln in blocks]
-    mismatches = sum(counts)
+    )
     mean = mismatches / n
     half_width = math.sqrt(math.log(2.0 / config.delta) / (2.0 * n))
     return InfluenceValue.estimate_value(mean, half_width, n, config.seed)
@@ -237,7 +228,6 @@ def avg_joint_sensitivity(
     placement: "PlacementConfig",
     estimator: EstimatorConfig | None = None,
     limit: int = EXACT_ENUMERATION_LIMIT,
-    threads: int = 1,
 ) -> InfluenceValue:
     """Sum of the joint influences of the placed subsets.
 
@@ -260,10 +250,7 @@ def avg_joint_sensitivity(
                 f"K={k} exceeds the exact enumeration limit {limit};"
                 " pass an EstimatorConfig for the Monte Carlo path"
             )
-        per = [
-            joint_influence_mc(f, mask, estimator, threads=threads)
-            for mask in placement.subset_masks
-        ]
+        per = [joint_influence_mc(f, mask, estimator) for mask in placement.subset_masks]
     if not per:
         return InfluenceValue.exact_value(0, 1 << k)
     return sum_influences(per)

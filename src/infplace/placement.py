@@ -221,19 +221,23 @@ class PlacementSpace:
         self._masks: list[int] = []
         self._counts: dict[int, int] = {}
 
+    @property
+    def size_text(self) -> str:
+        """The ordered-placement count as "C(K,M)^N", too long to print as an integer."""
+        c = self.constraints
+        return f"C({c.num_datasets},{c.cache_size})^{c.num_servers}"
+
     def check_budget(self, budget: int) -> None:
         """Refuse a grid of more than ``budget`` ordered placements, decided
         without forming the count, which can have thousands of digits."""
-        c = self.constraints
         total = 1
-        for _ in range(c.num_servers):
+        for _ in range(self.constraints.num_servers):
             total *= self.num_subsets
             if total > budget or self.num_subsets < 2:
                 break
         if total > budget:
-            k, n, m = c.num_datasets, c.num_servers, c.cache_size
             raise EnumerationBudgetError(
-                f"C({k},{m})^{n} placements exceed the enumeration budget {budget}"
+                f"{self.size_text} placements exceed the enumeration budget {budget}"
             )
 
     def mask(self, i: int) -> int:

@@ -10,7 +10,12 @@ The exact synthesizer minimizes the number of distinct pieces within
 this class.  Server choice never affects the optimum (a var-set reused
 on one server costs one piece; spread over two it costs two), so the
 search runs over var-set partitions and servers are assigned afterwards
-(lowest covering index, for determinism).  Cost grows superexponentially
+(lowest covering index, for determinism).  The search is a depth-first
+branch-and-bound from the greedy scheme.  Its bound counts, per monomial,
+the vars no reusable block covers over the widest coverable block,
+rounded up; it never overestimates, and the search keeps the first
+strictly better scheme in a DFS order the bound does not affect, so the
+bound sets the running time, never the scheme.  Cost grows exponentially
 with monomial degree; the degree limit is enforced, not advisory.
 """
 
@@ -237,28 +242,6 @@ def _greedy_partitions(
     return chosen
 
 
-def _min_new_blocks(remaining: int, blocks: set[int], used: set[int]) -> int:
-    """Fewest not-yet-used blocks that can complete a partition of ``remaining``."""
-    memo = {0: 0}
-
-    def solve(mask: int) -> int:
-        if mask in memo:
-            return memo[mask]
-        low = mask & -mask
-        best = mask.bit_count() + 1  # singletons are always coverable blocks
-        sub = mask
-        while sub:
-            if sub & low and sub in blocks:
-                cost = (0 if sub in used else 1) + solve(mask & ~sub)
-                if cost < best:
-                    best = cost
-            sub = (sub - 1) & mask
-        memo[mask] = best
-        return best
-
-    return solve(remaining)
-
-
 def _search_min_distinct(
     monomials: Sequence[int],
     block_sets: Sequence[set[int]],
@@ -268,22 +251,29 @@ def _search_min_distinct(
 
     Minimizes the number of distinct var-set blocks across monomials.
     The incumbent starts at the greedy solution, so the result never
-    uses more distinct blocks than greedy.  Bound: used-so-far plus the
-    largest per-monomial count of unavoidable new blocks (any block a
-    later monomial still must introduce is itself a distinct piece).
+    uses more distinct blocks than greedy.  Bound: used-so-far plus, over
+    the monomials left, the most new blocks one must add.  Each var of
+    monomial j's uncovered part R that no used block inside R covers needs
+    a new block, which holds at most ``widest[j]`` vars.  The bound never
+    overestimates, and the first strictly better leaf in the DFS order
+    (which the bound does not affect) is kept, so every such bound
+    returns the same blocks; it only sets how much is pruned.
     """
     best_choice = [list(blocks) for blocks in init]
     best_count = len({b for blocks in init for b in blocks})
     n = len(monomials)
     path: list[list[int]] = [[] for _ in range(n)]
+    widest = [max(b.bit_count() for b in blocks) for blocks in block_sets]
 
     def bound(i: int, remaining: int, used: set[int]) -> int:
         worst = 0
         for j in range(i, n):
             rem = remaining if j == i else monomials[j]
-            need = _min_new_blocks(rem, block_sets[j], used)
-            if need > worst:
-                worst = need
+            covered = 0
+            for b in used:
+                if b & ~rem == 0:
+                    covered |= b
+            worst = max(worst, -(-(rem & ~covered).bit_count() // widest[j]))
         return len(used) + worst
 
     def go(i: int, remaining: int, used: set[int]) -> None:

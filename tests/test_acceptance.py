@@ -2,6 +2,7 @@
 as a single pass/fail line.  Run with plain pytest; the lines bypass
 capture so they always appear."""
 
+import hashlib
 import random
 import time
 from contextlib import contextmanager
@@ -21,6 +22,7 @@ from infplace.placement import PlacementConfig
 from infplace.transmission import (
     count_transmissions,
     scheme_structure_errors,
+    scheme_to_json,
     synthesize_exact,
     synthesize_greedy,
     verify_scheme,
@@ -101,10 +103,12 @@ def test_acceptance_5_decoder_soundness(capsys):
     with criterion(capsys, 5, "decoder-soundness", 120.0):
         rng = random.Random(1405)
         checked = 0
+        digest = hashlib.sha256()
         for _ in range(500):
             f = random_function(rng)
             placement = covering_placement(rng, f, rng.randint(1, 4))
             exact = synthesize_exact(f, placement)
+            digest.update(scheme_to_json(exact).encode())
             greedy = synthesize_greedy(f, placement)
             t_exact = count_transmissions(exact).total
             t_greedy = count_transmissions(greedy).total
@@ -116,6 +120,11 @@ def test_acceptance_5_decoder_soundness(capsys):
                 assert result.inputs_checked == 1 << f.num_datasets
             checked += 1
         assert checked == 500
+        # All 500 exact schemes, byte for byte.  The pruning bound of the
+        # exact search must not move them (see _search_min_distinct).
+        assert digest.hexdigest() == (
+            "18bb4b1b5d70671d22c5c76e5aea65815a486288bde6afc211ccc71b7659168f"
+        )
 
 
 def test_acceptance_6_influence_invariants(capsys):

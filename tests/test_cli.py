@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 import argparse
-from math import comb
 
 import infplace
 from infplace.cli import _thread_count, main
@@ -174,6 +173,22 @@ def test_verify_fail_prints_counterexample(files, capsys, tmp_path):
     assert "structure:" in err
 
 
+def test_verify_fails_on_structure_errors_even_when_decoding_passes(capsys, tmp_path):
+    # W1W2 from the overlapping pieces {1,2} and {1}: the product is still
+    # W1W2, so every input decodes, but the row is not a partition.
+    f_path = tmp_path / "w1w2.json"
+    f_path.write_text('{"K":2,"monomials":[[1,2]]}\n')
+    s_path = tmp_path / "overlap.json"
+    s_path.write_text(
+        '{"constant":0,"pieces":[{"server":7,"vars":[1,2]},{"server":1,"vars":[1]}],'
+        '"plan":[[0,1]]}\n'
+    )
+    assert main(["verify", "-s", str(s_path), "-f", str(f_path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == "FAIL structure errors=1, decoded 4/4 inputs (exhaustive)\n"
+    assert err.splitlines()[0] == "structure: plan row 0: overlapping pieces"
+
+
 def test_verify_sampled_for_wide_functions(capsys, tmp_path):
     f_path = tmp_path / "wide.json"
     p_path = tmp_path / "wide_p.json"
@@ -236,6 +251,14 @@ def test_oracle_corollary_default_function(capsys):
     assert capped["summary"]["placements"] == "4"
 
 
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_oracle_corollary_limit_below_one_exits_2(capsys, limit):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "corollary", "-N", "2", "-M", "2", "--limit", limit])
+    assert exc.value.code == 2
+    assert f"--limit: must be at least 1, got {limit}" in capsys.readouterr().err
+
+
 def test_sweep_csv_layout(capsys, tmp_path):
     f_path = tmp_path / "f4.json"
     f_path.write_text('{"K":4,"monomials":[[1,2],[3,4]]}\n')
@@ -258,7 +281,7 @@ def test_sweep_csv_layout(capsys, tmp_path):
     assert covering[2:6] == ["1", "1.0", "2", "2"]
     assert covering[8:] == ["1", "1"]
     manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
-    assert manifest["placements_total"] == 36
+    assert manifest["placements_total"] == "C(4,2)^2"
     assert manifest["truncated"] is False
 
 
@@ -309,7 +332,23 @@ def test_sweep_on_a_huge_grid_builds_only_the_rows_it_writes(capsys, tmp_path):
     first = "{1,2,3,4,5,6,7,8,9,10,11,12}"
     assert lines[1] == f'0,"{first}; {first}",1,1.0,,,1/2,1/2,,'
     manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
-    assert manifest["placements_total"] == comb(24, 12) ** 2
+    assert manifest["placements_total"] == "C(24,12)^2"
+    assert manifest["truncated"] is True
+
+
+def test_sweep_manifest_names_a_grid_too_large_to_print(capsys, tmp_path):
+    # C(24,12)^1000 has over 6,400 digits: past Python's int-to-str limit.
+    out_path = tmp_path / "sweep.csv"
+    argv = [
+        "sweep", "-f", pairs_k24(tmp_path), "-N", "1000", "-M", "12",
+        "--budget", "1", "-o", str(out_path),
+    ]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "1 placements swept\n"
+    assert len(out_path.read_text().splitlines()) == 2
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert manifest["placements_total"] == "C(24,12)^1000"
+    assert manifest["placements_emitted"] == 1
     assert manifest["truncated"] is True
 
 

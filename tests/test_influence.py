@@ -244,15 +244,6 @@ def test_estimator_config_validation(eps, delta):
 # --- Monte Carlo ----------------------------------------------------------
 
 
-def test_mc_deterministic_across_threads():
-    f = BooleanFunctionANF.from_indices(30, [[1, 2, 3, 4, 5]])
-    cfg = EstimatorConfig(epsilon=0.01, delta=1e-3, seed=2024)
-    one = joint_influence_mc(f, f.support_mask, cfg, threads=1)
-    four = joint_influence_mc(f, f.support_mask, cfg, threads=4)
-    assert one == four
-    assert one.samples == 38005 and one.seed == 2024
-
-
 def test_mc_sample_stream_at_k64_is_pinned():
     # K = 64 joins two draws per sample; the stream, so the estimate, is fixed.
     f = BooleanFunctionANF.from_indices(64, [[1, 64], [2, 33], [63]])

@@ -1,6 +1,7 @@
 """Transmission schemes: synthesis, counting, decoding, verification."""
 
 import functools
+import itertools
 import operator
 import random
 
@@ -227,6 +228,67 @@ def test_synthesized_schemes_always_decode(case):
     assert scheme_structure_errors(greedy, f) == []
     assert verify_scheme(exact, f).passed
     assert verify_scheme(greedy, f).passed
+
+
+def _set_partitions(items):
+    """Every partition of ``items`` into nonempty frozensets."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for partition in _set_partitions(rest):
+        for i, block in enumerate(partition):
+            yield partition[:i] + [block | {first}] + partition[i + 1 :]
+        yield partition + [frozenset([first])]
+
+
+def brute_force_min_pieces(monomials, servers):
+    """Fewest distinct var sets over every choice of one partition per
+    monomial whose blocks each fit on some server: the exact piece count,
+    found by enumeration alone."""
+    options = []
+    for monomial in monomials:
+        options.append([
+            partition
+            for partition in _set_partitions(sorted(monomial))
+            if all(any(block <= server for server in servers) for block in partition)
+        ])
+    return min(
+        len({block for partition in choice for block in partition})
+        for choice in itertools.product(*options)
+    )
+
+
+def test_exact_piece_count_matches_brute_force_partitions():
+    rng = random.Random(617)
+    checked = beaten = 0
+    while checked < 240:
+        k = rng.randint(2, 7)
+        monomials = [
+            rng.sample(range(1, k + 1), rng.randint(1, min(5, k)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        servers = [
+            set(rng.sample(range(1, k + 1), rng.randint(1, k)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        for i in set().union(*map(set, monomials)) - set().union(*servers):
+            rng.choice(servers).add(i)
+        f = BooleanFunctionANF.from_indices(k, monomials)
+        if not f.non_constant_monomials:
+            continue  # the draws cancelled out
+        p = PlacementConfig.from_indices(max(map(len, servers)), [sorted(s) for s in servers])
+        kept = [
+            frozenset(i for i in range(1, k + 1) if m >> (i - 1) & 1)
+            for m in f.non_constant_monomials
+        ]
+        t_exact = count_transmissions(synthesize_exact(f, p)).total
+        t_greedy = count_transmissions(synthesize_greedy(f, p)).total
+        assert t_exact == brute_force_min_pieces(kept, servers), (monomials, servers)
+        checked += 1
+        beaten += t_exact < t_greedy
+    # The search, not just the greedy incumbent, decides some of them.
+    assert beaten >= 5
 
 
 def test_synthesis_is_deterministic(example_function, window_placement):
