@@ -20,7 +20,8 @@ import numpy as np
 
 # Masks are machine words; desk-scale tool, larger inputs are rejected.
 MAX_DATASETS = 64
-# Hard memory stop for dense truth tables (2^26 bytes each).
+# Hard memory stop for dense truth tables (2^26 bytes each).  Tables are
+# built on a (2,)*K view, and numpy 1.x allows at most 32 dimensions.
 MAX_TRUTH_TABLE_DATASETS = 26
 
 
@@ -206,13 +207,21 @@ def evaluate_batch(f: BooleanFunctionANF, assignments: np.ndarray) -> np.ndarray
 def truth_table(f: BooleanFunctionANF) -> np.ndarray:
     """Dense truth table of f over all 2^K assignments (index = assignment mask).
 
+    Built on a ``(2,)*K`` view with dataset K on axis 0, so the C-order
+    flat index is the assignment mask.  Each monomial XORs ``True`` into
+    its slab (index 1 on its datasets' axes, every value elsewhere), so a
+    degree-d monomial touches 2^(K-d) cells and no index array is built.
+
     Cached; callers must treat the returned array as read-only.
     """
     k = f.num_datasets
     if k > MAX_TRUTH_TABLE_DATASETS:
         raise ValueError(f"truth table for K={k} exceeds the K<={MAX_TRUTH_TABLE_DATASETS} cap")
-    idx = np.arange(1 << k, dtype=np.uint32)
-    return evaluate_batch(f, idx)
+    table = np.zeros((2,) * k, dtype=bool)
+    for m in f.monomials:
+        slab = tuple(1 if m >> (k - 1 - axis) & 1 else slice(None) for axis in range(k))
+        table[slab] ^= True
+    return table.reshape(-1)
 
 
 def flip_assignment(assignment: int, flip_mask: int, num_datasets: int) -> int:

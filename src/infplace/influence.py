@@ -3,10 +3,12 @@
 Joint sensitivity at one assignment counts how many of the given flip
 sets change the function output when flipped together.  Joint influence
 is the probability of a change over uniform inputs; the exact path
-counts changed assignments over all 2^K inputs and stores the result as
-an integer count over 2^K (lemma checks need exact equality, floats
-would not do).  Above the enumeration limit a Hoeffding-calibrated
-Monte Carlo estimator takes over.
+counts changed assignments on the truth table of the monomials that
+meet the flip set, over their variables only, scales the count to all
+2^K inputs and stores the result as an integer count over 2^K (lemma
+checks need exact equality, floats would not do).  Above the
+enumeration limit on K a Hoeffding-calibrated Monte Carlo estimator
+takes over.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from .anf import (
 if TYPE_CHECKING:
     from .placement import PlacementConfig
 
-# 2^24 evaluations per influence; above this the MC path is mandatory.
+# Largest K with exact influences; above it the MC path is mandatory.  A
+# count's table has 2^|V'| cells for the variables V' of the monomials
+# that meet the flip set, so at most 2^24.
 EXACT_ENUMERATION_LIMIT = 24
 # Samples per RNG block.  Block b draws from its own stream keyed by
 # (seed, b), so this size is part of the pinned sample stream: changing
@@ -165,7 +169,13 @@ def joint_sensitivity(
 def joint_influence_exact(
     f: BooleanFunctionANF, flip_mask: int, limit: int = EXACT_ENUMERATION_LIMIT
 ) -> InfluenceValue:
-    """Exact joint influence: changed assignments counted over all 2^K inputs."""
+    """Exact joint influence: changed assignments counted over all 2^K inputs.
+
+    f(x) xor f(x xor S) cancels every monomial disjoint from S, so the
+    count is taken on g, the XOR of the monomials that meet S, over
+    their variable union V', and scaled by 2^(K-|V'|).  V' is relabelled
+    onto 1..|V'| in order, which keeps g's monomials canonical.
+    """
     k = f.num_datasets
     if k > limit:
         raise ExactLimitError(
@@ -174,12 +184,35 @@ def joint_influence_exact(
         )
     if flip_mask < 0 or flip_mask >> k:
         raise ValueError(f"flip set {flip_mask!r} not within [1, {k}]")
-    tt = truth_table(f)
-    if flip_mask == 0:
+    meeting = [m for m in f.monomials if m & flip_mask]
+    if not meeting:
         return InfluenceValue.exact_value(0, 1 << k)
-    flipped_idx = np.arange(1 << k, dtype=np.uint32) ^ np.uint32(flip_mask)
-    changed = int(np.count_nonzero(tt[flipped_idx] != tt))
-    return InfluenceValue.exact_value(changed, 1 << k)
+    support = 0
+    for m in meeting:
+        support |= m
+    # One pass over the bits of V' maps them onto 1, 2, 4, ... in order.
+    # Reversing a table axis flips its dataset; compact bit i is axis
+    # width-1-i, so the index tuple is built last dataset first.
+    place = {}
+    flip = []
+    rest = support
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        place[bit] = 1 << len(place)
+        flip.append(slice(None, None, -1) if flip_mask & bit else slice(None))
+    compact = []
+    for m in meeting:
+        c = 0
+        while m:
+            bit = m & -m
+            m ^= bit
+            c |= place[bit]
+        compact.append(c)
+    width = len(place)
+    table = truth_table(BooleanFunctionANF(width, tuple(compact))).reshape((2,) * width)
+    changed = int(np.count_nonzero(table[tuple(reversed(flip))] != table))
+    return InfluenceValue.exact_value(changed << (k - width), 1 << k)
 
 
 def _mc_block_mismatches(

@@ -1,6 +1,7 @@
 """Representation, parsing, and evaluation of XOR-of-monomial functions."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infplace.anf import (
+    MAX_TRUTH_TABLE_DATASETS,
     BooleanFunctionANF,
     ParseError,
     bits_from_assignment,
@@ -152,10 +154,27 @@ def test_evaluate_batch_and_truth_table_agree(f):
         assert int(tt[w]) == evaluate(f, w)
 
 
+def test_truth_table_matches_evaluate_batch_up_to_k16():
+    rng = random.Random(16)
+    for k in range(1, 17):
+        idx = np.arange(1 << k, dtype=np.uint32)
+        random_masks = [rng.randrange(1 << k) for _ in range(rng.randint(1, 8))]
+        for masks in ([], [0], random_masks, random_masks + [0, (1 << k) - 1]):
+            f = BooleanFunctionANF.from_masks(k, masks)
+            tt = truth_table(f)
+            assert tt.shape == (1 << k,) and tt.dtype == bool
+            assert np.array_equal(tt, evaluate_batch(f, idx)), f
+
+
 def test_truth_table_cap():
     f = BooleanFunctionANF.from_indices(30, [[1, 2]])
     with pytest.raises(ValueError):
         truth_table(f)
+
+
+def test_truth_table_cap_fits_numpy_dimension_limit():
+    # Tables are built on a (2,)*K view; numpy 1.x allows 32 dimensions.
+    assert MAX_TRUTH_TABLE_DATASETS <= 32
 
 
 def test_evaluate_rejects_out_of_range_assignment():

@@ -189,6 +189,19 @@ def test_verify_fails_on_structure_errors_even_when_decoding_passes(capsys, tmp_
     assert err.splitlines()[0] == "structure: plan row 0: overlapping pieces"
 
 
+def test_verify_fails_without_decoding_on_plan_row_count(capsys, tmp_path):
+    f_path = tmp_path / "w1w2.json"
+    f_path.write_text('{"K":2,"monomials":[[1,2]]}\n')
+    s_path = tmp_path / "two_rows.json"
+    s_path.write_text(
+        '{"constant":0,"pieces":[{"server":1,"vars":[1,2]}],"plan":[[0],[0]]}\n'
+    )
+    assert main(["verify", "-s", str(s_path), "-f", str(f_path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == "FAIL structure errors=1, not decoded\n"
+    assert err.splitlines()[0] == "structure: plan has 2 rows for 1 monomials"
+
+
 def test_verify_sampled_for_wide_functions(capsys, tmp_path):
     f_path = tmp_path / "wide.json"
     p_path = tmp_path / "wide_p.json"

@@ -6,13 +6,15 @@ products and two-product swaps.
 """
 
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infplace.anf import BooleanFunctionANF, evaluate, flip_assignment
+from infplace.anf import BooleanFunctionANF, evaluate, evaluate_batch, flip_assignment
 from infplace.influence import (
     EstimatorConfig,
     ExactLimitError,
@@ -99,6 +101,97 @@ def test_exact_limit_enforced():
     f = BooleanFunctionANF.from_indices(30, [[1, 2, 3]])
     with pytest.raises(ExactLimitError):
         joint_influence_exact(f, 0b111)
+
+
+def test_exact_limit_is_on_k_not_on_the_monomials_that_meet_s():
+    # One variable meets S, yet K = 25 is refused before anything else.
+    f = BooleanFunctionANF.from_indices(25, [[1]])
+    with pytest.raises(ExactLimitError):
+        joint_influence_exact(f, 0b1)
+    with pytest.raises(ExactLimitError):
+        joint_influence_exact(f, 1 << 30)
+
+
+def full_table_count(f, flip_mask):
+    """Changed assignments over all 2^K inputs, gathered from a table
+    that evaluate_batch builds on every assignment mask."""
+    idx = np.arange(1 << f.num_datasets, dtype=np.uint32)
+    table = evaluate_batch(f, idx)
+    return int(np.count_nonzero(table[idx ^ np.uint32(flip_mask)] != table))
+
+
+def test_restricted_count_matches_full_table_on_seeded_functions():
+    rng = random.Random(2605)
+    seen = {"constant": 0, "meets none": 0, "S = all K": 0, "V' = all K": 0}
+    for i in range(480):
+        k = rng.randint(1, 14)
+        full = (1 << k) - 1
+        masks = [
+            sum(1 << v for v in rng.sample(range(k), rng.randint(1, min(k, 5))))
+            for _ in range(rng.randint(0, 6))
+        ]
+        if i % 3 == 0:
+            masks.append(0)
+        if i % 5 == 0:
+            masks.append(full)
+        f = BooleanFunctionANF.from_masks(k, masks)
+        outside = full & ~f.support_mask
+        if i % 4 == 0:
+            flip = full
+        elif i % 4 == 1 and outside:
+            flip = outside & rng.randint(1, full) or outside
+        else:
+            flip = rng.randint(0, full)
+        meeting = [m for m in f.monomials if m & flip]
+        union = 0
+        for m in meeting:
+            union |= m
+        seen["constant"] += f.constant_term
+        seen["meets none"] += bool(flip) and not meeting
+        seen["S = all K"] += flip == full
+        seen["V' = all K"] += union == full
+        v = joint_influence_exact(f, flip)
+        assert (v.count, v.denominator) == (full_table_count(f, flip), 1 << k), (f, flip)
+    assert min(seen.values()) >= 40, seen
+
+
+def disjoint_product_count(degrees, num_datasets, flip_mask):
+    """Closed form for variable-disjoint products on consecutive blocks:
+    product j changes with probability p_j = 2^(1-d_j) if S meets it, so
+    f changes with probability (1 - prod(1 - 2 p_j)) / 2."""
+    keep, start = Fraction(1), 0
+    for d in degrees:
+        if flip_mask >> start & ((1 << d) - 1):
+            keep *= 1 - Fraction(2, 1 << (d - 1))
+        start += d
+    count = (1 - keep) / 2 * (1 << num_datasets)
+    assert count.denominator == 1
+    return int(count)
+
+
+@pytest.mark.parametrize(
+    "flip_indices",
+    [
+        [1],
+        [7, 12],
+        [1, 7, 12, 16, 20],
+        [6, 11, 15, 19, 22],
+        [3, 23],
+        [23, 24],
+        list(range(1, 25)),
+    ],
+)
+def test_k24_disjoint_products_match_closed_form(flip_indices):
+    degrees = (6, 5, 4, 4, 3)
+    blocks, start = [], 1
+    for d in degrees:
+        blocks.append(list(range(start, start + d)))
+        start += d
+    f = BooleanFunctionANF.from_indices(24, blocks)
+    flip = sum(1 << (i - 1) for i in flip_indices)
+    v = joint_influence_exact(f, flip)
+    assert v.denominator == 1 << 24
+    assert v.count == disjoint_product_count(degrees, 24, flip)
 
 
 @given(function_and_flip())

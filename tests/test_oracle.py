@@ -8,6 +8,7 @@ from itertools import combinations, product
 
 import pytest
 
+from infplace import oracle
 from infplace.anf import BooleanFunctionANF, mask_from_indices
 from infplace.influence import joint_influence_exact
 from infplace.oracle import (
@@ -76,6 +77,17 @@ def test_lemma2_swap_values_collapse_to_one_value():
     monotone = by_label["d=4 monotone in swap count"]
     assert monotone.observed == "7/32,7/32,7/32"
     assert monotone.passed
+
+
+def test_lemma_checks_observe_full_truth_tables(monkeypatch):
+    # The observed side must not come from joint_influence_exact, whose
+    # count runs over the monomials that meet S only.
+    def refuse(*args, **kwargs):
+        raise AssertionError("lemma checks must count on the full truth table")
+
+    monkeypatch.setattr(oracle, "joint_influence_exact", refuse)
+    assert check_lemma1(d_range=[1, 2, 3, 6]).passed
+    assert check_lemma2(d_range=[2, 3, 4]).passed
 
 
 def test_lemma2_degree_two_boundary():
