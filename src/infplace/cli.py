@@ -42,7 +42,6 @@ from .influence import (
     avg_joint_sensitivity,
     joint_influence_exact,
     joint_influence_mc,
-    sum_influences,
 )
 from .placement import (
     ENUMERATION_BUDGET,
@@ -162,14 +161,8 @@ def _cmd_influence(args, inputs):
 def _cmd_avg_sensitivity(args, inputs):
     f = _load_function(args.function, inputs)
     p = _load_placement(args.placement, inputs)
-    if args.mc:
-        cfg = _estimator(args)
-        per = [joint_influence_mc(f, s, cfg) for s in p.subset_masks]
-        value = sum_influences(per)
-        sys.stdout.write(str(value) + "\n")
-    else:
-        value = avg_joint_sensitivity(f, p)
-        sys.stdout.write(str(value.fraction) + "\n")
+    value = avg_joint_sensitivity(f, p, _estimator(args) if args.mc else None)
+    sys.stdout.write(f"{value.fraction if value.is_exact else value}\n")
     return EXIT_OK, None, {}
 
 
@@ -304,13 +297,12 @@ def _cmd_sweep(args, inputs):
             t_exact = t_greedy = ""
             pieces = [""] * args.num_servers
         else:
-            exact = synthesize_exact(f, placement)
-            t_exact = count_transmissions(exact, num_servers=args.num_servers).total
-            greedy = synthesize_greedy(f, placement)
-            t_greedy = count_transmissions(greedy).total
-            pieces = list(
-                count_transmissions(exact, num_servers=args.num_servers).per_server
+            exact = count_transmissions(
+                synthesize_exact(f, placement), num_servers=args.num_servers
             )
+            t_exact = exact.total
+            t_greedy = count_transmissions(synthesize_greedy(f, placement)).total
+            pieces = list(exact.per_server)
         writer.writerow(
             [pid, str(placement), str(as_value), repr(float(as_value)), t_exact, t_greedy]
             + [str(Fraction(c, 1 << f.num_datasets)) for c in counts]

@@ -6,9 +6,10 @@ is the probability of a change over uniform inputs; the exact path
 counts changed assignments on the truth table of the monomials that
 meet the flip set, over their variables only, scales the count to all
 2^K inputs and stores the result as an integer count over 2^K (lemma
-checks need exact equality, floats would not do).  Above the
-enumeration limit on K a Hoeffding-calibrated Monte Carlo estimator
-takes over.
+checks need exact equality, floats would not do).  It refuses a flip
+set whose monomials span more than the enumeration limit of variables,
+whatever K is; a Hoeffding-calibrated Monte Carlo estimator answers at
+any width.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ from .anf import (
 if TYPE_CHECKING:
     from .placement import PlacementConfig
 
-# Largest K with exact influences; above it the MC path is mandatory.  A
-# count's table has 2^|V'| cells for the variables V' of the monomials
-# that meet the flip set, so at most 2^24.
+# Most variables V' of the monomials that meet a flip set for which the
+# exact path builds a table (2^|V'| cells); wider flip sets need Monte Carlo.
 EXACT_ENUMERATION_LIMIT = 24
 # Samples per RNG block.  Block b draws from its own stream keyed by
 # (seed, b), so this size is part of the pinned sample stream: changing
@@ -100,17 +100,6 @@ class InfluenceValue:
             f" (samples={self.samples}, seed={self.seed})"
         )
 
-    def to_json_dict(self) -> dict:
-        if self.is_exact:
-            return {"kind": "exact", "count": self.count, "denominator": self.denominator}
-        return {
-            "kind": "estimate",
-            "mean": self.mean,
-            "half_width": self.half_width,
-            "samples": self.samples,
-            "seed": self.seed,
-        }
-
 
 def sum_influences(values: Sequence[InfluenceValue]) -> InfluenceValue:
     """Sum influence values; exact stays exact, any estimate makes the sum one."""
@@ -166,22 +155,16 @@ def joint_sensitivity(
     return total
 
 
-def joint_influence_exact(
-    f: BooleanFunctionANF, flip_mask: int, limit: int = EXACT_ENUMERATION_LIMIT
-) -> InfluenceValue:
+def joint_influence_exact(f: BooleanFunctionANF, flip_mask: int) -> InfluenceValue:
     """Exact joint influence: changed assignments counted over all 2^K inputs.
 
     f(x) xor f(x xor S) cancels every monomial disjoint from S, so the
     count is taken on g, the XOR of the monomials that meet S, over
     their variable union V', and scaled by 2^(K-|V'|).  V' is relabelled
-    onto 1..|V'| in order, which keeps g's monomials canonical.
+    onto 1..|V'| in order, which keeps g's monomials canonical.  A V'
+    wider than the enumeration limit is refused before g is built.
     """
     k = f.num_datasets
-    if k > limit:
-        raise ExactLimitError(
-            f"K={k} exceeds the exact enumeration limit {limit};"
-            " use joint_influence_mc"
-        )
     if flip_mask < 0 or flip_mask >> k:
         raise ValueError(f"flip set {flip_mask!r} not within [1, {k}]")
     meeting = [m for m in f.monomials if m & flip_mask]
@@ -190,6 +173,12 @@ def joint_influence_exact(
     support = 0
     for m in meeting:
         support |= m
+    if support.bit_count() > EXACT_ENUMERATION_LIMIT:
+        raise ExactLimitError(
+            f"the monomials that meet the flip set span {support.bit_count()} datasets,"
+            f" past the exact enumeration limit {EXACT_ENUMERATION_LIMIT};"
+            " use joint_influence_mc"
+        )
     # One pass over the bits of V' maps them onto 1, 2, 4, ... in order.
     # Reversing a table axis flips its dataset; compact bit i is axis
     # width-1-i, so the index tuple is built last dataset first.
@@ -260,13 +249,13 @@ def avg_joint_sensitivity(
     f: BooleanFunctionANF,
     placement: "PlacementConfig",
     estimator: EstimatorConfig | None = None,
-    limit: int = EXACT_ENUMERATION_LIMIT,
 ) -> InfluenceValue:
     """Sum of the joint influences of the placed subsets.
 
-    Overlapping and repeated subsets count independently.  Exact up to
-    the enumeration limit; beyond it an estimator config is required
-    and per-subset estimates are summed with half-widths added.
+    Overlapping and repeated subsets count independently.  Without an
+    estimator every subset is counted exactly, so a subset whose
+    monomials are too wide raises :class:`ExactLimitError`; with one
+    every subset is estimated and the half-widths add up.
     """
     k = f.num_datasets
     full = (1 << k) - 1
@@ -275,14 +264,9 @@ def avg_joint_sensitivity(
             raise ValueError(
                 f"placement subset {mask!r} references datasets outside [1, {k}]"
             )
-    if f.num_datasets <= limit:
-        per = [joint_influence_exact(f, mask, limit) for mask in placement.subset_masks]
+    if estimator is None:
+        per = [joint_influence_exact(f, mask) for mask in placement.subset_masks]
     else:
-        if estimator is None:
-            raise ExactLimitError(
-                f"K={k} exceeds the exact enumeration limit {limit};"
-                " pass an EstimatorConfig for the Monte Carlo path"
-            )
         per = [joint_influence_mc(f, mask, estimator) for mask in placement.subset_masks]
     if not per:
         return InfluenceValue.exact_value(0, 1 << k)

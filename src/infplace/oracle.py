@@ -50,6 +50,7 @@ LEMMA1_DEGREES = range(1, 9)
 LEMMA1_SUBSET_TRIALS = 20
 LEMMA2_DEGREES = range(2, 6)
 DEGREE_SLACK = 2  # spare datasets beyond the product's support
+RECORDED_VIOLATIONS = 10  # ordering violations spelled out in a study summary
 
 
 @dataclass(frozen=True)
@@ -242,11 +243,7 @@ def check_lemma2(d_range: Iterable[int] = LEMMA2_DEGREES) -> OracleReport:
     )
 
 
-def check_theorem(
-    num_servers: int,
-    cache_size: int,
-    budget: int = ENUMERATION_BUDGET,
-) -> OracleReport:
+def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
     """For the XOR of N disjoint degree-M products on K = N*M datasets:
     the minimum average joint sensitivity over all strict placements is
     N/2^(M-1), the aligned placement attains it, and no placement that
@@ -257,7 +254,7 @@ def check_theorem(
     f = disjoint_products(n, m)
     constraints = PlacementConstraints(k, n, m)
     space = PlacementSpace(constraints, f)
-    space.check_budget(budget)
+    space.check_budget(ENUMERATION_BUDGET)
     total = count_placements(constraints)
     target_as = Fraction(n, 1 << (m - 1))
 
@@ -325,9 +322,7 @@ def check_theorem(
 
 
 def corollary_study(
-    f: BooleanFunctionANF,
-    placements: Sequence[PlacementConfig],
-    max_recorded_violations: int = 10,
+    f: BooleanFunctionANF, placements: Sequence[PlacementConfig]
 ) -> OracleReport:
     """Record (average joint sensitivity, optimal piece count) per placement
     plus per-server influence and piece breakdowns, then report how well
@@ -336,12 +331,10 @@ def corollary_study(
     rows = []
     cases = []
     for placement in placements:
-        as_value = avg_joint_sensitivity(f, placement).fraction
+        per_inf = [joint_influence_exact(f, s).fraction for s in placement.subset_masks]
+        as_value = sum(per_inf)
         scheme = synthesize_exact(f, placement)
         counts = count_transmissions(scheme, num_servers=placement.num_servers)
-        per_inf = [
-            str(joint_influence_exact(f, s).fraction) for s in placement.subset_masks
-        ]
         rows.append((as_value, counts.total))
         cases.append(
             OracleCase(
@@ -349,7 +342,7 @@ def corollary_study(
                 expected="-",
                 observed=(
                     f"as={as_value} T={counts.total}"
-                    f" inf=[{';'.join(per_inf)}]"
+                    f" inf=[{';'.join(map(str, per_inf))}]"
                     f" pieces={list(counts.per_server)}"
                 ),
                 passed=True,
@@ -376,7 +369,7 @@ def corollary_study(
 
     recorded = "; ".join(
         f"#{i}(as={rows[i][0]},T={rows[i][1]}) vs #{j}(as={rows[j][0]},T={rows[j][1]})"
-        for i, j in violations[:max_recorded_violations]
+        for i, j in violations[:RECORDED_VIOLATIONS]
     )
     summary = {
         "placements": str(len(rows)),

@@ -1,11 +1,11 @@
 """Placement configurations: construction, enumeration, search.
 
 A placement assigns each of N servers a subset of the K datasets under
-a cache size M.  Strict mode demands exactly M datasets per server;
-relaxed mode only caps the size.  The two deterministic generators are
-the cyclic baseline (circularly shifted index windows) and the aligned
-placement (one monomial support per server, padded in strict mode).
-Every scan over strict placements goes through :class:`PlacementSpace`.
+a cache size M; generated and searched placements fill every cache with
+exactly M datasets.  The two deterministic generators are the cyclic
+baseline (circularly shifted index windows) and the aligned placement
+(one monomial support per server, padded to M).  Every scan over
+placements goes through :class:`PlacementSpace`.
 """
 
 from __future__ import annotations
@@ -22,11 +22,7 @@ from .anf import (
     indices_from_mask,
     mask_from_indices,
 )
-from .influence import (
-    EXACT_ENUMERATION_LIMIT,
-    InfluenceValue,
-    joint_influence_exact,
-)
+from .influence import InfluenceValue, avg_joint_sensitivity, joint_influence_exact
 
 ENUMERATION_BUDGET = 10**7
 
@@ -45,7 +41,6 @@ class PlacementConstraints:
     num_datasets: int
     num_servers: int
     cache_size: int
-    strict_cache: bool = True
 
     def __post_init__(self) -> None:
         for name in ("num_datasets", "num_servers", "cache_size"):
@@ -158,12 +153,11 @@ def aligned_placement(
     """Support-aligned placement: server n caches the variables of monomial n.
 
     Non-constant monomials are taken in canonical order; the constant
-    term needs no server.  In strict mode short subsets are padded to
-    M, preferring datasets that appear in no monomial (padding with
-    those never changes the subset's influence); only when none remain
-    does padding fall back to the lowest-index datasets missing from
-    the subset.  Servers beyond the monomial count get padding-only
-    subsets.
+    term needs no server.  Short subsets are padded to M, preferring
+    datasets that appear in no monomial (padding with those never
+    changes the subset's influence); only when none remain does padding
+    fall back to the lowest-index datasets missing from the subset.
+    Servers beyond the monomial count get padding-only subsets.
     """
     k, n, m = c.num_datasets, c.num_servers, c.cache_size
     monomials = f.non_constant_monomials
@@ -179,9 +173,7 @@ def aligned_placement(
             raise ValueError(
                 f"monomial {indices_from_mask(mask)} has degree {mask.bit_count()} > M={m}"
             )
-        if c.strict_cache:
-            mask = _padded(mask, m, unused, k)
-        masks.append(mask)
+        masks.append(_padded(mask, m, unused, k))
     return PlacementConfig(n, m, tuple(masks))
 
 
@@ -325,18 +317,12 @@ def search_min_as(
     ``exhaustive`` scans every server multiset of strict subsets that
     can compute f (the lexicographically first placement wins ties; the
     budget still counts ordered placements); ``greedy-aligned`` returns the
-    aligned placement directly.  K must be within the exact enumeration
-    limit.
+    aligned placement directly.  Influences are exact, so a subset whose
+    monomials are too wide raises :class:`ExactLimitError`.
     """
-    if f.num_datasets > EXACT_ENUMERATION_LIMIT:
-        raise EnumerationBudgetError(
-            f"search requires K <= {EXACT_ENUMERATION_LIMIT}, got {f.num_datasets}"
-        )
     if method == SEARCH_EXHAUSTIVE:
         return _exhaustive_min(f, c, budget)
     if method == SEARCH_GREEDY_ALIGNED:
-        from .influence import avg_joint_sensitivity
-
         placement = aligned_placement(f, c)
         return placement, avg_joint_sensitivity(f, placement)
     raise ValueError(f"unknown search method {method!r}")

@@ -344,19 +344,15 @@ def synthesize_greedy(
     return _scheme_from_blocks(f, p, blocks)
 
 
-def synthesize_exact(
-    f: BooleanFunctionANF,
-    p: PlacementConfig,
-    degree_limit: int = EXACT_SYNTHESIS_DEGREE_LIMIT,
-) -> TransmissionScheme:
+def synthesize_exact(f: BooleanFunctionANF, p: PlacementConfig) -> TransmissionScheme:
     """Minimum-piece scheme within the partial-product class (see module doc)."""
     _check_computable(f, p)
     monomials = f.non_constant_monomials
     for m in monomials:
-        if m.bit_count() > degree_limit:
+        if m.bit_count() > EXACT_SYNTHESIS_DEGREE_LIMIT:
             raise SynthesisLimitError(
                 f"monomial degree {m.bit_count()} exceeds the exact-synthesis"
-                f" limit {degree_limit}"
+                f" limit {EXACT_SYNTHESIS_DEGREE_LIMIT}"
             )
     block_sets = [_coverable_blocks(m, p.subset_masks) for m in monomials]
     greedy = _greedy_partitions(monomials, p.subset_masks)
@@ -430,29 +426,26 @@ class VerifyResult:
 
 
 def verify_scheme(
-    s: TransmissionScheme,
-    f: BooleanFunctionANF,
-    exhaustive_limit: int = VERIFY_EXHAUSTIVE_LIMIT,
-    sample_count: int = VERIFY_SAMPLE_COUNT,
-    seed: int = 0,
+    s: TransmissionScheme, f: BooleanFunctionANF, seed: int = 0
 ) -> VerifyResult:
-    """Check decode == evaluate: every input for K <= exhaustive_limit,
-    a seeded uniform sample otherwise.  Reports the first failing input."""
+    """Check decode == evaluate: every input for K <= VERIFY_EXHAUSTIVE_LIMIT,
+    VERIFY_SAMPLE_COUNT seeded uniform samples otherwise.  Reports the
+    first failing input."""
     if len(s.plan) != len(f.non_constant_monomials):
         raise ValueError(
             f"plan has {len(s.plan)} rows for {len(f.non_constant_monomials)} monomials"
         )
     k = f.num_datasets
-    if k <= exhaustive_limit:
+    if k <= VERIFY_EXHAUSTIVE_LIMIT:
         expect = truth_table(f)
         got = _decode_batch(s, np.arange(1 << k, dtype=np.uint32))
         bad = np.nonzero(expect != got)[0]
         counter = int(bad[0]) if bad.size else None
         return VerifyResult(counter is None, "exhaustive", 1 << k, counter, None)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
-    w = uniform_assignments(rng, k, sample_count)
+    w = uniform_assignments(rng, k, VERIFY_SAMPLE_COUNT)
     expect = evaluate_batch(f, w)
     got = _decode_batch(s, w)
     bad = np.nonzero(expect != got)[0]
     counter = int(w[bad[0]]) if bad.size else None
-    return VerifyResult(counter is None, "sampled", sample_count, counter, seed)
+    return VerifyResult(counter is None, "sampled", VERIFY_SAMPLE_COUNT, counter, seed)

@@ -85,7 +85,16 @@ def test_avg_sensitivity_mc_is_seeded(files, capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first
-    assert first.startswith("1.18")
+    assert first == "1.1871858965925537 ± 0.02999980751064825 (samples=None, seed=None)\n"
+
+
+def test_avg_sensitivity_mc_rejects_out_of_range_subsets(files, capsys, tmp_path):
+    p_path = tmp_path / "far.json"
+    p_path.write_text('{"N":1,"M":2,"subsets":[[1,10]]}\n')
+    argv = ["avg-sensitivity", "-f", files["f.json"], "-p", str(p_path), "--mc"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: placement subset 513 references datasets outside [1, 9]\n"
 
 
 def test_place_stdout_mode(files, capsys):
@@ -398,11 +407,31 @@ def test_exit_2_for_missing_file(capsys, tmp_path):
 
 
 def test_exit_3_for_exact_limit(capsys, tmp_path):
+    # The one monomial that meets the subset spans 25 datasets.
     wide = tmp_path / "wide.json"
-    wide.write_text('{"K":30,"monomials":[[1,2]]}\n')
+    wide.write_text(json.dumps({"K": 40, "monomials": [list(range(1, 26))]}))
     assert main(["influence", "-f", str(wide), "--subset", "1"]) == 3
     err = capsys.readouterr().err
-    assert "error:" in err and "hint:" in err
+    assert err.startswith("error: the monomials that meet the flip set span 25 datasets")
+    assert "\nhint: " in err
+
+
+def test_influence_past_k24_is_exact_on_narrow_monomials(capsys, tmp_path):
+    narrow = tmp_path / "narrow.json"
+    narrow.write_text('{"K":40,"monomials":[[1,2,3],[38,39,40],[5,40]]}\n')
+    assert main(["influence", "-f", str(narrow), "--subset", "1"]) == 0
+    # Only W1W2W3 meets {1}: it changes on a quarter of all 2^40 inputs.
+    assert capsys.readouterr().out == f"{1 << 38}/{1 << 40}\n"
+
+
+def test_place_past_k24_finds_the_aligned_minimum(capsys, tmp_path):
+    # Two disjoint pairs at K = 30: N/2^(M-1) = 1.
+    pairs = tmp_path / "pairs30.json"
+    pairs.write_text('{"K":30,"monomials":[[1,2],[29,30]]}\n')
+    assert main(["place", "-f", str(pairs), "-N", "2", "-M", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert out == '{"M":2,"N":2,"subsets":[[1,2],[29,30]]}\n'
+    assert err.splitlines()[0] == "as = 1"
 
 
 def test_exit_4_for_uncomputable_placement(files, capsys, tmp_path):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infplace.anf import BooleanFunctionANF, evaluate, evaluate_batch, flip_assignment
+from infplace.anf import BooleanFunctionANF, evaluate, evaluate_batch, truth_table
 from infplace.influence import (
     EstimatorConfig,
     ExactLimitError,
@@ -98,18 +98,25 @@ def test_influence_flip_mask_validation(example_function):
 
 
 def test_exact_limit_enforced():
-    f = BooleanFunctionANF.from_indices(30, [[1, 2, 3]])
-    with pytest.raises(ExactLimitError):
-        joint_influence_exact(f, 0b111)
+    # The monomials that meet S span 25 datasets: refused before any table.
+    f = BooleanFunctionANF.from_indices(30, [list(range(1, 14)), list(range(14, 26))])
+    before = truth_table.cache_info().misses
+    with pytest.raises(ExactLimitError, match="span 25 datasets"):
+        joint_influence_exact(f, 1 | 1 << 13)
+    assert truth_table.cache_info().misses == before
 
 
-def test_exact_limit_is_on_k_not_on_the_monomials_that_meet_s():
-    # One variable meets S, yet K = 25 is refused before anything else.
-    f = BooleanFunctionANF.from_indices(25, [[1]])
-    with pytest.raises(ExactLimitError):
-        joint_influence_exact(f, 0b1)
-    with pytest.raises(ExactLimitError):
-        joint_influence_exact(f, 1 << 30)
+def test_exact_limit_is_on_the_monomials_that_meet_s():
+    # 25 variables in all, but S meeting one product sees only its own.
+    f = BooleanFunctionANF.from_indices(30, [list(range(1, 14)), list(range(14, 26))])
+    v = joint_influence_exact(f, 1 << 13)
+    assert (v.count, v.denominator) == (1 << 19, 1 << 30)
+    assert v.fraction == analytic_influence_product(12)
+    # One variable of a K = 64 function; the range check still comes first.
+    g = BooleanFunctionANF.from_indices(64, [[64]])
+    assert joint_influence_exact(g, 1 << 63).fraction == Fraction(1)
+    with pytest.raises(ValueError):
+        joint_influence_exact(g, 1 << 64)
 
 
 def full_table_count(f, flip_mask):
@@ -179,19 +186,29 @@ def disjoint_product_count(degrees, num_datasets, flip_mask):
         [3, 23],
         [23, 24],
         list(range(1, 25)),
+        [1, 25, 40],
+        [26, 33, 34],
+        list(range(17, 41)),
+        [64],
+        [2, 30, 64],
+        list(range(41, 65, 3)),
     ],
 )
 def test_k24_disjoint_products_match_closed_form(flip_indices):
-    degrees = (6, 5, 4, 4, 3)
+    # Flip sets past dataset 24 run at K = 40 or 64, with degree-8
+    # products after the first five: K is past the table cap, while the
+    # products that meet S span at most 24 datasets.
+    k = next(k for k in (24, 40, 64) if max(flip_indices) <= k)
+    degrees = (6, 5, 4, 4, 3) + (8,) * ((k - 24) // 8)
     blocks, start = [], 1
     for d in degrees:
         blocks.append(list(range(start, start + d)))
         start += d
-    f = BooleanFunctionANF.from_indices(24, blocks)
+    f = BooleanFunctionANF.from_indices(k, blocks)
     flip = sum(1 << (i - 1) for i in flip_indices)
     v = joint_influence_exact(f, flip)
-    assert v.denominator == 1 << 24
-    assert v.count == disjoint_product_count(degrees, 24, flip)
+    assert v.denominator == 1 << k
+    assert v.count == disjoint_product_count(degrees, k, flip)
 
 
 @given(function_and_flip())
@@ -264,14 +281,29 @@ def test_avg_sensitivity_rejects_out_of_range_subsets(disjoint_pairs):
         avg_joint_sensitivity(disjoint_pairs, p)
 
 
-def test_avg_sensitivity_needs_estimator_past_limit():
+def test_avg_sensitivity_is_exact_without_estimator_and_estimated_with_one():
+    cfg = EstimatorConfig(0.02, 1e-2, seed=5)
+    # K = 30 with narrow monomials: exact without an estimator.
     f = BooleanFunctionANF.from_indices(30, [[1, 2, 3]])
     p = PlacementConfig.from_indices(3, [[1, 2, 3]])
-    with pytest.raises(ExactLimitError):
-        avg_joint_sensitivity(f, p)
-    est = avg_joint_sensitivity(f, p, estimator=EstimatorConfig(0.02, 1e-2, seed=5))
+    assert avg_joint_sensitivity(f, p).fraction == Fraction(1, 4)
+    est = avg_joint_sensitivity(f, p, cfg)
     assert not est.is_exact
     assert abs(est.mean - 0.25) <= 0.02
+    # K <= 24: an estimator still means Monte Carlo, subset by subset.
+    g = BooleanFunctionANF.from_indices(10, [[1, 2], [3, 4, 5]])
+    q = PlacementConfig.from_indices(2, [[1, 3], [4, 5]])
+    est = avg_joint_sensitivity(g, q, cfg)
+    per = [joint_influence_mc(g, s, cfg) for s in q.subset_masks]
+    assert not est.is_exact
+    assert est == sum_influences(per)
+    assert abs(est.mean - avg_joint_sensitivity(g, q).value) <= 2 * 0.02
+    # A subset whose monomials span 25 datasets needs the estimator.
+    wide = BooleanFunctionANF.from_indices(30, [list(range(1, 26))])
+    r = PlacementConfig.from_indices(1, [[1]])
+    with pytest.raises(ExactLimitError):
+        avg_joint_sensitivity(wide, r)
+    assert abs(avg_joint_sensitivity(wide, r, cfg).mean - 2.0**-24) <= 0.02
 
 
 # --- InfluenceValue / EstimatorConfig -------------------------------------
@@ -282,7 +314,6 @@ def test_influence_value_exact_formatting():
     assert str(v) == "2/8"
     assert v.fraction == Fraction(1, 4)
     assert v.value == 0.25
-    assert v.to_json_dict() == {"kind": "exact", "count": 2, "denominator": 8}
 
 
 def test_influence_value_estimate_formatting():

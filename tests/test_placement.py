@@ -95,13 +95,6 @@ def test_aligned_fixture(example_function):
     ]
 
 
-def test_aligned_relaxed_mode_skips_padding(example_function):
-    p = aligned_placement(
-        example_function, PlacementConstraints(9, 3, 6, strict_cache=False)
-    )
-    assert subsets_of(p) == [[1, 4, 7], [3, 6, 9], [2, 5, 7, 8]]
-
-
 def test_aligned_gives_the_constant_term_no_server():
     f = BooleanFunctionANF.from_indices(6, [[], [1, 2], [3, 4], [5, 6]])
     c = PlacementConstraints(6, 3, 2)

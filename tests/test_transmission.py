@@ -101,11 +101,13 @@ def test_uncomputable_placement_names_the_missing_datasets(disjoint_pairs):
 
 
 def test_exact_synthesis_degree_limit():
-    f = BooleanFunctionANF.from_indices(6, [[1, 2, 3, 4, 5]])
-    p = PlacementConfig.from_indices(6, [[1, 2, 3, 4, 5, 6]])
-    with pytest.raises(SynthesisLimitError):
-        synthesize_exact(f, p, degree_limit=4)
-    assert count_transmissions(synthesize_exact(f, p)).total == 1
+    # Degree 16 is the largest exact synthesis accepts.
+    p = PlacementConfig.from_indices(17, [range(1, 18)])
+    f = BooleanFunctionANF.from_indices(17, [range(1, 18)])
+    with pytest.raises(SynthesisLimitError, match="degree 17 exceeds"):
+        synthesize_exact(f, p)
+    g = BooleanFunctionANF.from_indices(17, [range(1, 17)])
+    assert count_transmissions(synthesize_exact(g, p)).total == 1
 
 
 def test_lowest_covering_server_wins():
