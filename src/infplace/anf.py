@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -203,7 +202,6 @@ def evaluate_batch(f: BooleanFunctionANF, assignments: np.ndarray) -> np.ndarray
     return out
 
 
-@lru_cache(maxsize=8)
 def truth_table(f: BooleanFunctionANF) -> np.ndarray:
     """Dense truth table of f over all 2^K assignments (index = assignment mask).
 
@@ -211,8 +209,7 @@ def truth_table(f: BooleanFunctionANF) -> np.ndarray:
     flat index is the assignment mask.  Each monomial XORs ``True`` into
     its slab (index 1 on its datasets' axes, every value elsewhere), so a
     degree-d monomial touches 2^(K-d) cells and no index array is built.
-
-    Cached; callers must treat the returned array as read-only.
+    Each call builds a fresh array that the caller owns.
     """
     k = f.num_datasets
     if k > MAX_TRUTH_TABLE_DATASETS:

@@ -394,7 +394,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", "--num-servers", type=int, required=True)
     p.add_argument("-M", "--cache-size", type=int, required=True)
     p.add_argument("--method", choices=["exhaustive", "aligned"], default="exhaustive")
-    p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET)
+    p.add_argument(
+        "--budget", type=_positive_int, default=ENUMERATION_BUDGET, help="at least 1"
+    )
     p.add_argument("-o", "--output", metavar="FILE", help="placement file (default stdout)")
     p.set_defaults(func=_cmd_place)
 
@@ -440,11 +442,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-f", "--function", required=True, metavar="FILE")
     p.add_argument("-N", "--num-servers", type=int, required=True)
     p.add_argument("-M", "--cache-size", type=int, required=True)
-    p.add_argument("--budget", type=int, default=ENUMERATION_BUDGET)
+    p.add_argument(
+        "--budget", type=_positive_int, default=ENUMERATION_BUDGET, help="at least 1"
+    )
     p.add_argument("-o", "--output", metavar="FILE", help="CSV file (default stdout)")
     p.set_defaults(func=_cmd_sweep)
 
     return parser
+
+
+def _infeasible_hint(args: argparse.Namespace) -> str:
+    """The ways out of exit 3 that the running command offers."""
+    ways = []
+    if hasattr(args, "mc"):
+        ways.append("use --mc")
+    if hasattr(args, "budget"):
+        ways.append("raise --budget")
+    ways.append("shrink the instance")
+    return " or ".join(ways)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -463,7 +478,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_UNCOMPUTABLE
     except (ExactLimitError, EnumerationBudgetError, SynthesisLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        sys.stderr.write("hint: use --mc, raise the budget, or shrink the instance\n")
+        sys.stderr.write(f"hint: {_infeasible_hint(args)}\n")
         return EXIT_INFEASIBLE
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

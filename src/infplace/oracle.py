@@ -20,7 +20,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -321,6 +320,12 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
     return _report("optimal placement at desk scale", grid, cases, summary, None)
 
 
+def _average_ranks(values: Sequence[float]) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of the ranks they span."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+
+
 def corollary_study(
     f: BooleanFunctionANF, placements: Sequence[PlacementConfig]
 ) -> OracleReport:
@@ -361,11 +366,9 @@ def corollary_study(
     as_col = [float(a) for a, _ in rows]
     t_col = [float(t) for _, t in rows]
     if len(set(as_col)) > 1 and len(set(t_col)) > 1:
-        from scipy.stats import spearmanr
-
-        value = spearmanr(as_col, t_col).statistic
-        if not math.isnan(value):
-            rho = float(value)
+        # Spearman's rho: the Pearson correlation of the average ranks.
+        ranks = np.column_stack((_average_ranks(as_col), _average_ranks(t_col)))
+        rho = float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
     recorded = "; ".join(
         f"#{i}(as={rows[i][0]},T={rows[i][1]}) vs #{j}(as={rows[j][0]},T={rows[j][1]})"

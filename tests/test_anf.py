@@ -166,6 +166,14 @@ def test_truth_table_matches_evaluate_batch_up_to_k16():
             assert np.array_equal(tt, evaluate_batch(f, idx)), f
 
 
+def test_truth_table_results_are_independent(example_function):
+    # Writing into one result must not change a later answer.
+    first = truth_table(example_function)
+    expected = first.copy()
+    first[:] = ~first
+    assert np.array_equal(truth_table(example_function), expected)
+
+
 def test_truth_table_cap():
     f = BooleanFunctionANF.from_indices(30, [[1, 2]])
     with pytest.raises(ValueError):

@@ -273,6 +273,12 @@ def test_oracle_corollary_default_function(capsys):
     assert capped["summary"]["placements"] == "4"
 
 
+def test_oracle_corollary_rho_on_the_example_function(files, capsys):
+    argv = ["oracle", "corollary", "-N", "3", "-M", "3", "-f", files["f.json"]]
+    assert main(argv + ["--limit", "50"]) == 0
+    assert '"spearman_rho":"0.8449684619067451"' in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("limit", ["0", "-1"])
 def test_oracle_corollary_limit_below_one_exits_2(capsys, limit):
     with pytest.raises(SystemExit) as exc:
@@ -413,7 +419,27 @@ def test_exit_3_for_exact_limit(capsys, tmp_path):
     assert main(["influence", "-f", str(wide), "--subset", "1"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: the monomials that meet the flip set span 25 datasets")
-    assert "\nhint: " in err
+    assert "\nhint: use --mc or shrink the instance\n" in err
+
+
+def test_exit_3_hint_names_only_the_commands_own_options(capsys, tmp_path):
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"K": 30, "monomials": [list(range(1, 26))]}))
+    argv = ["place", "-f", str(wide), "-N", "1", "-M", "25", "--method", "aligned"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "--mc" not in err
+    assert err.splitlines()[-1] == "hint: raise --budget or shrink the instance"
+
+
+@pytest.mark.parametrize("command", ["place", "sweep"])
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_budget_below_one_exits_2(files, capsys, command, budget):
+    argv = [command, "-f", files["pairs.json"], "-N", "3", "-M", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", budget])
+    assert exc.value.code == 2
+    assert f"--budget: must be at least 1, got {budget}" in capsys.readouterr().err
 
 
 def test_influence_past_k24_is_exact_on_narrow_monomials(capsys, tmp_path):

@@ -1,0 +1,35 @@
+"""The runtime imports of the package are exactly its declared dependencies."""
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+import infplace
+
+PACKAGE_DIR = Path(infplace.__file__).resolve().parent
+PYPROJECT = PACKAGE_DIR.parents[1] / "pyproject.toml"
+
+
+def third_party_imports() -> set[str]:
+    """Top-level names of every absolute import in the package, function-level
+    imports included, less the standard library and the package itself."""
+    names = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"infplace"}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_imports_match_declared_dependencies():
+    import tomllib
+
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group() for d in project["dependencies"]}
+    assert third_party_imports() == declared == {"numpy"}

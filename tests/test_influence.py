@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from infplace import influence
 from infplace.anf import BooleanFunctionANF, evaluate, evaluate_batch, truth_table
 from infplace.influence import (
     EstimatorConfig,
@@ -97,13 +98,22 @@ def test_influence_flip_mask_validation(example_function):
         joint_influence_exact(example_function, -1)
 
 
-def test_exact_limit_enforced():
+def test_exact_limit_enforced(monkeypatch):
     # The monomials that meet S span 25 datasets: refused before any table.
     f = BooleanFunctionANF.from_indices(30, [list(range(1, 14)), list(range(14, 26))])
-    before = truth_table.cache_info().misses
+    built = []
+
+    def counting_truth_table(g):
+        built.append(g)
+        return truth_table(g)
+
+    monkeypatch.setattr(influence, "truth_table", counting_truth_table)
     with pytest.raises(ExactLimitError, match="span 25 datasets"):
         joint_influence_exact(f, 1 | 1 << 13)
-    assert truth_table.cache_info().misses == before
+    assert built == []
+    # The counter sees the tables that are built.
+    joint_influence_exact(f, 1)
+    assert len(built) == 1
 
 
 def test_exact_limit_is_on_the_monomials_that_meet_s():

@@ -3,11 +3,17 @@
 import csv
 import io
 import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
+import infplace
 from infplace import oracle
 from infplace.anf import BooleanFunctionANF, mask_from_indices
 from infplace.influence import joint_influence_exact
@@ -167,6 +173,51 @@ def test_corollary_study_records_but_never_fails():
     assert float(report.summary["spearman_rho"]) == pytest.approx(-1.0)
     assert report.cases[0].observed == "as=9/8 T=2 inf=[1;1/8] pieces=[1, 1]"
     assert report.cases[1].observed == "as=1 T=3 inf=[7/8;1/8] pieces=[2, 1]"
+
+
+def test_average_ranks_share_ties():
+    ranks = oracle._average_ranks([0.5, 0.25, 0.5, 1.0, 0.25, 0.5])
+    assert ranks.tolist() == [4.0, 1.5, 4.0, 6.0, 1.5, 4.0]
+
+
+def test_rank_correlation_matches_scipy_bit_for_bit():
+    stats = pytest.importorskip("scipy.stats")
+    rng = random.Random(2024)
+    compared = 0
+    for trial in range(400):
+        size = rng.randrange(2, 40)
+        # Few distinct values force ties; every other trial is untied.
+        spread = rng.randrange(2, 5) if trial % 2 else 1 << 30
+        a = [rng.randrange(spread) / 8 for _ in range(size)]
+        b = [float(rng.randrange(spread)) for _ in range(size)]
+        if len(set(a)) < 2 or len(set(b)) < 2:
+            continue
+        ranks = np.column_stack((oracle._average_ranks(a), oracle._average_ranks(b)))
+        rho = float(np.corrcoef(ranks, rowvar=False)[1, 0])
+        assert repr(rho) == repr(float(stats.spearmanr(a, b).statistic)), (a, b)
+        compared += 1
+    assert compared > 300
+
+
+def test_corollary_study_loads_no_scipy():
+    # The rank correlation is computed, so the study runs its full path.
+    package_root = os.path.dirname(os.path.dirname(infplace.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {package_root!r})\n"
+        "from infplace.anf import BooleanFunctionANF\n"
+        "from infplace.oracle import corollary_study\n"
+        "from infplace.placement import PlacementConfig\n"
+        "f = BooleanFunctionANF.from_indices(5, [[1], [2, 3, 4, 5]])\n"
+        "pair = [PlacementConfig.from_indices(4, [[1], [2, 3, 4, 5]]),\n"
+        "        PlacementConfig.from_indices(3, [[1, 2, 3], [4, 5]])]\n"
+        "print(corollary_study(f, pair).summary['spearman_rho'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    # scipy's spearmanr gave the same last-bit value.
+    assert proc.stdout.splitlines() == ["-0.9999999999999999", "[]"]
 
 
 def test_corollary_study_constant_columns_have_no_rho():
