@@ -192,7 +192,8 @@ def _cmd_verify(args, inputs):
     scheme = parse_scheme(Path(args.scheme).read_text())
     inputs[args.scheme] = _sha256(scheme_to_json(scheme))
     f = _load_function(args.function, inputs)
-    problems = scheme_structure_errors(scheme, f)
+    placement = _load_placement(args.placement, inputs) if args.placement else None
+    problems = scheme_structure_errors(scheme, f, placement)
     for problem in problems:
         sys.stderr.write(f"structure: {problem}\n")
     if len(scheme.plan) != len(f.non_constant_monomials):
@@ -416,6 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-s", "--scheme", required=True, metavar="FILE")
     p.add_argument("-f", "--function", required=True, metavar="FILE")
+    p.add_argument(
+        "-p", "--placement", metavar="FILE", help="also check each piece against its server"
+    )
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(

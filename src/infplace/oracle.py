@@ -257,25 +257,21 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
     total = count_placements(constraints)
     target_as = Fraction(n, 1 << (m - 1))
 
-    # Every quantity here ignores server order: scan multisets, weighting
-    # each by its orderings so the computable count stays an ordered one.
-    min_as = None
+    # The least summed influence over every placement, computable or not,
+    # puts the least subset influence on every server.
+    min_as = Fraction(n * min(map(space.influence, range(space.num_subsets))), 1 << k)
+    # Piece counts ignore server order: list the computable multisets,
+    # weighting each by its orderings so the count stays an ordered one.
     num_computable = 0
     min_t = None
     min_t_placement = None
-    for combo in space.multisets():
-        value = sum(space.influence(i) for i in combo)
-        if min_as is None or value < min_as:
-            min_as = value
-        if not space.computable(combo):
-            continue
+    for combo in space.computable_multisets():
         num_computable += orderings(combo)
         placement = space.config(combo)
         t = count_transmissions(synthesize_exact(f, placement)).total
         if min_t is None or t < min_t:
             min_t = t
             min_t_placement = placement
-    min_as = Fraction(min_as, 1 << k)
 
     aligned = aligned_placement(f, constraints)
     aligned_as = avg_joint_sensitivity(f, aligned).fraction

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement, groupby
+from itertools import accumulate, combinations, groupby
 from math import comb, factorial
+from operator import or_
 from typing import Iterator, Sequence
 
 from .anf import (
@@ -199,17 +200,19 @@ class PlacementSpace:
     a huge grid costs only those rows.
 
     Summed influence, computability and the exact piece count do not
-    depend on server order, so callers that need only those scan server
-    multisets.  The sorted tuple of any minimiser is also a minimiser
-    and comes no later, so the first minimising multiset is the first
-    minimising ordered placement.
+    depend on server order, so callers that need only those search the
+    sorted server multisets with :meth:`computable_multisets`, a pruned
+    depth-first search.  The sorted tuple of any minimiser is also a
+    minimiser and comes no later, so the first minimising multiset is
+    the first minimising ordered placement.
     """
 
     def __init__(self, c: PlacementConstraints, f: BooleanFunctionANF | None = None):
         self.constraints = c
         self.function = f
         self.num_subsets = comb(c.num_datasets, c.cache_size)
-        self._combos = combinations(range(1, c.num_datasets + 1), c.cache_size)
+        # Combinations of the datasets' bits, in the order of their indices.
+        self._combos = combinations([1 << b for b in range(c.num_datasets)], c.cache_size)
         self._masks: list[int] = []
         self._counts: dict[int, int] = {}
 
@@ -235,7 +238,7 @@ class PlacementSpace:
     def mask(self, i: int) -> int:
         masks = self._masks
         while len(masks) <= i:
-            masks.append(mask_from_indices(next(self._combos)))
+            masks.append(sum(next(self._combos)))
         return masks[i]
 
     def influence(self, i: int) -> int:
@@ -271,12 +274,67 @@ class PlacementSpace:
                     return
             combo[pos] += 1
 
-    def multisets(self) -> Iterator[tuple[int, ...]]:
-        """Every server multiset once, as a sorted tuple, lexicographic;
-        :func:`orderings` gives the ordered placements behind each."""
-        return combinations_with_replacement(
-            range(self.num_subsets), self.constraints.num_servers
-        )
+    def computable_multisets(self, improving: bool = False) -> Iterator[tuple[int, ...]]:
+        """Server multisets that can compute f, as sorted tuples, lexicographic.
+
+        One depth-first search over sorted tuples, written as a loop so
+        that N does not bound it by the recursion limit.  With r servers
+        left to fill, a prefix is cut when the subsets it may still use
+        do not hold every dataset f still needs, or when more than r*M
+        are still needed.  Subsets that leave more than (N-1)*M of f's
+        datasets to the other servers are in no computable multiset, so
+        the search never considers them.
+
+        With ``improving``, a multiset is yielded only when its summed
+        influence is strictly below that of every multiset yielded
+        before, so the last one yielded is the lexicographically first
+        minimiser.  A prefix is then also cut when its sum plus r times
+        the least influence among the subsets it may still use is not
+        below the best sum.  Influence is counted only for the subsets
+        the search considers.
+        """
+        n, m = self.constraints.num_servers, self.constraints.cache_size
+        need = self.function.support_mask
+        cands = [
+            i for i in range(self.num_subsets)
+            if (need & ~self.mask(i)).bit_count() <= (n - 1) * m
+        ]
+        masks = [self.mask(i) for i in cands]
+        counts = [self.influence(i) for i in cands] if improving else [0] * len(cands)
+        # The union and the least count over candidates j, j+1, ...
+        reach = [*accumulate(reversed(masks), or_)][::-1] + [0]
+        floor = [*accumulate(reversed(counts), min)][::-1]
+        best = None
+        combo = [0] * n  # candidate positions chosen for the first d servers
+        left = [need] + [0] * n  # f's datasets not yet held
+        total = [0] * (n + 1)  # summed influence count of the first d servers
+        d = j = 0
+        while True:
+            r = n - d
+            if (
+                j == len(cands)
+                or left[d] & ~reach[j]
+                or best is not None and total[d] + r * floor[j] >= best
+            ):
+                if d == 0:
+                    return
+                d -= 1
+                j = combo[d] + 1
+                continue
+            rest = left[d] & ~masks[j]
+            t = total[d] + counts[j]
+            if rest.bit_count() > (r - 1) * m or (
+                best is not None and t + (r - 1) * floor[j] >= best
+            ):
+                j += 1
+            elif r > 1:
+                combo[d], left[d + 1], total[d + 1] = j, rest, t
+                d += 1
+            else:
+                if improving:
+                    best = t
+                yield tuple(cands[i] for i in combo[:d] + [j])
+                j += 1
 
 
 def enumerate_placements(
@@ -295,15 +353,12 @@ def _exhaustive_min(
     space = PlacementSpace(c, f)
     space.check_budget(budget)
     best = None
-    for combo in space.multisets():
-        if not space.computable(combo):
-            continue
-        total = sum(space.influence(i) for i in combo)
-        if best is None or total < best[0]:
-            best = (total, combo)
+    for best in space.computable_multisets(improving=True):
+        pass
     if best is None:
         raise ValueError("no placement can cover the function's datasets")
-    return space.config(best[1]), InfluenceValue.exact_value(best[0], 1 << c.num_datasets)
+    total = sum(space.influence(i) for i in best)
+    return space.config(best), InfluenceValue.exact_value(total, 1 << c.num_datasets)
 
 
 def search_min_as(
@@ -314,11 +369,14 @@ def search_min_as(
 ) -> tuple[PlacementConfig, InfluenceValue]:
     """Find a placement minimizing the summed joint influence.
 
-    ``exhaustive`` scans every server multiset of strict subsets that
-    can compute f (the lexicographically first placement wins ties; the
-    budget still counts ordered placements); ``greedy-aligned`` returns the
-    aligned placement directly.  Influences are exact, so a subset whose
-    monomials are too wide raises :class:`ExactLimitError`.
+    ``exhaustive`` runs a pruned depth-first search over the server
+    multisets of strict subsets that can compute f
+    (:meth:`PlacementSpace.computable_multisets`); it is exact, and ties
+    still go to the lexicographically first placement.  The budget
+    still counts ordered placements and is checked before the search
+    starts.  ``greedy-aligned`` returns the aligned placement directly.
+    Influences are exact, so a subset whose monomials are too wide
+    raises :class:`ExactLimitError`.
     """
     if method == SEARCH_EXHAUSTIVE:
         return _exhaustive_min(f, c, budget)

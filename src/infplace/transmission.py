@@ -161,13 +161,26 @@ def scheme_to_json(s: TransmissionScheme) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def scheme_structure_errors(s: TransmissionScheme, f: BooleanFunctionANF) -> list[str]:
+def scheme_structure_errors(
+    s: TransmissionScheme, f: BooleanFunctionANF, p: PlacementConfig | None = None
+) -> list[str]:
     """Structural invariant check: one plan row per non-constant monomial,
-    each row's pieces pairwise disjoint and uniting to the monomial support."""
+    each row's pieces pairwise disjoint and uniting to the monomial support.
+    Given a placement, every piece must also come from one of its N servers
+    and use only datasets that server holds."""
     errors = []
     monomials = f.non_constant_monomials
     if s.constant != f.constant_term:
         errors.append(f"constant term {s.constant} != function's {f.constant_term}")
+    if p is not None:
+        for piece in s.pieces:
+            name = f"piece {indices_from_mask(piece.vars_mask)} on server {piece.server}"
+            if not 1 <= piece.server <= p.num_servers:
+                errors.append(f"{name}: no such server among N={p.num_servers}")
+                continue
+            missing = piece.vars_mask & ~p.subset_masks[piece.server - 1]
+            if missing:
+                errors.append(f"{name}: server does not hold {indices_from_mask(missing)}")
     if len(s.plan) != len(monomials):
         errors.append(f"plan has {len(s.plan)} rows for {len(monomials)} monomials")
         return errors

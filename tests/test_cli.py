@@ -211,6 +211,50 @@ def test_verify_fails_without_decoding_on_plan_row_count(capsys, tmp_path):
     assert err.splitlines()[0] == "structure: plan has 2 rows for 1 monomials"
 
 
+def test_verify_with_placement_passes_a_synthesized_scheme(files, capsys, tmp_path):
+    scheme_path = tmp_path / "scheme.json"
+    main([
+        "synthesize", "--exact", "-f", files["f.json"],
+        "-p", files["window.json"], "-o", str(scheme_path),
+    ])
+    capsys.readouterr()
+    argv = ["verify", "-s", str(scheme_path), "-f", files["f.json"], "-p", files["window.json"]]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == "PASS 512/512 inputs (exhaustive)\n"
+    assert "structure:" not in err
+
+
+@pytest.mark.parametrize(
+    "pieces,problem",
+    [
+        (
+            '[{"server":3,"vars":[1,2]}]',
+            "structure: piece (1, 2) on server 3: no such server among N=2",
+        ),
+        (
+            '[{"server":2,"vars":[1,2]}]',
+            "structure: piece (1, 2) on server 2: server does not hold (1,)",
+        ),
+    ],
+)
+def test_verify_with_placement_fails_on_pieces_their_server_cannot_send(
+    pieces, problem, capsys, tmp_path
+):
+    f_path = tmp_path / "w1w2.json"
+    f_path.write_text('{"K":3,"monomials":[[1,2]]}\n')
+    p_path = tmp_path / "p.json"
+    p_path.write_text('{"N":2,"M":2,"subsets":[[1,2],[2,3]]}\n')
+    s_path = tmp_path / "s.json"
+    s_path.write_text('{"constant":0,"pieces":' + pieces + ',"plan":[[0]]}\n')
+    assert main(["verify", "-s", str(s_path), "-f", str(f_path)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "-s", str(s_path), "-f", str(f_path), "-p", str(p_path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == "FAIL structure errors=1, decoded 8/8 inputs (exhaustive)\n"
+    assert err.splitlines()[0] == problem
+
+
 def test_verify_sampled_for_wide_functions(capsys, tmp_path):
     f_path = tmp_path / "wide.json"
     p_path = tmp_path / "wide_p.json"

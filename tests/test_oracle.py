@@ -155,6 +155,18 @@ def test_theorem_summary_matches_ordered_reference(n, m):
     assert summary["min_T_placement"] == str(min_t_placement)
 
 
+def test_theorem_three_servers_triples_summary():
+    assert check_theorem(3, 3).summary == {
+        "placements": "592704",
+        "computable": "1680",
+        "min_as": "3/4",
+        "aligned_as": "3/4",
+        "aligned_T": "3",
+        "min_T": "3",
+        "min_T_placement": "{1,2,3}; {4,5,6}; {7,8,9}",
+    }
+
+
 def test_theorem_respects_enumeration_budget():
     with pytest.raises(EnumerationBudgetError):
         check_theorem(4, 4)

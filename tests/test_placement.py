@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 import pytest
@@ -184,16 +184,22 @@ def test_exhaustive_search_matches_direct_scan():
 
 def test_space_scans_match_product_and_multiset_counts():
     c = PlacementConstraints(4, 3, 2)
-    space = PlacementSpace(c)
+    space = PlacementSpace(c, BooleanFunctionANF.from_indices(4, [[1, 2], [3, 4]]))
     subsets = [mask_from_indices(ix) for ix in combinations(range(1, 5), 2)]
     ordered = list(space.ordered())
     assert ordered == list(product(range(len(subsets)), repeat=3))
+    assert len(ordered) == count_placements(c)
     assert [space.config(t).subset_masks for t in ordered[:3]] == [
         tuple(subsets[i] for i in t) for t in ordered[:3]
     ]
-    multisets = list(space.multisets())
-    assert multisets == sorted({tuple(sorted(t)) for t in ordered})
-    assert sum(orderings(m) for m in multisets) == len(ordered) == count_placements(c)
+    listed = list(space.computable_multisets())
+    assert listed == [
+        m for m in combinations_with_replacement(range(len(subsets)), 3)
+        if space.computable(m)
+    ]
+    assert 0 < len(listed) < comb(len(subsets) + 2, 3)
+    computable_ordered = [t for t in ordered if space.computable(t)]
+    assert sum(orderings(m) for m in listed) == len(computable_ordered)
     assert orderings((0, 0, 0)) == 1 and orderings((0, 0, 2)) == 3 and orderings((0, 1, 2)) == 6
 
 
@@ -273,3 +279,87 @@ def test_exhaustive_search_matches_ordered_reference_on_random_instances():
         assert value.fraction == expected[1], (str(f), c)
         found += 1
     assert found >= 200
+
+
+def test_single_subset_grid_needs_no_recursion():
+    # One subset passes the budget guard at any N; the search must not
+    # grow the call stack with the server count.
+    f = BooleanFunctionANF.from_indices(4, [[1, 2], [3, 4]])
+    placement, value = search_min_as(f, PlacementConstraints(4, 1000, 4))
+    assert placement.subset_masks == (0b1111,) * 1000
+    assert (value.count, value.denominator) == (8000, 16)
+
+
+def test_search_counts_influence_only_for_covering_candidates(monkeypatch):
+    # C(20,10) subsets on one server, and only {1..10} holds every dataset
+    # of f: the search must count that one subset's influence and no other.
+    import infplace.placement as placement_module
+
+    calls = []
+
+    def counted(f, flip):
+        calls.append(flip)
+        return joint_influence_exact(f, flip)
+
+    monkeypatch.setattr(placement_module, "joint_influence_exact", counted)
+    f = BooleanFunctionANF.from_indices(20, [[2 * i + 1, 2 * i + 2] for i in range(5)])
+    placement, value = search_min_as(f, PlacementConstraints(20, 1, 10))
+    assert subsets_of(placement) == [list(range(1, 11))]
+    assert value.fraction == Fraction(1, 2)
+    assert calls == [(1 << 10) - 1]
+
+
+def reference_multisets(f, c):
+    """Computable sorted multisets, lexicographic, and the first of them
+    with the least summed influence (``None`` when there is none)."""
+    subsets = [
+        mask_from_indices(ix)
+        for ix in combinations(range(1, c.num_datasets + 1), c.cache_size)
+    ]
+    counts = [reference_influence(f, s) * (1 << c.num_datasets) for s in subsets]
+    listed, best = [], None
+    for combo in combinations_with_replacement(range(len(subsets)), c.num_servers):
+        union = 0
+        for i in combo:
+            union |= subsets[i]
+        if f.support_mask & ~union:
+            continue
+        listed.append(combo)
+        value = sum(counts[i] for i in combo)
+        if best is None or value < best[1]:
+            best = (tuple(subsets[i] for i in combo), value)
+    if best is not None:
+        best = (best[0], Fraction(best[1], 1 << c.num_datasets))
+    return listed, best
+
+
+def random_wide_instance(rng, max_multisets=20000):
+    while True:
+        k = rng.randint(4, 7)
+        n = rng.randint(4, 5)
+        m = rng.randint(1, k)
+        if comb(comb(k, m) + n - 1, n) <= max_multisets:
+            break
+    monomials = [
+        rng.sample(range(1, k + 1), rng.randint(0, min(k, 3)))
+        for _ in range(rng.randint(0, 4))
+    ]
+    return BooleanFunctionANF.from_indices(k, monomials), PlacementConstraints(k, n, m)
+
+
+def test_pruned_search_matches_multiset_reference_at_four_and_five_servers():
+    rng = random.Random(20261018)
+    found = 0
+    for _ in range(60):
+        f, c = random_wide_instance(rng)
+        listed, expected = reference_multisets(f, c)
+        assert list(PlacementSpace(c, f).computable_multisets()) == listed, (str(f), c)
+        if expected is None:
+            with pytest.raises(ValueError):
+                search_min_as(f, c)
+            continue
+        placement, value = search_min_as(f, c)
+        assert placement.subset_masks == expected[0], (str(f), c)
+        assert value.fraction == expected[1], (str(f), c)
+        found += 1
+    assert found >= 50

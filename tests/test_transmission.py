@@ -226,8 +226,8 @@ def test_synthesized_schemes_always_decode(case):
     exact = synthesize_exact(f, placement)
     greedy = synthesize_greedy(f, placement)
     assert count_transmissions(exact).total <= count_transmissions(greedy).total
-    assert scheme_structure_errors(exact, f) == []
-    assert scheme_structure_errors(greedy, f) == []
+    assert scheme_structure_errors(exact, f, placement) == []
+    assert scheme_structure_errors(greedy, f, placement) == []
     assert verify_scheme(exact, f).passed
     assert verify_scheme(greedy, f).passed
 
