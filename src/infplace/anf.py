@@ -11,6 +11,7 @@ All values are immutable; every operation here is a pure function.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Iterable
@@ -115,9 +116,9 @@ class BooleanFunctionANF:
         masks = [mask_from_indices(ix, num_datasets) for ix in index_lists]
         return cls.from_masks(num_datasets, masks)
 
-    @property
+    @functools.cached_property
     def support_mask(self) -> int:
-        """Union of all monomial variables."""
+        """Union of all monomial variables; computed once, never compared."""
         out = 0
         for m in self.monomials:
             out |= m

@@ -11,12 +11,15 @@ this class.  Server choice never affects the optimum (a var-set reused
 on one server costs one piece; spread over two it costs two), so the
 search runs over var-set partitions and servers are assigned afterwards
 (lowest covering index, for determinism).  The search is a depth-first
-branch-and-bound from the greedy scheme.  Its bound counts, per monomial,
-the vars no reusable block covers over the widest coverable block,
-rounded up; it never overestimates, and the search keeps the first
-strictly better scheme in a DFS order the bound does not affect, so the
-bound sets the running time, never the scheme.  Cost grows exponentially
-with monomial degree; the degree limit is enforced, not advisory.
+branch-and-bound from the greedy scheme.  Its bound is the blocks used
+so far plus the new blocks still needed, each no wider than its
+monomial's widest coverable block: per monomial, those for its uncovered
+vars that no other monomial left holds (such blocks serve it alone),
+plus the most any one monomial needs beyond those.  It never
+overestimates, and the search keeps the first strictly better scheme in
+a DFS order the bound does not affect, so the bound sets the running
+time, never the scheme.  Cost grows exponentially with monomial degree;
+the degree limit is enforced, not advisory.
 """
 
 from __future__ import annotations
@@ -209,85 +212,102 @@ def _check_computable(f: BooleanFunctionANF, p: PlacementConfig) -> None:
             )
 
 
-def _coverable_blocks(monomial: int, subset_masks: Sequence[int]) -> set[int]:
-    """All nonempty sub-products of the monomial that fit on one server."""
+def _coverable_blocks(monomial: int, subset_masks: Sequence[int]) -> dict[int, list[int]]:
+    """All nonempty sub-products of the monomial that fit on one server,
+    keyed by their lowest var: widest first, then in variable order."""
     blocks = set()
-    sub = monomial
-    while sub:
-        if any(sub & ~s == 0 for s in subset_masks):
+    for held in {monomial & s for s in subset_masks}:
+        sub = held
+        while sub:
             blocks.add(sub)
-        sub = (sub - 1) & monomial
-    return blocks
+            sub = (sub - 1) & held
+    by_low: dict[int, list[int]] = {}
+    for b in sorted(blocks, key=lambda b: (-b.bit_count(), indices_from_mask(b))):
+        by_low.setdefault(b & -b, []).append(b)
+    return by_low
 
 
 def _greedy_partitions(
     monomials: Sequence[int], subset_masks: Sequence[int]
 ) -> list[list[int]]:
-    """Largest-held-block partition per monomial, reusing earlier blocks.
+    """Largest-held-block partition per monomial.
 
-    Tie order: block size descending, then lowest server index, then
-    variable order.  Always valid for a computable placement; may use
-    more distinct blocks than the exact search.
+    Each server offers the remaining vars it holds; the largest offer
+    wins, ties going to the lowest server index.  Always valid for a
+    computable placement; may use more distinct blocks than the exact search.
     """
     chosen: list[list[int]] = []
-    existing: set[int] = set()
     for monomial in monomials:
         blocks = []
         remaining = monomial
         while remaining:
-            best = None
-            for server, s in enumerate(subset_masks, start=1):
-                cand = remaining & s
-                if not cand:
-                    continue
-                key = (-cand.bit_count(), server, indices_from_mask(cand))
-                if best is None or key < best[0]:
-                    best = (key, cand)
-            if best is None:
+            block = 0
+            for s in subset_masks:
+                if (cand := remaining & s).bit_count() > block.bit_count():
+                    block = cand
+            if not block:
                 raise UncomputablePlacementError(
                     indices_from_mask(monomial), indices_from_mask(remaining)
                 )
-            block = best[1]
             blocks.append(block)
-            existing.add(block)
             remaining &= ~block
         chosen.append(blocks)
     return chosen
 
 
+def _new_blocks_bound(rems: Sequence[int], covered: Sequence[int], widest: Sequence[int]) -> int:
+    """Fewest new blocks that partitioning every ``rems[j]`` must add.
+
+    ``covered[j]`` holds the vars of rems[j] that used blocks inside it
+    cover; the rest, U_j, need new blocks inside rems[j] of at most
+    w_j = ``widest[j]`` vars.  P_j is the part of U_j in no other rems[j'].
+    The bound is sum_j ceil(|P_j|/w_j) + max_j (ceil(|U_j|/w_j) -
+    ceil(|P_j|/w_j)).  A new block holding a var of P_j fits in no other
+    rems[j'], so the blocks that cover different P_j are distinct, and
+    distinct from the rest of the at least ceil(|U_j|/w_j) new blocks of
+    any one rems[j].  It is never below max_j ceil(|U_j|/w_j).
+    """
+    once = twice = 0
+    for r in rems:
+        twice |= once & r
+        once |= r
+    total = extra = 0
+    for r, c, w in zip(rems, covered, widest):
+        u = r & ~c
+        private = -(-(u & ~twice).bit_count() // w)
+        total += private
+        extra = max(extra, -(-u.bit_count() // w) - private)
+    return total + extra
+
+
 def _search_min_distinct(
     monomials: Sequence[int],
-    block_sets: Sequence[set[int]],
+    subset_masks: Sequence[int],
     init: list[list[int]],
 ) -> list[list[int]]:
     """Exact branch-and-bound over per-monomial partitions.
 
     Minimizes the number of distinct var-set blocks across monomials.
     The incumbent starts at the greedy solution, so the result never
-    uses more distinct blocks than greedy.  Bound: used-so-far plus, over
-    the monomials left, the most new blocks one must add.  Each var of
-    monomial j's uncovered part R that no used block inside R covers needs
-    a new block, which holds at most ``widest[j]`` vars.  The bound never
-    overestimates, and the first strictly better leaf in the DFS order
-    (which the bound does not affect) is kept, so every such bound
-    returns the same blocks; it only sets how much is pruned.
+    uses more distinct blocks than greedy.  Each node places the lowest
+    var of the current monomial's uncovered part: reusable blocks first,
+    then new ones, each widest first and then in variable order.  Bound:
+    blocks used so far plus ``_new_blocks_bound`` over what is left of
+    the current monomial and the later monomials, each with the vars that
+    used blocks inside it cover.  It never overestimates (see there), and
+    the first strictly better leaf in the DFS order (which the bound does
+    not affect) is kept, so every such bound returns the same blocks; it
+    only sets how much is pruned.
     """
     best_choice = [list(blocks) for blocks in init]
     best_count = len({b for blocks in init for b in blocks})
     n = len(monomials)
+    widest = [max((m & s).bit_count() for s in subset_masks) for m in monomials]
+    if not n or _new_blocks_bound(monomials, [0] * n, widest) >= best_count:
+        return best_choice
     path: list[list[int]] = [[] for _ in range(n)]
-    widest = [max(b.bit_count() for b in blocks) for blocks in block_sets]
-
-    def bound(i: int, remaining: int, used: set[int]) -> int:
-        worst = 0
-        for j in range(i, n):
-            rem = remaining if j == i else monomials[j]
-            covered = 0
-            for b in used:
-                if b & ~rem == 0:
-                    covered |= b
-            worst = max(worst, -(-(rem & ~covered).bit_count() // widest[j]))
-        return len(used) + worst
+    by_low = [_coverable_blocks(m, subset_masks) for m in monomials]
+    covered = [0] * n  # for each monomial past the current one
 
     def go(i: int, remaining: int, used: set[int]) -> None:
         nonlocal best_choice, best_count
@@ -299,29 +319,30 @@ def _search_min_distinct(
                 return
             go(i + 1, monomials[i + 1], used)
             return
-        if bound(i, remaining, used) >= best_count:
+        here = 0
+        for b in used:
+            if b & ~remaining == 0:
+                here |= b
+        rems, covers = [remaining, *monomials[i + 1 :]], [here, *covered[i + 1 :]]
+        if len(used) + _new_blocks_bound(rems, covers, widest[i:]) >= best_count:
             return
-        low = remaining & -remaining
-        candidates = []
-        sub = remaining
-        while sub:
-            if sub & low and sub in block_sets[i]:
-                candidates.append(sub)
-            sub = (sub - 1) & remaining
-        # Reusable blocks first, then larger, then variable order.
-        candidates.sort(key=lambda b: (b not in used, -b.bit_count(), indices_from_mask(b)))
-        for block in candidates:
+        fits = [b for b in by_low[i][remaining & -remaining] if b & ~remaining == 0]
+        for block in [b for b in fits if b in used] + [b for b in fits if b not in used]:
             added = block not in used
             if added:
                 used.add(block)
+                saved = covered[i + 1 :]
+                for j in range(i + 1, n):
+                    if block & ~monomials[j] == 0:
+                        covered[j] |= block
             path[i].append(block)
             go(i, remaining & ~block, used)
             path[i].pop()
             if added:
                 used.remove(block)
+                covered[i + 1 :] = saved
 
-    if n:
-        go(0, monomials[0], set())
+    go(0, monomials[0], set())
     return best_choice
 
 
@@ -367,9 +388,8 @@ def synthesize_exact(f: BooleanFunctionANF, p: PlacementConfig) -> TransmissionS
                 f"monomial degree {m.bit_count()} exceeds the exact-synthesis"
                 f" limit {EXACT_SYNTHESIS_DEGREE_LIMIT}"
             )
-    block_sets = [_coverable_blocks(m, p.subset_masks) for m in monomials]
     greedy = _greedy_partitions(monomials, p.subset_masks)
-    best = _search_min_distinct(monomials, block_sets, greedy)
+    best = _search_min_distinct(monomials, p.subset_masks, greedy)
     return _scheme_from_blocks(f, p, best)
 
 

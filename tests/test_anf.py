@@ -210,6 +210,12 @@ def test_support_mask(example_function):
     assert example_function.support_mask == (1 << 9) - 1
     f = BooleanFunctionANF.from_indices(6, [[2, 4]])
     assert indices_from_mask(f.support_mask) == (2, 4)
+    # Kept after the first read, but read-only and outside equality and hashing.
+    g = BooleanFunctionANF.from_indices(6, [[2, 4]])
+    assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+    with pytest.raises(AttributeError):
+        f.support_mask = 0
+    assert f.support_mask == 0b1010
 
 
 def test_function_json_digest_stability(example_function):

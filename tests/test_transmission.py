@@ -1,6 +1,7 @@
 """Transmission schemes: synthesis, counting, decoding, verification."""
 
 import functools
+import hashlib
 import itertools
 import operator
 import random
@@ -9,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infplace.anf import BooleanFunctionANF, evaluate
+from infplace.anf import BooleanFunctionANF, evaluate, mask_from_indices
 from infplace.placement import PlacementConfig
 from infplace.transmission import (
     Piece,
     SynthesisLimitError,
     TransmissionScheme,
     UncomputablePlacementError,
+    _new_blocks_bound,
     count_transmissions,
     decode,
     parse_scheme,
@@ -244,21 +246,51 @@ def _set_partitions(items):
         yield partition + [frozenset([first])]
 
 
+def _partition_options(monomials, servers):
+    """Per monomial, every partition of it whose blocks each fit on some server."""
+    return [
+        [
+            frozenset(partition)
+            for partition in _set_partitions(sorted(monomial))
+            if all(any(block <= server for server in servers) for block in partition)
+        ]
+        for monomial in monomials
+    ]
+
+
 def brute_force_min_pieces(monomials, servers):
     """Fewest distinct var sets over every choice of one partition per
     monomial whose blocks each fit on some server: the exact piece count,
     found by enumeration alone."""
-    options = []
-    for monomial in monomials:
-        options.append([
-            partition
-            for partition in _set_partitions(sorted(monomial))
-            if all(any(block <= server for server in servers) for block in partition)
-        ])
     return min(
-        len({block for partition in choice for block in partition})
-        for choice in itertools.product(*options)
+        len(frozenset().union(*choice))
+        for choice in itertools.product(*_partition_options(monomials, servers))
     )
+
+
+def merged_min_pieces(monomials, servers):
+    """The minimum of ``brute_force_min_pieces`` over the same choices,
+    made one monomial at a time.  Choices so far that leave the same
+    blocks for the later monomials to reuse are merged, keeping the
+    fewest distinct blocks, which keeps 4-6 monomials fast."""
+    monomials = sorted(monomials, key=len, reverse=True)  # fewer reusable blocks
+    fewest = {frozenset(): 0}
+    for j, partitions in enumerate(_partition_options(monomials, servers)):
+        later = monomials[j + 1 :]
+        reusable = frozenset(
+            block
+            for blocks in [*fewest, *partitions]
+            for block in blocks
+            if any(block <= m for m in later)
+        )
+        step = {}
+        for kept, count in fewest.items():
+            for partition in partitions:
+                key = (kept | partition) & reusable
+                total = count + len(partition - kept)
+                step[key] = min(step.get(key, total), total)
+        fewest = step
+    return min(fewest.values())
 
 
 def test_exact_piece_count_matches_brute_force_partitions():
@@ -286,11 +318,94 @@ def test_exact_piece_count_matches_brute_force_partitions():
         ]
         t_exact = count_transmissions(synthesize_exact(f, p)).total
         t_greedy = count_transmissions(synthesize_greedy(f, p)).total
-        assert t_exact == brute_force_min_pieces(kept, servers), (monomials, servers)
+        want = brute_force_min_pieces(kept, servers)
+        assert t_exact == want, (monomials, servers)
+        assert merged_min_pieces(kept, servers) == want, (monomials, servers)
         checked += 1
         beaten += t_exact < t_greedy
     # The search, not just the greedy incumbent, decides some of them.
     assert beaten >= 5
+
+
+def _draw_shared_var_instance(rng):
+    """K 4-7, 4-6 monomials of degree at most 5, 1-4 servers holding every
+    var: most vars lie in several monomials, where the search's bound
+    tells the vars one monomial holds alone from shared ones."""
+    while True:
+        k = rng.randint(4, 7)
+        monomials = [
+            rng.sample(range(1, k + 1), rng.randint(1, min(5, k)))
+            for _ in range(rng.randint(4, 6))
+        ]
+        servers = [
+            set(rng.sample(range(1, k + 1), rng.randint(1, k)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        for i in set().union(*map(set, monomials)) - set().union(*servers):
+            rng.choice(servers).add(i)
+        f = BooleanFunctionANF.from_indices(k, monomials)
+        if len(f.non_constant_monomials) >= 4:  # the draws may cancel
+            break
+    p = PlacementConfig.from_indices(max(map(len, servers)), [sorted(s) for s in servers])
+    kept = [
+        frozenset(i for i in range(1, k + 1) if m >> (i - 1) & 1)
+        for m in f.non_constant_monomials
+    ]
+    return f, p, kept, servers
+
+
+def test_exact_piece_count_and_root_bound_match_brute_force_at_four_to_six_monomials():
+    rng = random.Random(2406)
+    beaten = tighter = 0
+    for _ in range(80):
+        f, p, kept, servers = _draw_shared_var_instance(rng)
+        want = merged_min_pieces(kept, servers)
+        t_exact = count_transmissions(synthesize_exact(f, p)).total
+        t_greedy = count_transmissions(synthesize_greedy(f, p)).total
+        assert t_exact == want, (kept, servers)
+        beaten += t_exact < t_greedy
+        # The search's bound at its root never overestimates, and is never
+        # below the most new blocks any one monomial needs.
+        monomials = f.non_constant_monomials
+        widest = [max((m & s).bit_count() for s in p.subset_masks) for m in monomials]
+        root = _new_blocks_bound(monomials, [0] * len(monomials), widest)
+        widest_need = max(-(-m.bit_count() // w) for m, w in zip(monomials, widest))
+        assert widest_need <= root <= want, (kept, servers)
+        tighter += root > widest_need
+    assert beaten >= 10
+    assert tighter >= 10
+
+
+def _draw_wide_instance(rng):
+    """K 8-12, 4-6 monomials of degree at most 7, 1-4 random servers with
+    the uncovered support added to one of them."""
+    while True:
+        k = rng.randint(8, 12)
+        masks = [
+            mask_from_indices(rng.sample(range(1, k + 1), rng.randint(1, 7)))
+            for _ in range(rng.randint(4, 6))
+        ]
+        f = BooleanFunctionANF.from_masks(k, masks)
+        if len(f.non_constant_monomials) >= 4:
+            break
+    n = rng.randint(1, 4)
+    subsets = [rng.randrange(1, 1 << k) for _ in range(n)]
+    subsets[rng.randrange(n)] |= f.support_mask & ~functools.reduce(operator.or_, subsets)
+    return f, PlacementConfig(n, max(s.bit_count() for s in subsets), tuple(subsets))
+
+
+def test_exact_schemes_at_four_to_six_monomials_are_pinned():
+    rng = random.Random(1106)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        f, p = _draw_wide_instance(rng)
+        digest.update(scheme_to_json(synthesize_exact(f, p)).encode())
+    # All 200 exact schemes, byte for byte, where the bound counts vars
+    # shared by several monomials.  The pruning bound must not move them
+    # (see _search_min_distinct).
+    assert digest.hexdigest() == (
+        "3a6af0feffe4d3d959ec01d264e2c018c86a52e1250488579f861210e855232d"
+    )
 
 
 def test_synthesis_is_deterministic(example_function, window_placement):
