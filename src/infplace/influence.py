@@ -101,17 +101,6 @@ class InfluenceValue:
         )
 
 
-def sum_influences(values: Sequence[InfluenceValue]) -> InfluenceValue:
-    """Sum influence values; exact stays exact, any estimate makes the sum one."""
-    if all(v.is_exact for v in values):
-        denom = max((v.denominator for v in values), default=1)
-        count = sum(v.count * (denom // v.denominator) for v in values)
-        return InfluenceValue.exact_value(count, denom)
-    mean = sum(v.value for v in values)
-    half = sum(v.half_width for v in values if not v.is_exact)
-    return InfluenceValue.estimate_value(mean, half, None, None)
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     """(epsilon, delta) contract for the Monte Carlo estimator.
@@ -264,13 +253,14 @@ def avg_joint_sensitivity(
             raise ValueError(
                 f"placement subset {mask!r} references datasets outside [1, {k}]"
             )
-    if estimator is None:
-        per = [joint_influence_exact(f, mask) for mask in placement.subset_masks]
-    else:
-        per = [joint_influence_mc(f, mask, estimator) for mask in placement.subset_masks]
-    if not per:
-        return InfluenceValue.exact_value(0, 1 << k)
-    return sum_influences(per)
+    masks = placement.subset_masks
+    if estimator is None or not masks:
+        count = sum(joint_influence_exact(f, mask).count for mask in masks)
+        return InfluenceValue.exact_value(count, 1 << k)
+    per = [joint_influence_mc(f, mask, estimator) for mask in masks]
+    mean = sum(v.mean for v in per)
+    half = sum(v.half_width for v in per)
+    return InfluenceValue.estimate_value(mean, half, None, None)
 
 
 def analytic_influence_product(degree: int) -> Fraction:

@@ -328,47 +328,58 @@ def corollary_study(
     """Record (average joint sensitivity, optimal piece count) per placement
     plus per-server influence and piece breakdowns, then report how well
     the two columns agree in rank.  Report-only: passed is always True.
+
+    Influences are integer counts over 2^K, counted once per distinct
+    subset; they are compared and ranked as counts and become fractions
+    only in the printed text.
     """
+    denom = 1 << f.num_datasets
+    influence: dict[int, int] = {}
     rows = []
     cases = []
     for placement in placements:
-        per_inf = [joint_influence_exact(f, s).fraction for s in placement.subset_masks]
-        as_value = sum(per_inf)
+        per_inf = []
+        for s in placement.subset_masks:
+            if s not in influence:
+                influence[s] = joint_influence_exact(f, s).count
+            per_inf.append(influence[s])
+        as_count = sum(per_inf)
         scheme = synthesize_exact(f, placement)
         counts = count_transmissions(scheme, num_servers=placement.num_servers)
-        rows.append((as_value, counts.total))
+        rows.append((as_count, counts.total))
         cases.append(
             OracleCase(
                 label=str(placement),
                 expected="-",
                 observed=(
-                    f"as={as_value} T={counts.total}"
-                    f" inf=[{';'.join(map(str, per_inf))}]"
+                    f"as={Fraction(as_count, denom)} T={counts.total}"
+                    f" inf=[{';'.join(str(Fraction(c, denom)) for c in per_inf)}]"
                     f" pieces={list(counts.per_server)}"
                 ),
                 passed=True,
             )
         )
 
-    violations = []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            da = rows[i][0] - rows[j][0]
-            dt = rows[i][1] - rows[j][1]
-            if (da < 0 and dt > 0) or (da > 0 and dt < 0):
-                violations.append((i, j))
+    violations = [
+        (i, j)
+        for i in range(len(rows))
+        for j in range(i + 1, len(rows))
+        if (rows[i][0] - rows[j][0]) * (rows[i][1] - rows[j][1]) < 0
+    ]
 
     rho = None
-    as_col = [float(a) for a, _ in rows]
-    t_col = [float(t) for _, t in rows]
+    as_col = [a for a, _ in rows]
+    t_col = [t for _, t in rows]
     if len(set(as_col)) > 1 and len(set(t_col)) > 1:
         # Spearman's rho: the Pearson correlation of the average ranks.
         ranks = np.column_stack((_average_ranks(as_col), _average_ranks(t_col)))
         rho = float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
+    def point(i: int) -> str:
+        return f"#{i}(as={Fraction(rows[i][0], denom)},T={rows[i][1]})"
+
     recorded = "; ".join(
-        f"#{i}(as={rows[i][0]},T={rows[i][1]}) vs #{j}(as={rows[j][0]},T={rows[j][1]})"
-        for i, j in violations[:RECORDED_VIOLATIONS]
+        f"{point(i)} vs {point(j)}" for i, j in violations[:RECORDED_VIOLATIONS]
     )
     summary = {
         "placements": str(len(rows)),

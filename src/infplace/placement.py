@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate, combinations, groupby
+from itertools import accumulate, combinations, groupby, product
 from math import comb, factorial
 from operator import or_
 from typing import Iterator, Sequence
@@ -76,12 +76,6 @@ class PlacementConfig:
 
     def subsets_as_indices(self) -> tuple[tuple[int, ...], ...]:
         return tuple(indices_from_mask(m) for m in self.subset_masks)
-
-    def union_mask(self) -> int:
-        out = 0
-        for m in self.subset_masks:
-            out |= m
-        return out
 
     def __str__(self) -> str:
         return "; ".join(
@@ -260,19 +254,7 @@ class PlacementSpace:
 
     def ordered(self) -> Iterator[tuple[int, ...]]:
         """Every ordered placement once, lexicographic, generated lazily."""
-        n, last = self.constraints.num_servers, self.num_subsets - 1
-        if last < 0:
-            return
-        combo = [0] * n
-        while True:
-            yield tuple(combo)
-            pos = n - 1
-            while combo[pos] == last:
-                combo[pos] = 0
-                pos -= 1
-                if pos < 0:
-                    return
-            combo[pos] += 1
+        return product(range(self.num_subsets), repeat=self.constraints.num_servers)
 
     def computable_multisets(self, improving: bool = False) -> Iterator[tuple[int, ...]]:
         """Server multisets that can compute f, as sorted tuples, lexicographic.

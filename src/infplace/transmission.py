@@ -202,16 +202,6 @@ def scheme_structure_errors(
     return errors
 
 
-def _check_computable(f: BooleanFunctionANF, p: PlacementConfig) -> None:
-    union = p.union_mask()
-    for m in f.non_constant_monomials:
-        missing = m & ~union
-        if missing:
-            raise UncomputablePlacementError(
-                indices_from_mask(m), indices_from_mask(missing)
-            )
-
-
 def _coverable_blocks(monomial: int, subset_masks: Sequence[int]) -> dict[int, list[int]]:
     """All nonempty sub-products of the monomial that fit on one server,
     keyed by their lowest var: widest first, then in variable order."""
@@ -235,6 +225,10 @@ def _greedy_partitions(
     Each server offers the remaining vars it holds; the largest offer
     wins, ties going to the lowest server index.  Always valid for a
     computable placement; may use more distinct blocks than the exact search.
+    This is where coverage is decided: a monomial stops only when no
+    server holds any var left, so the vars left are exactly those no
+    server holds, and the first such monomial raises
+    :class:`UncomputablePlacementError` naming them.
     """
     chosen: list[list[int]] = []
     for monomial in monomials:
@@ -351,21 +345,19 @@ def _scheme_from_blocks(
     p: PlacementConfig,
     per_monomial_blocks: list[list[int]],
 ) -> TransmissionScheme:
-    """Assign each distinct block the lowest covering server and build the scheme."""
+    """Assign each distinct block the lowest covering server and build the
+    scheme in canonical order (see :meth:`TransmissionScheme.canonical`)."""
 
     def server_for(block: int) -> int:
-        for server, s in enumerate(p.subset_masks, start=1):
-            if block & ~s == 0:
-                return server
-        raise UncomputablePlacementError(indices_from_mask(block), indices_from_mask(block))
+        return next(n for n, s in enumerate(p.subset_masks, start=1) if block & ~s == 0)
 
-    distinct = sorted({b for blocks in per_monomial_blocks for b in blocks})
-    pieces = [Piece(server_for(b), b) for b in distinct]
-    index_of = {b: i for i, b in enumerate(distinct)}
+    distinct = {b for blocks in per_monomial_blocks for b in blocks}
+    pieces = sorted((Piece(server_for(b), b) for b in distinct), key=Piece.sort_key)
+    index_of = {piece.vars_mask: i for i, piece in enumerate(pieces)}
     plan = tuple(
         tuple(sorted(index_of[b] for b in blocks)) for blocks in per_monomial_blocks
     )
-    return TransmissionScheme(tuple(pieces), plan, f.constant_term).canonical()
+    return TransmissionScheme(tuple(pieces), plan, f.constant_term)
 
 
 def synthesize_greedy(
@@ -373,22 +365,21 @@ def synthesize_greedy(
 ) -> TransmissionScheme:
     """Fast heuristic scheme; valid whenever the placement is computable,
     never fewer pieces than the exact synthesizer."""
-    _check_computable(f, p)
     blocks = _greedy_partitions(f.non_constant_monomials, p.subset_masks)
     return _scheme_from_blocks(f, p, blocks)
 
 
 def synthesize_exact(f: BooleanFunctionANF, p: PlacementConfig) -> TransmissionScheme:
     """Minimum-piece scheme within the partial-product class (see module doc)."""
-    _check_computable(f, p)
     monomials = f.non_constant_monomials
+    # Greedy first: an uncoverable placement is reported ahead of the limit.
+    greedy = _greedy_partitions(monomials, p.subset_masks)
     for m in monomials:
         if m.bit_count() > EXACT_SYNTHESIS_DEGREE_LIMIT:
             raise SynthesisLimitError(
                 f"monomial degree {m.bit_count()} exceeds the exact-synthesis"
                 f" limit {EXACT_SYNTHESIS_DEGREE_LIMIT}"
             )
-    greedy = _greedy_partitions(monomials, p.subset_masks)
     best = _search_min_distinct(monomials, p.subset_masks, greedy)
     return _scheme_from_blocks(f, p, best)
 

@@ -2,6 +2,7 @@
 ``python -m infplace`` and console-script entry points run as subprocesses."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -323,6 +324,24 @@ def test_oracle_corollary_rho_on_the_example_function(files, capsys):
     assert '"spearman_rho":"0.8449684619067451"' in capsys.readouterr().out
 
 
+def sha256_of(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def test_oracle_corollary_outputs_are_pinned(files, capsys, tmp_path):
+    # The 200-placement study on the example function at (3,3), JSON and CSV.
+    report, cases = tmp_path / "corollary.json", tmp_path / "corollary.csv"
+    argv = ["oracle", "corollary", "-N", "3", "-M", "3", "-f", files["f.json"]]
+    assert main(argv + ["-o", str(report), "--csv", str(cases)]) == 0
+    assert "placements=200;" in capsys.readouterr().out
+    assert sha256_of(report) == (
+        "92a9b7d1bb81fad46f824c1f3fc259ae899a8f8219d73f5dcce5de75984df6b5"
+    )
+    assert sha256_of(cases) == (
+        "97652b8762417341d0591870c492557b7315a8d4aa14c60ba4db227f07649652"
+    )
+
+
 @pytest.mark.parametrize("limit", ["0", "-1"])
 def test_oracle_corollary_limit_below_one_exits_2(capsys, limit):
     with pytest.raises(SystemExit) as exc:
@@ -355,6 +374,18 @@ def test_sweep_csv_layout(capsys, tmp_path):
     manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
     assert manifest["placements_total"] == "C(4,2)^2"
     assert manifest["truncated"] is False
+
+
+def test_sweep_output_is_pinned(files, capsys, tmp_path):
+    # Every one of the 592,704 ordered placements of the example function
+    # at (3,3), 1,680 of them computable.
+    out_path = tmp_path / "sweep.csv"
+    argv = ["sweep", "-f", files["f.json"], "-N", "3", "-M", "3", "-o", str(out_path)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "592704 placements swept\n"
+    assert sha256_of(out_path) == (
+        "b27126536b73b2b4c201c78d4db6a84ac6e406e44070f1310fd726b2bc841a3f"
+    )
 
 
 def test_sweep_budget_truncates(capsys, tmp_path):
@@ -511,6 +542,15 @@ def test_exit_4_for_uncomputable_placement(files, capsys, tmp_path):
     assert main(argv) == 4
     err = capsys.readouterr().err
     assert "W5W6" in err and "5,6" in err
+    # Exit 4 comes ahead of exit 3 for a degree-17 monomial beside the gap.
+    f_path = tmp_path / "degree17.json"
+    f_path.write_text(json.dumps({"K": 19, "monomials": [list(range(1, 18)), [18, 19]]}))
+    p_path.write_text(json.dumps({"N": 2, "M": 17, "subsets": [list(range(1, 18)), [1, 18]]}))
+    argv = ["synthesize", "--exact", "-f", str(f_path), "-p", str(p_path)]
+    assert main(argv) == 4
+    assert capsys.readouterr().err.startswith(
+        "error: monomial W18W19 is uncoverable: dataset(s) 19 held by no server\n"
+    )
 
 
 def test_usage_error_is_systemexit(files):

@@ -26,7 +26,6 @@ from infplace.influence import (
     joint_influence_exact,
     joint_influence_mc,
     joint_sensitivity,
-    sum_influences,
 )
 from infplace.placement import PlacementConfig
 
@@ -277,6 +276,12 @@ def test_avg_sensitivity_counts_repeats(disjoint_pairs):
     p = PlacementConfig.from_indices(2, [[1, 2], [1, 2]])
     v = avg_joint_sensitivity(disjoint_pairs, p)
     assert v.fraction == Fraction(1)  # 1/2 + 1/2, same subset twice
+    assert (v.count, v.denominator) == (64, 64)
+    # No subsets sum to an exact 0 over 2^K, with or without an estimator.
+    empty = PlacementConfig(0, 2, ())
+    for est in (None, EstimatorConfig(0.1, 0.1, seed=1)):
+        v = avg_joint_sensitivity(disjoint_pairs, empty, est)
+        assert (v.kind, v.count, v.denominator) == ("exact", 0, 64)
 
 
 def test_avg_sensitivity_fixture(example_function, window_placement):
@@ -306,7 +311,9 @@ def test_avg_sensitivity_is_exact_without_estimator_and_estimated_with_one():
     est = avg_joint_sensitivity(g, q, cfg)
     per = [joint_influence_mc(g, s, cfg) for s in q.subset_masks]
     assert not est.is_exact
-    assert est == sum_influences(per)
+    assert est == InfluenceValue.estimate_value(
+        sum(v.mean for v in per), sum(v.half_width for v in per), None, None
+    )
     assert abs(est.mean - avg_joint_sensitivity(g, q).value) <= 2 * 0.02
     # A subset whose monomials span 25 datasets needs the estimator.
     wide = BooleanFunctionANF.from_indices(30, [list(range(1, 26))])
@@ -339,27 +346,6 @@ def test_influence_value_rejects_bad_denominator():
         InfluenceValue.exact_value(1, 6)
     with pytest.raises(ValueError):
         InfluenceValue.exact_value(-1, 8)
-
-
-def test_sum_influences_exact_common_denominator():
-    total = sum_influences(
-        [InfluenceValue.exact_value(1, 4), InfluenceValue.exact_value(1, 16)]
-    )
-    assert (total.count, total.denominator) == (5, 16)
-    empty = sum_influences([])
-    assert (empty.count, empty.denominator) == (0, 1)
-
-
-def test_sum_influences_mixes_into_estimate():
-    total = sum_influences(
-        [
-            InfluenceValue.exact_value(1, 4),
-            InfluenceValue.estimate_value(0.5, 0.01, 100, 1),
-        ]
-    )
-    assert not total.is_exact
-    assert total.mean == pytest.approx(0.75)
-    assert total.half_width == pytest.approx(0.01)
 
 
 def test_sample_count_from_hoeffding_bound():

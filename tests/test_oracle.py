@@ -242,6 +242,87 @@ def test_corollary_study_constant_columns_have_no_rho():
     assert report.summary["violation_examples"] == "none"
 
 
+def reference_corollary(f, placements):
+    """The study computed placement by placement on Fractions, every
+    subset's influence counted anew: (case observations, summary)."""
+    rows, observed = [], []
+    for placement in placements:
+        per_inf = [joint_influence_exact(f, s).fraction for s in placement.subset_masks]
+        as_value = sum(per_inf)
+        counts = count_transmissions(
+            synthesize_exact(f, placement), num_servers=placement.num_servers
+        )
+        rows.append((as_value, counts.total))
+        observed.append(
+            f"as={as_value} T={counts.total}"
+            f" inf=[{';'.join(map(str, per_inf))}]"
+            f" pieces={list(counts.per_server)}"
+        )
+    violations = []
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            da = rows[i][0] - rows[j][0]
+            dt = rows[i][1] - rows[j][1]
+            if (da < 0 and dt > 0) or (da > 0 and dt < 0):
+                violations.append((i, j))
+    rho = None
+    as_col = [float(a) for a, _ in rows]
+    t_col = [float(t) for _, t in rows]
+    if len(set(as_col)) > 1 and len(set(t_col)) > 1:
+        ranks = np.column_stack(
+            (oracle._average_ranks(as_col), oracle._average_ranks(t_col))
+        )
+        rho = float(np.corrcoef(ranks, rowvar=False)[1, 0])
+    recorded = "; ".join(
+        f"#{i}(as={rows[i][0]},T={rows[i][1]}) vs #{j}(as={rows[j][0]},T={rows[j][1]})"
+        for i, j in violations[:10]
+    )
+    summary = {
+        "placements": str(len(rows)),
+        "spearman_rho": "n/a" if rho is None else repr(rho),
+        "ordering_violations": str(len(violations)),
+        "violation_examples": recorded or "none",
+    }
+    return observed, summary
+
+
+def test_corollary_study_matches_the_per_placement_fraction_study():
+    rng = random.Random(7)
+    seen = {"violations": 0, "rho": 0, "repeats": 0, "sizes": 0}
+    for _ in range(40):
+        k = rng.randint(3, 7)
+        monomials = [
+            rng.sample(range(1, k + 1), rng.randint(1, min(4, k)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        f = BooleanFunctionANF.from_indices(k, monomials)
+        # A small pool of subsets, so placements repeat subsets within and
+        # across themselves; a server is added for any dataset left out,
+        # so placements differ in size.
+        pool = [mask_from_indices(rng.sample(range(1, k + 1), rng.randint(1, k)))
+                for _ in range(rng.randint(2, 5))]
+        placements = []
+        for _ in range(rng.randint(2, 25)):
+            masks = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+            missing = f.support_mask
+            for m in masks:
+                missing &= ~m
+            if missing:
+                masks.append(missing)
+            placements.append(PlacementConfig(len(masks), k, tuple(masks)))
+        report = corollary_study(f, placements)
+        observed, summary = reference_corollary(f, placements)
+        assert [(c.label, c.expected, c.observed, c.passed) for c in report.cases] == [
+            (str(p), "-", o, True) for p, o in zip(placements, observed)
+        ]
+        assert report.summary == summary
+        seen["violations"] += summary["ordering_violations"] != "0"
+        seen["rho"] += summary["spearman_rho"] != "n/a"
+        seen["repeats"] += any(len(set(p.subset_masks)) < p.num_servers for p in placements)
+        seen["sizes"] += len({p.num_servers for p in placements}) > 1
+    assert min(seen.values()) >= 5, seen
+
+
 def test_report_json_and_csv_shapes():
     report = check_lemma2(d_range=[2, 3])
     obj = json.loads(report.to_json_text())

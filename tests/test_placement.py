@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
 from math import comb
+from operator import or_
 
 import pytest
 
@@ -139,7 +141,7 @@ def test_exhaustive_search_skips_placements_that_cannot_compute(disjoint_pairs):
     # Without the computability filter the all-ties grid would return
     # ({1,2},{1,2},{1,2}), which holds no trace of datasets 3..6.
     placement, _ = search_min_as(disjoint_pairs, PlacementConstraints(6, 3, 2))
-    assert placement.union_mask() == (1 << 6) - 1
+    assert reduce(or_, placement.subset_masks) == (1 << 6) - 1
 
 
 def test_exhaustive_search_constant_function_ties_lexicographically():
@@ -174,7 +176,7 @@ def test_exhaustive_search_matches_direct_scan():
     _, value = search_min_as(f, PlacementConstraints(4, 2, 2))
     best = None
     for p in enumerate_placements(PlacementConstraints(4, 2, 2)):
-        if f.support_mask & ~p.union_mask():
+        if f.support_mask & ~reduce(or_, p.subset_masks):
             continue
         total = sum(joint_influence_exact(f, s).fraction for s in p.subset_masks)
         if best is None or total < best:

@@ -93,13 +93,23 @@ def test_constant_function_needs_no_pieces():
 
 
 def test_uncomputable_placement_names_the_missing_datasets(disjoint_pairs):
-    p = PlacementConfig.from_indices(2, [[1, 2], [3, 4]])
-    with pytest.raises(UncomputablePlacementError) as err:
-        synthesize_exact(disjoint_pairs, p)
-    assert err.value.monomial_indices == (5, 6)
-    assert err.value.missing == (5, 6)
-    with pytest.raises(UncomputablePlacementError):
-        synthesize_greedy(disjoint_pairs, p)
+    degree17 = BooleanFunctionANF.from_indices(19, [range(1, 18), [18, 19]])
+    cases = [
+        # (function, placement, first uncoverable monomial, datasets no server holds)
+        (disjoint_pairs, [[1, 2], [3, 4]], (5, 6), (5, 6)),
+        # A monomial held in part names only the part no server holds.
+        (disjoint_pairs, [[1, 2], [3, 4], [5, 1]], (5, 6), (6,)),
+        # Coverage is decided ahead of the exact-synthesis degree limit.
+        (degree17, [range(1, 18), [1, 18]], (18, 19), (19,)),
+    ]
+    for (f, subsets, monomial, missing), synthesize in itertools.product(
+        cases, [synthesize_exact, synthesize_greedy]
+    ):
+        p = PlacementConfig.from_indices(17, subsets)
+        with pytest.raises(UncomputablePlacementError) as err:
+            synthesize(f, p)
+        assert err.value.monomial_indices == monomial
+        assert err.value.missing == missing
 
 
 def test_exact_synthesis_degree_limit():
@@ -228,6 +238,8 @@ def test_synthesized_schemes_always_decode(case):
     exact = synthesize_exact(f, placement)
     greedy = synthesize_greedy(f, placement)
     assert count_transmissions(exact).total <= count_transmissions(greedy).total
+    # Synthesis builds its schemes in canonical order.
+    assert exact == exact.canonical() and greedy == greedy.canonical()
     assert scheme_structure_errors(exact, f, placement) == []
     assert scheme_structure_errors(greedy, f, placement) == []
     assert verify_scheme(exact, f).passed
