@@ -4,7 +4,7 @@ Every command is deterministic given its inputs, --seed, and flags.
 Randomized paths (Monte Carlo estimation, sampled verification, oracle
 subset sampling) draw all randomness from --seed.  --threads is
 validated and otherwise ignored: every command runs on one thread.
-Each completed run emits a RunManifest: as a ``<output>.manifest.json``
+Each completed run emits a JSON manifest: as a ``<output>.manifest.json``
 sidecar when the command writes a file, on stderr otherwise.
 
 Exit codes: 0 success, 2 bad input, 3 infeasible mode (exact paths past
@@ -19,10 +19,8 @@ import csv
 import hashlib
 import io
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
@@ -53,6 +51,7 @@ from .placement import (
     parse_placement,
     placement_to_json,
     search_min_as,
+    subset_label,
 )
 from .oracle import (
     LEMMA1_SUBSET_TRIALS,
@@ -81,29 +80,6 @@ EXIT_INPUT_ERROR = 2
 EXIT_INFEASIBLE = 3
 EXIT_UNCOMPUTABLE = 4
 EXIT_ASSERTION_FAILED = 5
-
-
-@dataclass
-class RunManifest:
-    command: str
-    arguments: list[str]
-    seed: int
-    version: str
-    inputs: dict[str, str]  # path -> sha256 of the canonical serialization
-    duration_seconds: float
-    extras: dict = field(default_factory=dict)
-
-    def to_json_text(self) -> str:
-        obj = {
-            "command": self.command,
-            "arguments": self.arguments,
-            "seed": self.seed,
-            "version": self.version,
-            "inputs": self.inputs,
-            "duration_seconds": self.duration_seconds,
-        }
-        obj.update(self.extras)
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _sha256(text: str) -> str:
@@ -290,23 +266,28 @@ def _cmd_sweep(args, inputs):
         + [f"inf_server_{n}" for n in servers]
         + [f"pieces_server_{n}" for n in servers]
     )
+    denom = 1 << f.num_datasets
+    text: dict[int, tuple[str, str]] = {}  # subset number -> (label, influence)
     for pid, combo in enumerate(islice(space.ordered(), emit)):
-        placement = space.config(combo)
-        counts = [space.influence(i) for i in combo]
-        as_value = Fraction(sum(counts), 1 << f.num_datasets)
-        if not space.computable(combo):
-            t_exact = t_greedy = ""
-            pieces = [""] * args.num_servers
-        else:
+        for i in combo:
+            if i not in text:
+                text[i] = subset_label(space.mask(i)), str(Fraction(space.influence(i), denom))
+        as_value = Fraction(sum(map(space.influence, combo)), denom)
+        if space.computable(combo):
+            placement = space.config(combo)
             exact = count_transmissions(
                 synthesize_exact(f, placement), num_servers=args.num_servers
             )
             t_exact = exact.total
             t_greedy = count_transmissions(synthesize_greedy(f, placement)).total
             pieces = list(exact.per_server)
+        else:
+            t_exact = t_greedy = ""
+            pieces = [""] * args.num_servers
+        labels, influences = zip(*(text[i] for i in combo))
         writer.writerow(
-            [pid, str(placement), str(as_value), repr(float(as_value)), t_exact, t_greedy]
-            + [str(Fraction(c, 1 << f.num_datasets)) for c in counts]
+            [pid, "; ".join(labels), str(as_value), repr(float(as_value)), t_exact, t_greedy]
+            + list(influences)
             + pieces
         )
     note = f"{emit} placements swept\n"
@@ -329,8 +310,12 @@ def _positive_int(text: str) -> int:
     return n
 
 
-def _thread_count(text: str) -> int:
-    return min(_positive_int(text), os.cpu_count() or 1)
+def _add_estimator(p: argparse.ArgumentParser) -> None:
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true", help="exact enumeration (default)")
+    mode.add_argument("--mc", action="store_true", help="Monte Carlo estimate")
+    p.add_argument("--epsilon", type=float, default=0.01)
+    p.add_argument("--delta", type=float, default=1e-3)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -340,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--threads",
-        type=_thread_count,
+        type=_positive_int,
         default=1,
         help="accepted for compatibility and ignored (at least 1)",
     )
@@ -367,11 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help='comma separated 1-based dataset indices ("" for the empty set)',
     )
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact enumeration (default)")
-    mode.add_argument("--mc", action="store_true", help="Monte Carlo estimate")
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--delta", type=float, default=1e-3)
+    _add_estimator(p)
     p.set_defaults(func=_cmd_influence)
 
     p = sub.add_parser(
@@ -381,11 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-f", "--function", required=True, metavar="FILE")
     p.add_argument("-p", "--placement", required=True, metavar="FILE")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact enumeration (default)")
-    mode.add_argument("--mc", action="store_true", help="Monte Carlo estimate")
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--delta", type=float, default=1e-3)
+    _add_estimator(p)
     p.set_defaults(func=_cmd_avg_sensitivity)
 
     p = sub.add_parser(
@@ -487,17 +464,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT_ERROR
-    duration = time.perf_counter() - start
-    manifest = RunManifest(
-        command=args.command,
-        arguments=raw_args,
-        seed=args.seed,
-        version=__version__,
-        inputs=inputs,
-        duration_seconds=duration,
-        extras=extras,
-    )
-    text = manifest.to_json_text()
+    manifest = {
+        "command": args.command,
+        "arguments": raw_args,
+        "seed": args.seed,
+        "version": __version__,
+        "inputs": inputs,  # path -> sha256 of the canonical serialization
+        "duration_seconds": time.perf_counter() - start,
+        **extras,
+    }
+    text = json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
     if output_path is not None:
         Path(str(output_path) + ".manifest.json").write_text(text)
     else:

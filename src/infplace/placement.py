@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import accumulate, combinations, groupby, product
+from itertools import accumulate, combinations, groupby
 from math import comb, factorial
 from operator import or_
 from typing import Iterator, Sequence
@@ -33,6 +33,11 @@ SEARCH_GREEDY_ALIGNED = "greedy-aligned"
 
 class EnumerationBudgetError(RuntimeError):
     """The requested placement grid exceeds the enumeration budget."""
+
+
+def subset_label(mask: int) -> str:
+    """A subset of datasets as its 1-based indices, e.g. "{1,4,7}"."""
+    return "{" + ",".join(map(str, indices_from_mask(mask))) + "}"
 
 
 @dataclass(frozen=True)
@@ -78,9 +83,7 @@ class PlacementConfig:
         return tuple(indices_from_mask(m) for m in self.subset_masks)
 
     def __str__(self) -> str:
-        return "; ".join(
-            "{" + ",".join(map(str, s)) + "}" for s in self.subsets_as_indices()
-        )
+        return "; ".join(map(subset_label, self.subset_masks))
 
 
 def parse_placement(text: str) -> PlacementConfig:
@@ -103,7 +106,13 @@ def parse_placement(text: str) -> PlacementConfig:
         raise ParseError('"subsets" must be an array of arrays of indices')
     if len(subsets) != n:
         raise ParseError(f'"subsets" has {len(subsets)} entries for N={n}')
-    return PlacementConfig(n, m, tuple(mask_from_indices(s) for s in subsets))
+    masks = tuple(mask_from_indices(s) for s in subsets)
+    for server, mask in enumerate(masks, 1):
+        if mask.bit_count() > m:
+            raise ParseError(
+                f"server {server} holds {mask.bit_count()} datasets, more than M={m}"
+            )
+    return PlacementConfig(n, m, masks)
 
 
 def placement_to_json(p: PlacementConfig) -> str:
@@ -253,8 +262,25 @@ class PlacementSpace:
         return PlacementConfig(c.num_servers, c.cache_size, tuple(self.mask(i) for i in combo))
 
     def ordered(self) -> Iterator[tuple[int, ...]]:
-        """Every ordered placement once, lexicographic, generated lazily."""
-        return product(range(self.num_subsets), repeat=self.constraints.num_servers)
+        """Every ordered placement once, lexicographic, generated lazily.
+
+        A hand-written odometer: ``itertools.product`` copies its input
+        into a tuple first, which for ``range(C(K,M))`` costs O(C(K,M))
+        memory before the first row, or fails outright.
+        """
+        n, last = self.constraints.num_servers, self.num_subsets - 1
+        if last < 0:
+            return
+        combo = [0] * n
+        while True:
+            yield tuple(combo)
+            pos = n - 1
+            while combo[pos] == last:
+                combo[pos] = 0
+                pos -= 1
+                if pos < 0:
+                    return
+            combo[pos] += 1
 
     def computable_multisets(self, improving: bool = False) -> Iterator[tuple[int, ...]]:
         """Server multisets that can compute f, as sorted tuples, lexicographic.
@@ -329,20 +355,6 @@ def enumerate_placements(
         yield space.config(combo)
 
 
-def _exhaustive_min(
-    f: BooleanFunctionANF, c: PlacementConstraints, budget: int
-) -> tuple[PlacementConfig, InfluenceValue]:
-    space = PlacementSpace(c, f)
-    space.check_budget(budget)
-    best = None
-    for best in space.computable_multisets(improving=True):
-        pass
-    if best is None:
-        raise ValueError("no placement can cover the function's datasets")
-    total = sum(space.influence(i) for i in best)
-    return space.config(best), InfluenceValue.exact_value(total, 1 << c.num_datasets)
-
-
 def search_min_as(
     f: BooleanFunctionANF,
     c: PlacementConstraints,
@@ -361,7 +373,15 @@ def search_min_as(
     raises :class:`ExactLimitError`.
     """
     if method == SEARCH_EXHAUSTIVE:
-        return _exhaustive_min(f, c, budget)
+        space = PlacementSpace(c, f)
+        space.check_budget(budget)
+        best = None
+        for best in space.computable_multisets(improving=True):
+            pass
+        if best is None:
+            raise ValueError("no placement can cover the function's datasets")
+        total = sum(space.influence(i) for i in best)
+        return space.config(best), InfluenceValue.exact_value(total, 1 << c.num_datasets)
     if method == SEARCH_GREEDY_ALIGNED:
         placement = aligned_placement(f, c)
         return placement, avg_joint_sensitivity(f, placement)

@@ -17,7 +17,7 @@ import pytest
 import argparse
 
 import infplace
-from infplace.cli import _thread_count, main
+from infplace.cli import _positive_int, main
 
 from conftest import (
     DISJOINT_PAIRS_JSON,
@@ -458,14 +458,7 @@ def test_sweep_manifest_names_a_grid_too_large_to_print(capsys, tmp_path):
 @pytest.mark.parametrize("text", ["0", "-3", "two"])
 def test_threads_below_one_are_rejected(text):
     with pytest.raises(argparse.ArgumentTypeError):
-        _thread_count(text)
-
-
-def test_threads_are_capped_at_the_cpu_count():
-    cpus = os.cpu_count() or 1
-    assert _thread_count("1") == 1
-    assert _thread_count(str(cpus)) == cpus
-    assert _thread_count(str(cpus + 1000)) == cpus
+        _positive_int(text)
 
 
 def test_threads_zero_exits_2(files, capsys):
@@ -480,6 +473,56 @@ def test_exit_2_for_bad_function_json(capsys, tmp_path):
     bad.write_text('{"K": "nine"}')
     assert main(["influence", "-f", str(bad), "--subset", "1"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+W1W2_JSON = '{"K":2,"monomials":[[1,2]]}\n'
+W1W2_PIECE = '[{"server":1,"vars":[1,2]}]'
+PAIRS64_JSON = json.dumps({"K": 64, "monomials": [[2 * i + 1, 2 * i + 2] for i in range(32)]})
+
+
+@pytest.mark.parametrize(
+    "argv,files,code,line",
+    [
+        (["influence", "-f", "f.json", "--subset", "1,x"], {"f.json": W1W2_JSON}, 2,
+         "error: bad subset spec '1,x': invalid literal for int() with base 10: 'x'"),
+        (["oracle", "lemma2", "-d", "3,4"], {}, 0, None),
+        (["oracle", "lemma2", "-d", "5..2"], {}, 2, "error: bad degree range '5..2'"),
+        (["oracle", "lemma2", "-d", "0"], {}, 2, "error: bad degree range '0'"),
+        (["oracle", "lemma2", "-d", "a..b"], {}, 2,
+         "error: bad degree range 'a..b': invalid literal for int() with base 10: 'a'"),
+        (["verify", "-s", "s.json", "-f", "f.json"], {"s.json": "nope", "f.json": W1W2_JSON}, 2,
+         "error: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
+        (["verify", "-s", "s.json", "-f", "f.json"], {"s.json": "[1]", "f.json": W1W2_JSON}, 2,
+         "error: scheme file must be a JSON object"),
+        (["verify", "-s", "s.json", "-f", "f.json"],
+         {"s.json": '{"constant":0,"pieces":{},"plan":[[0]]}', "f.json": W1W2_JSON}, 2,
+         'error: "pieces" must be an array'),
+        (["verify", "-s", "s.json", "-f", "f.json"],
+         {"s.json": '{"constant":0,"pieces":' + W1W2_PIECE + ',"plan":{}}', "f.json": W1W2_JSON},
+         2, 'error: "plan" must be an array of arrays of piece indices'),
+        (["verify", "-s", "s.json", "-f", "f.json"],
+         {"s.json": '{"constant":1,"pieces":' + W1W2_PIECE + ',"plan":[[0]]}',
+          "f.json": W1W2_JSON},
+         5, "structure: constant term 1 != function's 0"),
+        (["avg-sensitivity", "-f", "f.json", "-p", "p.json"],
+         {"f.json": EXAMPLE_FUNCTION_JSON,
+          "p.json": '{"N":2,"M":1,"subsets":[[1,2,3,4,5,6],[4,5,6,7,8,9]]}'},
+         2, "error: server 1 holds 6 datasets, more than M=1"),
+        # C(64,32) is about 1.8e18 subsets; the first row must not list them.
+        (["sweep", "-f", "f.json", "-N", "2", "-M", "32", "--budget", "1"],
+         {"f.json": PAIRS64_JSON},
+         3, "error: the monomials that meet the flip set span 32 datasets,"
+         " past the exact enumeration limit 24; use joint_influence_mc"),
+    ],
+)
+def test_refused_requests_exit_with_their_message(argv, files, code, line, capsys, tmp_path):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    paths = [str(tmp_path / a) if a in files else a for a in argv]
+    assert main(paths) == code
+    err = capsys.readouterr().err
+    if line is not None:
+        assert err.splitlines()[0] == line
 
 
 def test_exit_2_for_missing_file(capsys, tmp_path):

@@ -46,6 +46,7 @@ def test_parse_serialize_round_trip(window_placement):
         '{"N": 1, "M": 0, "subsets": [[]]}',
         '{"N": true, "M": 2, "subsets": [[1], [2]]}',
         '{"N": 1, "M": 2, "subsets": [[1, 1]]}',
+        '{"N": 2, "M": 1, "subsets": [[1, 2, 3, 4, 5, 6], [4, 5, 6, 7, 8, 9]]}',
     ],
 )
 def test_parse_rejects_malformed_input(text):
@@ -227,6 +228,9 @@ def test_space_builds_only_the_subsets_it_visits():
     assert next(space.ordered()) == (0, 0)
     assert space.computable((0, 0)) is False
     assert len(space._masks) == 1
+    # C(64,32) is about 1.8e18: the first row must not touch the rest.
+    space = PlacementSpace(PlacementConstraints(64, 2, 32))
+    assert next(space.ordered()) == (0, 0)
 
 
 def reference_influence(f, flip):
