@@ -268,11 +268,15 @@ def _cmd_sweep(args, inputs):
     )
     denom = 1 << f.num_datasets
     text: dict[int, tuple[str, str]] = {}  # subset number -> (label, influence)
+    sums: dict[int, tuple[str, str]] = {}  # summed count -> (as, as_decimal)
     for pid, combo in enumerate(islice(space.ordered(), emit)):
         for i in combo:
             if i not in text:
                 text[i] = subset_label(space.mask(i)), str(Fraction(space.influence(i), denom))
-        as_value = Fraction(sum(map(space.influence, combo)), denom)
+        summed = sum(map(space.influence, combo))
+        if summed not in sums:
+            as_value = Fraction(summed, denom)
+            sums[summed] = str(as_value), repr(float(as_value))
         if space.computable(combo):
             placement = space.config(combo)
             exact = count_transmissions(
@@ -286,7 +290,7 @@ def _cmd_sweep(args, inputs):
             pieces = [""] * args.num_servers
         labels, influences = zip(*(text[i] for i in combo))
         writer.writerow(
-            [pid, "; ".join(labels), str(as_value), repr(float(as_value)), t_exact, t_greedy]
+            [pid, "; ".join(labels), *sums[summed], t_exact, t_greedy]
             + list(influences)
             + pieces
         )

@@ -2,19 +2,25 @@
 
 Joint sensitivity at one assignment counts how many of the given flip
 sets change the function output when flipped together.  Joint influence
-is the probability of a change over uniform inputs; the exact path
-counts changed assignments on the truth table of the monomials that
-meet the flip set, over their variables only, scales the count to all
-2^K inputs and stores the result as an integer count over 2^K (lemma
-checks need exact equality, floats would not do).  It refuses a flip
-set whose monomials span more than the enumeration limit of variables,
-whatever K is; a Hoeffding-calibrated Monte Carlo estimator answers at
+is the probability of a change over uniform inputs, the weight of the
+derivative f(x) xor f(x xor S), which only the monomials that meet the
+flip set S carry.  The exact path counts changed assignments on one
+truth table of those monomials over their variables V' only, with each
+block of private variables outside S collapsed to one weighted variable
+and S on the outermost axes, so that x and x xor S are mirrored rows and
+only half of the pairs are compared.  It scales the count to all 2^K
+inputs and stores the result as an integer count over 2^K (lemma checks
+need exact equality, floats would not do).  It refuses a flip set whose
+V' spans more than the enumeration limit of variables, counted before
+any collapse and whatever K is; a Hoeffding-calibrated Monte Carlo
+estimator, which tests the same derivative on each sample, answers at
 any width.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
@@ -24,8 +30,9 @@ import numpy as np
 from .anf import (
     BooleanFunctionANF,
     evaluate,
-    evaluate_batch,
     flip_assignment,
+    indices_from_mask,
+    monomial_sort_key,
     truth_table,
     uniform_assignments,
 )
@@ -34,7 +41,9 @@ if TYPE_CHECKING:
     from .placement import PlacementConfig
 
 # Most variables V' of the monomials that meet a flip set for which the
-# exact path builds a table (2^|V'| cells); wider flip sets need Monte Carlo.
+# exact path builds a table; wider flip sets need Monte Carlo.  The limit
+# is on |V'| itself, although collapsing private blocks leaves the table
+# narrower, so the inputs that are refused do not depend on that layout.
 EXACT_ENUMERATION_LIMIT = 24
 # Samples per RNG block.  Block b draws from its own stream keyed by
 # (seed, b), so this size is part of the pinned sample stream: changing
@@ -149,9 +158,18 @@ def joint_influence_exact(f: BooleanFunctionANF, flip_mask: int) -> InfluenceVal
 
     f(x) xor f(x xor S) cancels every monomial disjoint from S, so the
     count is taken on g, the XOR of the monomials that meet S, over
-    their variable union V', and scaled by 2^(K-|V'|).  V' is relabelled
-    onto 1..|V'| in order, which keeps g's monomials canonical.  A V'
-    wider than the enumeration limit is refused before g is built.
+    their variable union V', and scaled by 2^(K-|V'|).  A V' wider than
+    the enumeration limit is refused before any table is built.
+
+    g's table is narrower than V'.  The variables outside S that lie in
+    only one meeting monomial (its private block) enter g only through
+    their product, so a block of t >= 2 of them becomes one variable z:
+    z = 1 stands for the one assignment that sets the whole block, z = 0
+    for the other 2^t - 1, and rows count with that weight.  The a
+    variables of S in V' take the highest table axes, so x -> x xor S maps
+    row r of a (2^a, .) view to row 2^a - 1 - r; only the first half of
+    the rows is compared with its partners, and each changed pair counts
+    twice.
     """
     k = f.num_datasets
     if flip_mask < 0 or flip_mask >> k:
@@ -159,8 +177,9 @@ def joint_influence_exact(f: BooleanFunctionANF, flip_mask: int) -> InfluenceVal
     meeting = [m for m in f.monomials if m & flip_mask]
     if not meeting:
         return InfluenceValue.exact_value(0, 1 << k)
-    support = 0
+    support = shared = 0
     for m in meeting:
+        shared |= support & m
         support |= m
     if support.bit_count() > EXACT_ENUMERATION_LIMIT:
         raise ExactLimitError(
@@ -168,46 +187,68 @@ def joint_influence_exact(f: BooleanFunctionANF, flip_mask: int) -> InfluenceVal
             f" past the exact enumeration limit {EXACT_ENUMERATION_LIMIT};"
             " use joint_influence_mc"
         )
-    # One pass over the bits of V' maps them onto 1, 2, 4, ... in order.
-    # Reversing a table axis flips its dataset; compact bit i is axis
-    # width-1-i, so the index tuple is built last dataset first.
-    place = {}
-    flip = []
-    rest = support
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        place[bit] = 1 << len(place)
-        flip.append(slice(None, None, -1) if flip_mask & bit else slice(None))
+    private = support & ~shared & ~flip_mask
+    single = support & ~flip_mask
+    blocks = []
+    for m in meeting:
+        p = m & private
+        if p & (p - 1):
+            blocks.append(p)
+            single ^= p
+    # Each unit of V' becomes one table variable, from the lowest bit up:
+    # the variables outside S left single, the collapsed blocks, then S.
+    free = [1 << (i - 1) for i in indices_from_mask(single)]
+    flipped = [1 << (i - 1) for i in indices_from_mask(support & flip_mask)]
+    units = free + blocks + flipped
     compact = []
     for m in meeting:
         c = 0
-        while m:
-            bit = m & -m
-            m ^= bit
-            c |= place[bit]
+        for i, u in enumerate(units):
+            if m & u:
+                c |= 1 << i
         compact.append(c)
-    width = len(place)
-    table = truth_table(BooleanFunctionANF(width, tuple(compact))).reshape((2,) * width)
-    changed = int(np.count_nonzero(table[tuple(reversed(flip))] != table))
-    return InfluenceValue.exact_value(changed << (k - width), 1 << k)
+    # Relabelling moves monomials out of canonical order; sort them back.
+    g = BooleanFunctionANF(len(units), tuple(sorted(compact, key=monomial_sort_key)))
+    table = truth_table(g).reshape(1 << len(flipped), -1)
+    half = len(table) >> 1
+    pair_changed = table[:half] != table[half:][::-1]
+    if not blocks:
+        changed = int(np.count_nonzero(pair_changed))
+    else:
+        # Changed pairs per assignment of the z variables, times its weight.
+        per_z = pair_changed.reshape(half, 1 << len(blocks), 1 << len(free))
+        weights = [1]
+        for p in blocks:
+            rest = (1 << p.bit_count()) - 1
+            weights = [w * rest for w in weights] + weights
+        changed = sum(map(operator.mul, per_z.sum(axis=(0, 2)).tolist(), weights))
+    return InfluenceValue.exact_value(2 * changed << (k - support.bit_count()), 1 << k)
 
 
 def _mc_block_mismatches(
-    f: BooleanFunctionANF, flip_mask: int, seed: int, block_index: int, block_len: int
+    meeting: Sequence[int],
+    num_datasets: int,
+    flip_mask: int,
+    seed: int,
+    block_index: int,
+    block_len: int,
 ) -> int:
     """Mismatch count for one deterministic sample block.
 
     Each block owns an independent RNG stream keyed by (seed, block
-    index).
+    index).  A meeting monomial m changes under the flip exactly when
+    w & m is m or m & ~S, so f changes when an odd number of them do.
     """
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
     )
-    w = uniform_assignments(rng, f.num_datasets, block_len)
-    base = evaluate_batch(f, w)
-    flipped = evaluate_batch(f, w ^ np.uint64(flip_mask))
-    return int(np.count_nonzero(base != flipped))
+    w = uniform_assignments(rng, num_datasets, block_len)
+    changed = np.zeros(block_len, dtype=bool)
+    for m in meeting:
+        t = w & np.uint64(m)
+        changed ^= t == np.uint64(m)
+        changed ^= t == np.uint64(m & ~flip_mask)
+    return int(np.count_nonzero(changed))
 
 
 def joint_influence_mc(
@@ -217,18 +258,23 @@ def joint_influence_mc(
 
     Deterministic for a fixed seed: samples are partitioned into fixed
     blocks with per-block RNG streams and the per-block counts are
-    summed in block order.
+    summed in block order.  Each sample is tested on the derivative
+    f(w) xor f(w xor S), which only the monomials that meet S carry; when
+    S meets none, the mean is 0 and nothing is drawn.
     """
     k = f.num_datasets
     if flip_mask < 0 or flip_mask >> k:
         raise ValueError(f"flip set {flip_mask!r} not within [1, {k}]")
     n = config.sample_count
-    mismatches = sum(
-        _mc_block_mismatches(
-            f, flip_mask, config.seed, b, min(MC_BLOCK_SIZE, n - b * MC_BLOCK_SIZE)
+    meeting = [m for m in f.monomials if m & flip_mask]
+    mismatches = 0
+    if meeting:
+        mismatches = sum(
+            _mc_block_mismatches(
+                meeting, k, flip_mask, config.seed, b, min(MC_BLOCK_SIZE, n - b * MC_BLOCK_SIZE)
+            )
+            for b in range((n + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE)
         )
-        for b in range((n + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE)
-    )
     mean = mismatches / n
     half_width = math.sqrt(math.log(2.0 / config.delta) / (2.0 * n))
     return InfluenceValue.estimate_value(mean, half_width, n, config.seed)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infplace import influence
-from infplace.anf import BooleanFunctionANF, evaluate, evaluate_batch, truth_table
+from infplace.anf import BooleanFunctionANF, evaluate, evaluate_batch, indices_from_mask, truth_table
 from infplace.influence import (
     EstimatorConfig,
     ExactLimitError,
@@ -169,6 +169,87 @@ def test_restricted_count_matches_full_table_on_seeded_functions():
         v = joint_influence_exact(f, flip)
         assert (v.count, v.denominator) == (full_table_count(f, flip), 1 << k), (f, flip)
     assert min(seen.values()) >= 40, seen
+
+
+def meeting_structure(f, flip_mask):
+    """Per-case flags for the monomials that meet S, from index lists."""
+    flip = set(indices_from_mask(flip_mask))
+    meeting = [set(ix) for ix in map(indices_from_mask, f.monomials) if flip & set(ix)]
+    uses = {}
+    for ix in meeting:
+        for v in ix:
+            uses[v] = uses.get(v, 0) + 1
+    private = [{v for v in ix if uses[v] == 1} for ix in meeting]
+    groups = []
+    for ix in meeting:
+        touching = [g for g in groups if g & ix]
+        merged = set(ix).union(*touching)
+        groups = [g for g in groups if not g & ix] + [merged]
+    return {
+        "private block >= 2": any(len(p - flip) >= 2 for p in private),
+        "private block of 1": any(len(p - flip) == 1 for p in private),
+        "private in S": any(p & flip for p in private),
+        "2+ groups": len(groups) >= 2,
+        "constant": f.constant_term == 1,
+        "S covers V'": bool(meeting) and set().union(*meeting) <= flip,
+    }
+
+
+def test_narrow_table_count_matches_full_table_on_seeded_functions():
+    # The exact count collapses private blocks and pairs rows of a table
+    # with S outermost; it must equal the count on every 2^K assignment.
+    rng = random.Random(1914)
+    seen = dict.fromkeys(meeting_structure(BooleanFunctionANF(1, ()), 1), 0)
+    for i in range(480):
+        k = rng.randint(2, 14)
+        full = (1 << k) - 1
+        masks = [
+            sum(1 << v for v in rng.sample(range(k), rng.randint(1, min(k, 5))))
+            for _ in range(rng.randint(1, 6))
+        ]
+        if i % 3 == 0:
+            masks.append(0)
+        f = BooleanFunctionANF.from_masks(k, masks)
+        if i % 4 == 0:
+            flip = f.support_mask or full
+        else:
+            flip = rng.randint(1, full)
+        for case, hit in meeting_structure(f, flip).items():
+            seen[case] += hit
+        v = joint_influence_exact(f, flip)
+        assert (v.count, v.denominator) == (full_table_count(f, flip), 1 << k), (f, flip)
+    assert min(seen.values()) >= 40, seen
+
+
+def test_narrow_table_count_at_k64_matches_closed_form():
+    # S meets four products of 5, 3, 8 and 8 datasets: V' spans 24 of 64,
+    # and each product keeps a private block of 2 or more outside S.
+    degrees = (5, 3) + (8,) * 7
+    blocks, start = [], 1
+    for d in degrees:
+        blocks.append(list(range(start, start + d)))
+        start += d
+    f = BooleanFunctionANF.from_indices(64, blocks)
+    flip = sum(1 << (i - 1) for i in (2, 4, 7, 40, 57, 64))
+    v = joint_influence_exact(f, flip)
+    assert (v.count, v.denominator) == (disjoint_product_count(degrees, 64, flip), 1 << 64)
+
+
+def test_exact_count_builds_one_narrow_table(monkeypatch, example_function):
+    widths = []
+
+    def recording_truth_table(g):
+        widths.append(g.num_datasets)
+        return truth_table(g)
+
+    monkeypatch.setattr(influence, "truth_table", recording_truth_table)
+    flips = [0b111, 0b001001001, 0b100100100, 0b110000000]
+    counts = [joint_influence_exact(example_function, s).count for s in flips]
+    assert len(widths) == len(flips)
+    assert counts == [full_table_count(example_function, s) for s in flips]
+    # S = {1,2,3} meets all three monomials, so |V'| = 9; the private
+    # blocks {5,8} and {6,9} each become one table variable.
+    assert widths[0] < 9
 
 
 def disjoint_product_count(degrees, num_datasets, flip_mask):
@@ -370,6 +451,28 @@ def test_mc_sample_stream_at_k64_is_pinned():
     est = joint_influence_mc(f, 1 << 63 | 1 << 32, EstimatorConfig(0.05, 0.01, seed=7))
     assert est.samples == 1060
     assert est.mean == 517 / 1060
+
+
+@pytest.mark.parametrize(
+    "k,monomials,flip_indices,seed,mismatches",
+    [
+        # S meets four monomials and misses [5, 6] and the constant term.
+        (30, [[], [1, 2, 3], [3, 4, 20], [5, 6], [10, 11, 12, 13], [25, 30]], [3, 11, 30], 11, 19109),
+        # S meets three monomials and misses [4..7] and [30, 31, 32].
+        (48, [[1, 48], [2, 17, 33], [4, 5, 6, 7], [17, 40], [30, 31, 32]], [17, 48], 12, 18915),
+        # S meets no monomial: the estimate is 0 over the same samples.
+        (48, [[1, 48], [2, 17, 33], [4, 5, 6, 7], [17, 40], [30, 31, 32]], [9, 21], 13, 0),
+    ],
+)
+def test_mc_estimates_are_pinned(k, monomials, flip_indices, seed, mismatches):
+    # Values recorded from the estimator that evaluated f at w and at w xor S
+    # over every monomial; counting only the monomials that meet S keeps them.
+    f = BooleanFunctionANF.from_indices(k, monomials)
+    flip = sum(1 << (i - 1) for i in flip_indices)
+    est = joint_influence_mc(f, flip, EstimatorConfig(0.01, 1e-3, seed=seed))
+    assert est == InfluenceValue.estimate_value(
+        mismatches / 38005, 0.00999993583688275, 38005, seed
+    )
 
 
 def test_mc_seed_changes_stream():
