@@ -7,6 +7,7 @@ match the usual W_1..W_K naming).  The empty mask is the constant-1
 term.  Input assignments and flip sets use the same bitmask encoding.
 
 All values are immutable; every operation here is a pure function.
+Every JSON file is read by :func:`load_object` and written by :func:`dump_object`.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -27,6 +28,25 @@ MAX_TRUTH_TABLE_DATASETS = 26
 
 class ParseError(ValueError):
     """Malformed function, placement, or scheme input."""
+
+
+def load_object(text: str, kind: str, fields: Sequence[str]) -> dict[str, Any]:
+    """Decode a ``kind`` file: a JSON object that holds every one of ``fields``."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"{kind} file must be a JSON object")
+    for key in fields:
+        if key not in obj:
+            raise ParseError(f'{kind} file needs field "{key}"')
+    return obj
+
+
+def dump_object(obj: dict[str, Any]) -> str:
+    """Canonical JSON text: sorted keys, no spaces, one trailing newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def mask_from_indices(indices: Iterable[int], num_datasets: int | None = None) -> int:
@@ -151,14 +171,7 @@ def parse_function(text: str) -> BooleanFunctionANF:
     An empty inner array is the constant-1 term.  Duplicate monomials
     cancel pairwise (XOR over F2).
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError("function file must be a JSON object")
-    if "K" not in obj or "monomials" not in obj:
-        raise ParseError('function file needs fields "K" and "monomials"')
+    obj = load_object(text, "function", ("K", "monomials"))
     k = obj["K"]
     if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
         raise ParseError(f'"K" must be a positive integer, got {k!r}')
@@ -170,11 +183,9 @@ def parse_function(text: str) -> BooleanFunctionANF:
 
 def function_to_json(f: BooleanFunctionANF) -> str:
     """Canonical serialization; parse(function_to_json(f)) round-trips bit-exactly."""
-    obj = {
-        "K": f.num_datasets,
-        "monomials": [list(indices_from_mask(m)) for m in f.monomials],
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return dump_object(
+        {"K": f.num_datasets, "monomials": [list(indices_from_mask(m)) for m in f.monomials]}
+    )
 
 
 def _check_assignment(f: BooleanFunctionANF, assignment: int) -> None:
@@ -220,15 +231,6 @@ def truth_table(f: BooleanFunctionANF) -> np.ndarray:
         slab = tuple(1 if m >> (k - 1 - axis) & 1 else slice(None) for axis in range(k))
         table[slab] ^= True
     return table.reshape(-1)
-
-
-def flip_assignment(assignment: int, flip_mask: int, num_datasets: int) -> int:
-    """Flip the datasets in ``flip_mask`` jointly; an involution, identity for 0."""
-    if assignment < 0 or assignment >> num_datasets:
-        raise ValueError(f"assignment {assignment!r} does not fit {num_datasets} datasets")
-    if flip_mask < 0 or flip_mask >> num_datasets:
-        raise ValueError(f"flip set {flip_mask!r} not within [1, {num_datasets}]")
-    return assignment ^ flip_mask
 
 
 def uniform_assignments(

@@ -7,9 +7,9 @@ validated and otherwise ignored: every command runs on one thread.
 Each completed run emits a JSON manifest: as a ``<output>.manifest.json``
 sidecar when the command writes a file, on stderr otherwise.
 
-Exit codes: 0 success, 2 bad input, 3 infeasible mode (exact paths past
-their limits, enumeration budgets), 4 placement cannot compute the
-function, 5 a verification or oracle assertion failed.
+Exit codes: 0 success, 2 bad input, 3 infeasible mode (exact paths and
+lemma truth tables past their limits, enumeration budgets), 4 placement
+cannot compute the function, 5 a verification or oracle assertion failed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import argparse
 import csv
 import hashlib
 import io
-import json
 import sys
 import time
 from fractions import Fraction
@@ -30,6 +29,7 @@ from . import __version__
 from .anf import (
     BooleanFunctionANF,
     ParseError,
+    dump_object,
     function_to_json,
     mask_from_indices,
     parse_function,
@@ -47,14 +47,16 @@ from .placement import (
     PlacementConfig,
     PlacementConstraints,
     PlacementSpace,
-    count_placements,
+    aligned_placement,
     parse_placement,
     placement_to_json,
     search_min_as,
     subset_label,
 )
 from .oracle import (
+    LEMMA1_DEGREES,
     LEMMA1_SUBSET_TRIALS,
+    LEMMA2_DEGREES,
     check_lemma1,
     check_lemma2,
     check_theorem,
@@ -145,10 +147,12 @@ def _cmd_avg_sensitivity(args, inputs):
 def _cmd_place(args, inputs):
     f = _load_function(args.function, inputs)
     constraints = PlacementConstraints(f.num_datasets, args.num_servers, args.cache_size)
-    method = "exhaustive" if args.method == "exhaustive" else "greedy-aligned"
-    placement, value = search_min_as(f, constraints, method=method, budget=args.budget)
-    note = f"as = {value.fraction if value.is_exact else value}\n"
-    _write_primary(args.output, placement_to_json(placement), note)
+    if args.method == "aligned":
+        placement = aligned_placement(f, constraints)
+        value = avg_joint_sensitivity(f, placement)
+    else:
+        placement, value = search_min_as(f, constraints, budget=args.budget)
+    _write_primary(args.output, placement_to_json(placement), f"as = {value.fraction}\n")
     return EXIT_OK, args.output, {}
 
 
@@ -221,11 +225,10 @@ def _require(args, names: Sequence[str], claim: str) -> None:
 
 def _cmd_oracle(args, inputs):
     if args.claim == "lemma1":
-        degrees = _parse_degrees(args.degrees or "1..8")
+        degrees = _parse_degrees(args.degrees) if args.degrees else LEMMA1_DEGREES
         report = check_lemma1(degrees, subset_trials=args.trials, seed=args.seed)
     elif args.claim == "lemma2":
-        degrees = _parse_degrees(args.degrees or "2..5")
-        report = check_lemma2(degrees)
+        report = check_lemma2(_parse_degrees(args.degrees) if args.degrees else LEMMA2_DEGREES)
     elif args.claim == "theorem":
         _require(args, ["num-servers", "cache-size"], "theorem")
         report = check_theorem(args.num_servers, args.cache_size)
@@ -255,8 +258,6 @@ def _cmd_sweep(args, inputs):
     f = _load_function(args.function, inputs)
     constraints = PlacementConstraints(f.num_datasets, args.num_servers, args.cache_size)
     space = PlacementSpace(constraints, f)
-    total = count_placements(constraints)
-    emit = min(total, args.budget)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -269,7 +270,9 @@ def _cmd_sweep(args, inputs):
     denom = 1 << f.num_datasets
     text: dict[int, tuple[str, str]] = {}  # subset number -> (label, influence)
     sums: dict[int, tuple[str, str]] = {}  # summed count -> (as, as_decimal)
-    for pid, combo in enumerate(islice(space.ordered(), emit)):
+    rows = space.ordered()
+    emitted = 0
+    for combo in islice(rows, args.budget):
         for i in combo:
             if i not in text:
                 text[i] = subset_label(space.mask(i)), str(Fraction(space.influence(i), denom))
@@ -290,16 +293,16 @@ def _cmd_sweep(args, inputs):
             pieces = [""] * args.num_servers
         labels, influences = zip(*(text[i] for i in combo))
         writer.writerow(
-            [pid, "; ".join(labels), *sums[summed], t_exact, t_greedy]
+            [emitted, "; ".join(labels), *sums[summed], t_exact, t_greedy]
             + list(influences)
             + pieces
         )
-    note = f"{emit} placements swept\n"
-    _write_primary(args.output, buf.getvalue(), note)
+        emitted += 1
+    _write_primary(args.output, buf.getvalue(), f"{emitted} placements swept\n")
     extras = {
         "placements_total": space.size_text,
-        "placements_emitted": emit,
-        "truncated": emit < total,
+        "placements_emitted": emitted,
+        "truncated": next(rows, None) is not None,
     }
     return EXIT_OK, args.output, extras
 
@@ -477,7 +480,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "duration_seconds": time.perf_counter() - start,
         **extras,
     }
-    text = json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n"
+    text = dump_object(manifest)
     if output_path is not None:
         Path(str(output_path) + ".manifest.json").write_text(text)
     else:

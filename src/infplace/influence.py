@@ -30,7 +30,6 @@ import numpy as np
 from .anf import (
     BooleanFunctionANF,
     evaluate,
-    flip_assignment,
     indices_from_mask,
     monomial_sort_key,
     truth_table,
@@ -52,7 +51,7 @@ MC_BLOCK_SIZE = 8192
 
 
 class ExactLimitError(RuntimeError):
-    """Exact enumeration refused; use the Monte Carlo path instead."""
+    """Exact enumeration refused as too large; influences have a Monte Carlo path."""
 
 
 @dataclass(frozen=True)
@@ -147,8 +146,9 @@ def joint_sensitivity(
     k = f.num_datasets
     total = 0
     for mask in flip_masks:
-        flipped = flip_assignment(assignment, mask, k)
-        if evaluate(f, flipped) != base:
+        if mask < 0 or mask >> k:
+            raise ValueError(f"flip set {mask!r} not within [1, {k}]")
+        if evaluate(f, assignment ^ mask) != base:
             total += 1
     return total
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,8 +26,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .anf import BooleanFunctionANF, mask_from_indices, truth_table
+from .anf import (
+    MAX_TRUTH_TABLE_DATASETS,
+    BooleanFunctionANF,
+    dump_object,
+    indices_from_mask,
+    mask_from_indices,
+    truth_table,
+)
 from .influence import (
+    ExactLimitError,
     analytic_influence_one_swap,
     analytic_influence_product,
     avg_joint_sensitivity,
@@ -68,7 +75,10 @@ class OracleReport:
     cases: tuple[OracleCase, ...]
     summary: dict[str, str]
     seed: int | None
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.cases)
 
     def to_json_text(self) -> str:
         obj = {
@@ -87,7 +97,7 @@ class OracleReport:
             "seed": self.seed,
             "passed": self.passed,
         }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+        return dump_object(obj)
 
     def to_csv_text(self) -> str:
         buf = io.StringIO()
@@ -96,17 +106,6 @@ class OracleReport:
         for c in self.cases:
             writer.writerow([c.label, c.expected, c.observed, str(c.passed).lower()])
         return buf.getvalue()
-
-
-def _report(
-    claim: str,
-    grid: dict[str, str],
-    cases: Sequence[OracleCase],
-    summary: dict[str, str],
-    seed: int | None,
-) -> OracleReport:
-    passed = all(c.passed for c in cases)
-    return OracleReport(claim, dict(grid), tuple(cases), dict(summary), seed, passed)
 
 
 def _single_product(degree: int, num_datasets: int) -> BooleanFunctionANF:
@@ -122,13 +121,29 @@ def disjoint_products(num_products: int, degree: int) -> BooleanFunctionANF:
     return BooleanFunctionANF.from_indices(k, supports)
 
 
+def _check_table_cap(k: int) -> None:
+    """Refuse a lemma grid whose widest function has no truth table."""
+    if k > MAX_TRUTH_TABLE_DATASETS:
+        raise ExactLimitError(f"truth table for K={k} exceeds the K<={MAX_TRUTH_TABLE_DATASETS} cap")
+
+
 def _brute_force_influence(f: BooleanFunctionANF, flip_mask: int) -> Fraction:
     """Share of all 2^K assignments whose joint flip changes f, read off
     f's full truth table."""
     k = f.num_datasets
-    table = truth_table(f)
-    flipped = table[np.arange(1 << k) ^ flip_mask]
+    # Dataset i is axis K - i, so reversing S's axes maps row x to x xor S.
+    table = truth_table(f).reshape((2,) * k)
+    flipped = np.flip(table, axis=tuple(k - i for i in indices_from_mask(flip_mask)))
     return Fraction(int(np.count_nonzero(flipped != table)), 1 << k)
+
+
+def _lemma_report(
+    claim: str, degrees: list[int], cases: list[OracleCase], seed: int | None, **grid: str
+) -> OracleReport:
+    text = ",".join(map(str, degrees))
+    failures = sum(not c.passed for c in cases)
+    summary = {"degrees": text, "cases": str(len(cases)), "failures": str(failures)}
+    return OracleReport(claim, {"d": text, **grid}, tuple(cases), summary, seed)
 
 
 def check_lemma1(
@@ -143,6 +158,7 @@ def check_lemma1(
     distinct subsets up to ``subset_trials`` total.
     """
     degrees = list(d_range)
+    _check_table_cap(max(degrees, default=0) + DEGREE_SLACK)
     rng = random.Random(seed)
     cases = []
     for d in degrees:
@@ -167,13 +183,9 @@ def check_lemma1(
                     passed=observed == expected,
                 )
             )
-    summary = {
-        "degrees": ",".join(map(str, degrees)),
-        "cases": str(len(cases)),
-        "failures": str(sum(not c.passed for c in cases)),
-    }
-    grid = {"d": ",".join(map(str, degrees)), "subset_trials": str(subset_trials)}
-    return _report("single-product influence", grid, cases, summary, seed)
+    return _lemma_report(
+        "single-product influence", degrees, cases, seed, subset_trials=str(subset_trials)
+    )
 
 
 def _swap_subset(degree: int, swaps: int) -> int:
@@ -191,6 +203,7 @@ def check_lemma2(d_range: Iterable[int] = LEMMA2_DEGREES) -> OracleReport:
     The one-swap value must equal 2 * 2^(1-d) * (1 - 2^(1-d)) exactly.
     """
     degrees = list(d_range)
+    _check_table_cap(2 * max(degrees, default=0))
     cases = []
     for d in degrees:
         f = disjoint_products(2, d)
@@ -224,18 +237,7 @@ def check_lemma2(d_range: Iterable[int] = LEMMA2_DEGREES) -> OracleReport:
                 passed=all(a <= b for a, b in zip(values, values[1:])),
             )
         )
-    summary = {
-        "degrees": ",".join(map(str, degrees)),
-        "cases": str(len(cases)),
-        "failures": str(sum(not c.passed for c in cases)),
-    }
-    return _report(
-        "influence increase under support swaps",
-        {"d": ",".join(map(str, degrees))},
-        cases,
-        summary,
-        None,
-    )
+    return _lemma_report("influence increase under support swaps", degrees, cases, None)
 
 
 def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
@@ -309,7 +311,7 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
         "min_T_placement": str(min_t_placement),
     }
     grid = {"N": str(n), "M": str(m), "K": str(k)}
-    return _report("optimal placement at desk scale", grid, cases, summary, None)
+    return OracleReport("optimal placement at desk scale", grid, tuple(cases), summary, None)
 
 
 def _average_ranks(values: Sequence[float]) -> np.ndarray:
@@ -384,4 +386,4 @@ def corollary_study(
         "violation_examples": recorded or "none",
     }
     grid = {"K": str(f.num_datasets), "placements": str(len(placements))}
-    return _report("sensitivity vs piece count (study)", grid, cases, summary, None)
+    return OracleReport("sensitivity vs piece count (study)", grid, tuple(cases), summary, None)

@@ -4,13 +4,12 @@ A placement assigns each of N servers a subset of the K datasets under
 a cache size M; generated and searched placements fill every cache with
 exactly M datasets.  The two deterministic generators are the cyclic
 baseline (circularly shifted index windows) and the aligned placement
-(one monomial support per server, padded to M).  Every scan over
-placements goes through :class:`PlacementSpace`.
+(one monomial support per server, padded to M); the search is exact
+only.  Every scan over placements goes through :class:`PlacementSpace`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import accumulate, combinations, groupby
 from math import comb, factorial
@@ -20,15 +19,17 @@ from typing import Iterator, Sequence
 from .anf import (
     BooleanFunctionANF,
     ParseError,
+    dump_object,
     indices_from_mask,
+    load_object,
     mask_from_indices,
 )
-from .influence import InfluenceValue, avg_joint_sensitivity, joint_influence_exact
+from .influence import InfluenceValue, joint_influence_exact
 
 ENUMERATION_BUDGET = 10**7
 
+# The benchmark's tracer (bench/tracing.py) reads this name.
 SEARCH_EXHAUSTIVE = "exhaustive"
-SEARCH_GREEDY_ALIGNED = "greedy-aligned"
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -88,15 +89,7 @@ class PlacementConfig:
 
 def parse_placement(text: str) -> PlacementConfig:
     """Parse the JSON placement format: {"N": int, "M": int, "subsets": [[int,...],...]}."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError("placement file must be a JSON object")
-    for key in ("N", "M", "subsets"):
-        if key not in obj:
-            raise ParseError(f'placement file needs field "{key}"')
+    obj = load_object(text, "placement", ("N", "M", "subsets"))
     n, m, subsets = obj["N"], obj["M"], obj["subsets"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f'"N" must be a positive integer, got {n!r}')
@@ -122,7 +115,7 @@ def placement_to_json(p: PlacementConfig) -> str:
         "M": p.cache_size,
         "subsets": [list(s) for s in p.subsets_as_indices()],
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return dump_object(obj)
 
 
 def cyclic_placement(c: PlacementConstraints) -> PlacementConfig:
@@ -356,33 +349,24 @@ def enumerate_placements(
 
 
 def search_min_as(
-    f: BooleanFunctionANF,
-    c: PlacementConstraints,
-    method: str = SEARCH_EXHAUSTIVE,
-    budget: int = ENUMERATION_BUDGET,
+    f: BooleanFunctionANF, c: PlacementConstraints, *, budget: int = ENUMERATION_BUDGET
 ) -> tuple[PlacementConfig, InfluenceValue]:
-    """Find a placement minimizing the summed joint influence.
+    """Find a placement minimizing the summed joint influence, exactly.
 
-    ``exhaustive`` runs a pruned depth-first search over the server
-    multisets of strict subsets that can compute f
-    (:meth:`PlacementSpace.computable_multisets`); it is exact, and ties
-    still go to the lexicographically first placement.  The budget
-    still counts ordered placements and is checked before the search
-    starts.  ``greedy-aligned`` returns the aligned placement directly.
-    Influences are exact, so a subset whose monomials are too wide
-    raises :class:`ExactLimitError`.
+    A pruned depth-first search over the server multisets of strict
+    subsets that can compute f
+    (:meth:`PlacementSpace.computable_multisets`); ties go to the
+    lexicographically first placement.  The budget counts ordered
+    placements and is checked before the search starts.  Influences are
+    exact, so a subset whose monomials are too wide raises
+    :class:`ExactLimitError`.
     """
-    if method == SEARCH_EXHAUSTIVE:
-        space = PlacementSpace(c, f)
-        space.check_budget(budget)
-        best = None
-        for best in space.computable_multisets(improving=True):
-            pass
-        if best is None:
-            raise ValueError("no placement can cover the function's datasets")
-        total = sum(space.influence(i) for i in best)
-        return space.config(best), InfluenceValue.exact_value(total, 1 << c.num_datasets)
-    if method == SEARCH_GREEDY_ALIGNED:
-        placement = aligned_placement(f, c)
-        return placement, avg_joint_sensitivity(f, placement)
-    raise ValueError(f"unknown search method {method!r}")
+    space = PlacementSpace(c, f)
+    space.check_budget(budget)
+    best = None
+    for best in space.computable_multisets(improving=True):
+        pass
+    if best is None:
+        raise ValueError("no placement can cover the function's datasets")
+    total = sum(space.influence(i) for i in best)
+    return space.config(best), InfluenceValue.exact_value(total, 1 << c.num_datasets)

@@ -24,7 +24,6 @@ the degree limit is enforced, not advisory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,8 +33,10 @@ from .anf import (
     BooleanFunctionANF,
     ParseError,
     bits_from_assignment,
+    dump_object,
     evaluate_batch,
     indices_from_mask,
+    load_object,
     mask_from_indices,
     truth_table,
     uniform_assignments,
@@ -113,15 +114,7 @@ class TransmissionCount:
 def parse_scheme(text: str) -> TransmissionScheme:
     """Parse the JSON scheme format:
     {"pieces":[{"server":int,"vars":[int,...]},...], "plan":[[int,...],...], "constant":0|1}."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ParseError("scheme file must be a JSON object")
-    for key in ("pieces", "plan", "constant"):
-        if key not in obj:
-            raise ParseError(f'scheme file needs field "{key}"')
+    obj = load_object(text, "scheme", ("pieces", "plan", "constant"))
     pieces = []
     if not isinstance(obj["pieces"], list):
         raise ParseError('"pieces" must be an array')
@@ -161,7 +154,7 @@ def scheme_to_json(s: TransmissionScheme) -> str:
         ],
         "plan": [list(refs) for refs in cs.plan],
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    return dump_object(obj)
 
 
 def scheme_structure_errors(

@@ -15,7 +15,6 @@ from infplace.anf import (
     bits_from_assignment,
     evaluate,
     evaluate_batch,
-    flip_assignment,
     function_to_json,
     indices_from_mask,
     mask_from_indices,
@@ -196,14 +195,6 @@ def test_evaluate_rejects_out_of_range_assignment():
 def test_assignment_bits_first_dataset_first():
     assert bits_from_assignment(0b0000101, 7) == "1010000"
     assert bits_from_assignment(0b1011, 4) == "1101"
-
-
-def test_flip_assignment_is_involution():
-    assert flip_assignment(0b1010, 0b0110, 4) == 0b1100
-    assert flip_assignment(0b1100, 0b0110, 4) == 0b1010
-    assert flip_assignment(0b1010, 0, 4) == 0b1010
-    with pytest.raises(ValueError):
-        flip_assignment(0b1010, 1 << 4, 4)
 
 
 def test_support_mask(example_function):

@@ -34,7 +34,15 @@ code = infplace.cli.main(
 )
 m = tracer.metrics(1)
 names = ("cli.main.calls", "placement.placements_scanned", "transmission.synthesize_exact.calls")
-print(placement, value, code, *(int(m[name]) for name in names))
+first = [placement, value, code, *(int(m[name]) for name in names)]
+codes = [
+    infplace.cli.main(["place", "-f", {function!r}, "-N", "2", "-M", "2", "--method", method])
+    for method in ("exhaustive", "aligned")
+]
+after = tracer.metrics(1)
+names = ("placement.placements_scanned", "placement.aligned_placement.calls")
+print(*first)
+print(*codes, *(int(after[name] - m[name]) for name in names))
 """
 
 
@@ -45,8 +53,11 @@ def test_benchmark_tracer_runs_a_search_and_a_sweep(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-B", "-c", code], capture_output=True, text=True, check=True
     )
-    # The sweep's CSV comes first; the summary line is last.  The search
-    # scanned all C(4,2)^2 ordered placements, and the sweep synthesized
-    # for the 6 that compute f.
-    assert proc.stdout.splitlines()[-1] == "{1,2}; {3,4} 16/16 0 1 36 6"
+    # The sweep's CSV and the placements come first; the summary lines are
+    # last.  The search scanned all C(4,2)^2 ordered placements, and the
+    # sweep synthesized for the 6 that compute f.  The tracer counts a
+    # search only when its third positional argument is absent or names
+    # SEARCH_EXHAUSTIVE: `place` scans the same 36, and `--method aligned`
+    # builds the aligned placement once.
+    assert proc.stdout.splitlines()[-2:] == ["{1,2}; {3,4} 16/16 0 1 36 6", "0 0 36 1"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]

@@ -402,6 +402,15 @@ def test_sweep_budget_truncates(capsys, tmp_path):
     manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
     assert manifest["placements_emitted"] == 5
     assert manifest["truncated"] is True
+    # The whole C(4,2)^2 = 36-row grid is truncated only below 36.
+    for budget, rows, truncated in [(35, 35, True), (36, 36, False), (37, 36, False)]:
+        assert main(argv[:-3] + [str(budget), "-o", str(out_path)]) == 0
+        assert capsys.readouterr().out == f"{rows} placements swept\n"
+        assert len(out_path.read_text().splitlines()) == rows + 1
+        manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+        assert manifest["placements_emitted"] == rows
+        assert manifest["truncated"] is truncated
+        assert manifest["placements_total"] == "C(4,2)^2"
 
 
 def pairs_k24(tmp_path):
@@ -508,6 +517,14 @@ PAIRS64_JSON = json.dumps({"K": 64, "monomials": [[2 * i + 1, 2 * i + 2] for i i
          {"f.json": EXAMPLE_FUNCTION_JSON,
           "p.json": '{"N":2,"M":1,"subsets":[[1,2,3,4,5,6],[4,5,6,7,8,9]]}'},
          2, "error: server 1 holds 6 datasets, more than M=1"),
+        (["place", "-f", "f.json", "-N", "2", "-M", "2", "--method", "best"],
+         {"f.json": W1W2_JSON}, 2, None),
+        (["oracle", "lemma1", "-d", "25"], {}, 3,
+         "error: truth table for K=27 exceeds the K<=26 cap"),
+        (["oracle", "lemma2", "-d", "14"], {}, 3,
+         "error: truth table for K=28 exceeds the K<=26 cap"),
+        (["influence", "-f", "f.json", "--subset", "1"], {"f.json": '{"monomials":[[1]]}'}, 2,
+         'error: function file needs field "K"'),
         # C(64,32) is about 1.8e18 subsets; the first row must not list them.
         (["sweep", "-f", "f.json", "-N", "2", "-M", "32", "--budget", "1"],
          {"f.json": PAIRS64_JSON},
@@ -519,7 +536,11 @@ def test_refused_requests_exit_with_their_message(argv, files, code, line, capsy
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     paths = [str(tmp_path / a) if a in files else a for a in argv]
-    assert main(paths) == code
+    try:
+        got = main(paths)
+    except SystemExit as exc:  # argparse refuses a bad option value itself
+        got = exc.code
+    assert got == code
     err = capsys.readouterr().err
     if line is not None:
         assert err.splitlines()[0] == line

@@ -341,6 +341,8 @@ def test_joint_sensitivity_by_hand():
     assert joint_sensitivity(f, [], 0b11) == 0
     # repeated flip sets count independently
     assert joint_sensitivity(f, [0b01, 0b01], 0b11) == 2
+    with pytest.raises(ValueError, match=r"flip set 4 not within \[1, 2\]"):
+        joint_sensitivity(f, [0b01, 0b100], 0b11)
 
 
 @given(function_and_flip(max_k=6))

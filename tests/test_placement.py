@@ -10,7 +10,7 @@ from operator import or_
 import pytest
 
 from infplace.anf import BooleanFunctionANF, ParseError, evaluate, mask_from_indices
-from infplace.influence import joint_influence_exact
+from infplace.influence import avg_joint_sensitivity, joint_influence_exact
 from infplace.placement import (
     EnumerationBudgetError,
     PlacementConfig,
@@ -104,8 +104,7 @@ def test_aligned_gives_the_constant_term_no_server():
     p = aligned_placement(f, c)
     assert subsets_of(p) == [[1, 2], [3, 4], [5, 6]]
     assert sum(joint_influence_exact(f, s).fraction for s in p.subset_masks) == Fraction(3, 2)
-    _, value = search_min_as(f, c, method="greedy-aligned")
-    assert value.fraction == Fraction(3, 2)
+    assert avg_joint_sensitivity(f, p).fraction == Fraction(3, 2)
 
 
 def test_aligned_rejects_impossible_shapes(example_function):
@@ -153,16 +152,9 @@ def test_exhaustive_search_constant_function_ties_lexicographically():
 
 
 def test_greedy_aligned_search(disjoint_pairs):
-    placement, value = search_min_as(
-        disjoint_pairs, PlacementConstraints(6, 3, 2), method="greedy-aligned"
-    )
+    placement = aligned_placement(disjoint_pairs, PlacementConstraints(6, 3, 2))
     assert subsets_of(placement) == [[1, 2], [3, 4], [5, 6]]
-    assert value.fraction == Fraction(3, 2)
-
-
-def test_search_rejects_unknown_method(disjoint_pairs):
-    with pytest.raises(ValueError):
-        search_min_as(disjoint_pairs, PlacementConstraints(6, 3, 2), method="best")
+    assert avg_joint_sensitivity(disjoint_pairs, placement).fraction == Fraction(3, 2)
 
 
 def test_search_budget_guard(disjoint_pairs):
