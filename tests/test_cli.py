@@ -517,6 +517,11 @@ PAIRS64_JSON = json.dumps({"K": 64, "monomials": [[2 * i + 1, 2 * i + 2] for i i
          {"f.json": EXAMPLE_FUNCTION_JSON,
           "p.json": '{"N":2,"M":1,"subsets":[[1,2,3,4,5,6],[4,5,6,7,8,9]]}'},
          2, "error: server 1 holds 6 datasets, more than M=1"),
+        # C(64,32) is about 1.8e18 subsets; the first row must not list them.
+        (["sweep", "-f", "f.json", "-N", "2", "-M", "32", "--budget", "1"],
+         {"f.json": PAIRS64_JSON},
+         3, "error: the monomials that meet the flip set span 32 datasets,"
+         " past the exact enumeration limit 24; use joint_influence_mc"),
         (["place", "-f", "f.json", "-N", "2", "-M", "2", "--method", "best"],
          {"f.json": W1W2_JSON}, 2, None),
         (["oracle", "lemma1", "-d", "25"], {}, 3,
@@ -525,11 +530,6 @@ PAIRS64_JSON = json.dumps({"K": 64, "monomials": [[2 * i + 1, 2 * i + 2] for i i
          "error: truth table for K=28 exceeds the K<=26 cap"),
         (["influence", "-f", "f.json", "--subset", "1"], {"f.json": '{"monomials":[[1]]}'}, 2,
          'error: function file needs field "K"'),
-        # C(64,32) is about 1.8e18 subsets; the first row must not list them.
-        (["sweep", "-f", "f.json", "-N", "2", "-M", "32", "--budget", "1"],
-         {"f.json": PAIRS64_JSON},
-         3, "error: the monomials that meet the flip set span 32 datasets,"
-         " past the exact enumeration limit 24; use joint_influence_mc"),
     ],
 )
 def test_refused_requests_exit_with_their_message(argv, files, code, line, capsys, tmp_path):
