@@ -211,6 +211,8 @@ class PlacementSpace:
         self._combos = combinations([1 << b for b in range(c.num_datasets)], c.cache_size)
         self._masks: list[int] = []
         self._counts: dict[int, int] = {}
+        self._prefix: Sequence[int] | None = None
+        self._prefix_missing = 0
 
     @property
     def size_text(self) -> str:
@@ -244,11 +246,18 @@ class PlacementSpace:
         return self._counts[i]
 
     def computable(self, combo: Sequence[int]) -> bool:
-        """Every dataset of f is held by some server of the placement."""
-        union = 0
-        for i in combo:
-            union |= self.mask(i)
-        return not self.function.support_mask & ~union
+        """Every dataset of f is held by some server of the placement.
+
+        Keeps what ``combo[:-1]`` leaves uncovered for the next call,
+        since :meth:`ordered` mostly changes only the last server.
+        """
+        prefix = combo[:-1]
+        if prefix != self._prefix:
+            missing = self.function.support_mask
+            for i in prefix:
+                missing &= ~self.mask(i)
+            self._prefix, self._prefix_missing = prefix, missing
+        return not self._prefix_missing & ~self.mask(combo[-1])
 
     def config(self, combo: Sequence[int]) -> PlacementConfig:
         c = self.constraints

@@ -12,20 +12,20 @@ on one server costs one piece; spread over two it costs two), so the
 search runs over var-set partitions and servers are assigned afterwards
 (lowest covering index, for determinism).  The search is a depth-first
 branch-and-bound from the greedy scheme.  Its bound is the blocks used
-so far plus the new blocks still needed, each no wider than its
-monomial's widest coverable block: per monomial, those for its uncovered
-vars that no other monomial left holds (such blocks serve it alone),
-plus the most any one monomial needs beyond those.  It never
-overestimates, and the search keeps the first strictly better scheme in
-a DFS order the bound does not affect, so the bound sets the running
-time, never the scheme.  Cost grows exponentially with monomial degree;
-the degree limit is enforced, not advisory.
+so far plus the new blocks still needed: per monomial, those for its
+uncovered vars that no other monomial left holds (such blocks serve it
+alone), plus the most any one monomial needs beyond those.  Each set of
+vars is divided by the most of it one server holds, since a block lies
+on one server.  It never overestimates, and the search keeps the first
+strictly better scheme in a DFS order the bound does not affect, so the
+bound sets the running time, never the scheme.  Cost grows exponentially
+with monomial degree; the degree limit is enforced, not advisory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -204,8 +204,12 @@ def _coverable_blocks(monomial: int, subset_masks: Sequence[int]) -> dict[int, l
         while sub:
             blocks.add(sub)
             sub = (sub - 1) & held
+    # bin(b)[:1:-1] lists b's bits lowest first.  Two blocks of one width
+    # first differ at the lowest var only one holds, and the one holding
+    # it comes first in variable order, so a descending sort on the
+    # reversed bits is that order without building index tuples.
     by_low: dict[int, list[int]] = {}
-    for b in sorted(blocks, key=lambda b: (-b.bit_count(), indices_from_mask(b))):
+    for b in sorted(blocks, key=lambda b: (b.bit_count(), bin(b)[:1:-1]), reverse=True):
         by_low.setdefault(b & -b, []).append(b)
     return by_low
 
@@ -242,28 +246,33 @@ def _greedy_partitions(
     return chosen
 
 
-def _new_blocks_bound(rems: Sequence[int], covered: Sequence[int], widest: Sequence[int]) -> int:
-    """Fewest new blocks that partitioning every ``rems[j]`` must add.
+def _new_blocks_bound(
+    uncovered: Iterable[int], shared: int, width: Callable[[int], int]
+) -> int:
+    """Fewest new blocks that partitioning what is left of each monomial must add.
 
-    ``covered[j]`` holds the vars of rems[j] that used blocks inside it
-    cover; the rest, U_j, need new blocks inside rems[j] of at most
-    w_j = ``widest[j]`` vars.  P_j is the part of U_j in no other rems[j'].
-    The bound is sum_j ceil(|P_j|/w_j) + max_j (ceil(|U_j|/w_j) -
-    ceil(|P_j|/w_j)).  A new block holding a var of P_j fits in no other
-    rems[j'], so the blocks that cover different P_j are distinct, and
-    distinct from the rest of the at least ceil(|U_j|/w_j) new blocks of
-    any one rems[j].  It is never below max_j ceil(|U_j|/w_j).
+    Per monomial j, R_j is what is left of it, and ``uncovered`` holds
+    U_j, the vars of R_j that no used block inside R_j covers.
+    ``shared`` holds the vars in two or more R_j, and P_j is U_j less
+    those.  ``width(v)`` is the most vars of v that one server holds.
+    A block that covers a var of U_j is new and lies inside R_j and on
+    one server, so it covers at most width(U_j) vars of U_j: R_j needs
+    u_j = ceil(|U_j|/width(U_j)) new blocks, at least p_j =
+    ceil(|P_j|/width(P_j)) of them holding a var of P_j.  Such a block
+    fits in no other R_j', so the blocks counted by different p_j are
+    distinct, and for any one j those of every other P_j' are distinct
+    from R_j's.  Hence the bound, sum_j p_j + max(0, max_j (u_j - p_j)),
+    never overestimates.  No set is wider than its monomial's widest
+    coverable block, so it is never below the same sum with that fixed
+    width in place of width(U_j) and width(P_j).
     """
-    once = twice = 0
-    for r in rems:
-        twice |= once & r
-        once |= r
     total = extra = 0
-    for r, c, w in zip(rems, covered, widest):
-        u = r & ~c
-        private = -(-(u & ~twice).bit_count() // w)
+    for u in uncovered:
+        p = u & ~shared
+        private = -(-p.bit_count() // width(p)) if p else 0
         total += private
-        extra = max(extra, -(-u.bit_count() // w) - private)
+        if u != p:
+            extra = max(extra, -(-u.bit_count() // width(u)) - private)
     return total + extra
 
 
@@ -280,21 +289,39 @@ def _search_min_distinct(
     var of the current monomial's uncovered part: reusable blocks first,
     then new ones, each widest first and then in variable order.  Bound:
     blocks used so far plus ``_new_blocks_bound`` over what is left of
-    the current monomial and the later monomials, each with the vars that
-    used blocks inside it cover.  It never overestimates (see there), and
-    the first strictly better leaf in the DFS order (which the bound does
-    not affect) is kept, so every such bound returns the same blocks; it
-    only sets how much is pruned.
+    the current monomial and the later monomials, each less the vars that
+    used blocks inside it cover, with each set divided by the most of it
+    one server holds.  It never overestimates (see there), and the first
+    strictly better leaf in the DFS order (which the bound does not
+    affect) is kept, so every such bound returns the same blocks; it only
+    sets how much is pruned.
     """
     best_choice = [list(blocks) for blocks in init]
     best_count = len({b for blocks in init for b in blocks})
     n = len(monomials)
-    widest = [max((m & s).bit_count() for s in subset_masks) for m in monomials]
-    if not n or _new_blocks_bound(monomials, [0] * n, widest) >= best_count:
+    if not n:
+        return best_choice
+    servers = list(dict.fromkeys(subset_masks))
+    widths: dict[int, int] = {}  # the same sets recur at many nodes
+
+    def width(v: int) -> int:
+        w = widths.get(v)
+        if w is None:
+            w = widths[v] = max((v & s).bit_count() for s in servers)
+        return w
+
+    # Vars in at least one / at least two of monomials[i + 1 :].
+    once_after, twice_after = [0] * n, [0] * n
+    for i in range(n - 2, -1, -1):
+        m = monomials[i + 1]
+        twice_after[i] = twice_after[i + 1] | (once_after[i + 1] & m)
+        once_after[i] = once_after[i + 1] | m
+    shared = twice_after[0] | (monomials[0] & once_after[0])
+    if _new_blocks_bound(monomials, shared, width) >= best_count:
         return best_choice
     path: list[list[int]] = [[] for _ in range(n)]
-    by_low = [_coverable_blocks(m, subset_masks) for m in monomials]
-    covered = [0] * n  # for each monomial past the current one
+    by_low = [_coverable_blocks(m, servers) for m in monomials]
+    uncovered = list(monomials)  # U_j of each monomial past the current one
 
     def go(i: int, remaining: int, used: set[int]) -> None:
         nonlocal best_choice, best_count
@@ -310,24 +337,25 @@ def _search_min_distinct(
         for b in used:
             if b & ~remaining == 0:
                 here |= b
-        rems, covers = [remaining, *monomials[i + 1 :]], [here, *covered[i + 1 :]]
-        if len(used) + _new_blocks_bound(rems, covers, widest[i:]) >= best_count:
+        shared = twice_after[i] | (remaining & once_after[i])
+        left = (remaining & ~here, *uncovered[i + 1 :])
+        if len(used) + _new_blocks_bound(left, shared, width) >= best_count:
             return
         fits = [b for b in by_low[i][remaining & -remaining] if b & ~remaining == 0]
         for block in [b for b in fits if b in used] + [b for b in fits if b not in used]:
             added = block not in used
             if added:
                 used.add(block)
-                saved = covered[i + 1 :]
+                saved = uncovered[i + 1 :]
                 for j in range(i + 1, n):
                     if block & ~monomials[j] == 0:
-                        covered[j] |= block
+                        uncovered[j] &= ~block
             path[i].append(block)
             go(i, remaining & ~block, used)
             path[i].pop()
             if added:
                 used.remove(block)
-                covered[i + 1 :] = saved
+                uncovered[i + 1 :] = saved
 
     go(0, monomials[0], set())
     return best_choice

@@ -198,6 +198,20 @@ def test_space_scans_match_product_and_multiset_counts():
     assert orderings((0, 0, 0)) == 1 and orderings((0, 0, 2)) == 3 and orderings((0, 1, 2)) == 6
 
 
+def test_computable_matches_the_union_of_its_subsets_in_any_call_order():
+    # computable keeps what a row's first N-1 subsets leave uncovered for
+    # the next row; a shuffled order changes that prefix on almost every call.
+    f = BooleanFunctionANF.from_indices(5, [[1, 2], [3, 4, 5]])
+    space = PlacementSpace(PlacementConstraints(5, 3, 2), f)
+    rows = list(space.ordered())
+    want = {t: not f.support_mask & ~reduce(or_, map(space.mask, t)) for t in rows}
+    assert 0 < sum(want.values()) < len(rows)
+    assert [space.computable(t) for t in rows] == [want[t] for t in rows]
+    random.Random(5).shuffle(rows)
+    assert [space.computable(t) for t in rows] == [want[t] for t in rows]
+    assert [space.computable(list(t)) for t in rows] == [want[t] for t in rows]
+
+
 def test_budget_guard_never_forms_the_count():
     # C(24,12)^1000 has over 6,400 digits, past int-to-str conversion;
     # the guard must decide without it and keep it out of the message.

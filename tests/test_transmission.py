@@ -10,13 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infplace.anf import BooleanFunctionANF, evaluate, mask_from_indices
+from infplace.anf import BooleanFunctionANF, evaluate, indices_from_mask, mask_from_indices
 from infplace.placement import PlacementConfig
 from infplace.transmission import (
     Piece,
     SynthesisLimitError,
     TransmissionScheme,
     UncomputablePlacementError,
+    _coverable_blocks,
     _new_blocks_bound,
     count_transmissions,
     decode,
@@ -280,13 +281,14 @@ def brute_force_min_pieces(monomials, servers):
     )
 
 
-def merged_min_pieces(monomials, servers):
+def merged_min_pieces(monomials, servers, used=frozenset()):
     """The minimum of ``brute_force_min_pieces`` over the same choices,
     made one monomial at a time.  Choices so far that leave the same
     blocks for the later monomials to reuse are merged, keeping the
-    fewest distinct blocks, which keeps 4-6 monomials fast."""
+    fewest distinct blocks, which keeps 4-6 monomials fast.  Blocks in
+    ``used`` are there already and not counted."""
     monomials = sorted(monomials, key=len, reverse=True)  # fewer reusable blocks
-    fewest = {frozenset(): 0}
+    fewest = {frozenset(used): 0}
     for j, partitions in enumerate(_partition_options(monomials, servers)):
         later = monomials[j + 1 :]
         reusable = frozenset(
@@ -366,6 +368,29 @@ def _draw_shared_var_instance(rng):
     return f, p, kept, servers
 
 
+def _held_width(subset_masks):
+    """The most vars of a mask that one server holds."""
+    return lambda v: max((v & s).bit_count() for s in subset_masks)
+
+
+def _shared_vars(rems):
+    """Vars in two or more of ``rems``."""
+    return functools.reduce(operator.or_, (a & b for a, b in itertools.combinations(rems, 2)), 0)
+
+
+def _fixed_width_bound(rems, widest):
+    """The bound with every set of monomial j divided by ``widest[j]``,
+    its widest coverable block: what the search used before it divided
+    each set by the most of that set one server holds."""
+    shared = _shared_vars(rems)
+    total = extra = 0
+    for r, w in zip(rems, widest):
+        private = -(-(r & ~shared).bit_count() // w)
+        total += private
+        extra = max(extra, -(-r.bit_count() // w) - private)
+    return total + extra
+
+
 def test_exact_piece_count_and_root_bound_match_brute_force_at_four_to_six_monomials():
     rng = random.Random(2406)
     beaten = tighter = 0
@@ -376,16 +401,54 @@ def test_exact_piece_count_and_root_bound_match_brute_force_at_four_to_six_monom
         t_greedy = count_transmissions(synthesize_greedy(f, p)).total
         assert t_exact == want, (kept, servers)
         beaten += t_exact < t_greedy
-        # The search's bound at its root never overestimates, and is never
-        # below the most new blocks any one monomial needs.
+        # The search's bound at its root never overestimates, is never
+        # below the most new blocks any one monomial needs, and is never
+        # below the bound with each monomial's widest block as its width.
         monomials = f.non_constant_monomials
         widest = [max((m & s).bit_count() for s in p.subset_masks) for m in monomials]
-        root = _new_blocks_bound(monomials, [0] * len(monomials), widest)
+        root = _new_blocks_bound(monomials, _shared_vars(monomials), _held_width(p.subset_masks))
         widest_need = max(-(-m.bit_count() // w) for m, w in zip(monomials, widest))
         assert widest_need <= root <= want, (kept, servers)
+        assert root >= _fixed_width_bound(monomials, widest), (kept, servers)
         tighter += root > widest_need
     assert beaten >= 10
     assert tighter >= 10
+
+
+def test_bound_at_inner_nodes_never_exceeds_the_fewest_new_blocks():
+    # A partial state of the search: monomial i is the current one, with
+    # one used block of it possibly placed already, the later monomials
+    # are whole, and some coverable blocks of monomials[: i + 1] are used.
+    rng = random.Random(1931)
+    tight = 0
+    for _ in range(150):
+        f, p, kept, servers = _draw_shared_var_instance(rng)
+        i = rng.randrange(len(kept))
+        coverable = sorted(
+            {
+                frozenset(block)
+                for m in kept[: i + 1]
+                for size in range(1, len(m) + 1)
+                for block in itertools.combinations(sorted(m), size)
+                if any(set(block) <= s for s in servers)
+            },
+            key=sorted,
+        )
+        used = frozenset(rng.sample(coverable, rng.randint(0, min(6, len(coverable)))))
+        placed = sorted((b for b in used if b <= kept[i]), key=sorted)
+        rest = kept[i] - (rng.choice(placed) if placed else frozenset())
+        rems = [r for r in (rest, *kept[i + 1 :]) if r]
+        want = merged_min_pieces(rems, servers, used)
+        masks = [mask_from_indices(sorted(r)) for r in rems]
+        uncovered = [
+            mask_from_indices(sorted(r.difference(*(b for b in used if b <= r))))
+            for r in rems
+        ]
+        bound = _new_blocks_bound(uncovered, _shared_vars(masks), _held_width(p.subset_masks))
+        assert bound <= want, (rems, sorted(map(sorted, used)), servers)
+        tight += 0 < bound == want
+    # Most states need new blocks, and the bound often finds all of them.
+    assert tight >= 50
 
 
 def _draw_wide_instance(rng):
@@ -418,6 +481,50 @@ def test_exact_schemes_at_four_to_six_monomials_are_pinned():
     assert digest.hexdigest() == (
         "3a6af0feffe4d3d959ec01d264e2c018c86a52e1250488579f861210e855232d"
     )
+
+
+def _draw_heavy_instance(rng):
+    """K 10-12, 3-4 monomials of degree 5-9, 2-4 random servers with the
+    uncovered support added to one of them: the shape of the slowest
+    pairs in acceptance 5's corpus."""
+    while True:
+        k = rng.randint(10, 12)
+        masks = [
+            mask_from_indices(rng.sample(range(1, k + 1), rng.randint(5, 9)))
+            for _ in range(rng.randint(3, 4))
+        ]
+        f = BooleanFunctionANF.from_masks(k, masks)
+        if len(f.non_constant_monomials) >= 3:
+            break
+    n = rng.randint(2, 4)
+    subsets = [rng.randrange(1, 1 << k) for _ in range(n)]
+    subsets[rng.randrange(n)] |= f.support_mask & ~functools.reduce(operator.or_, subsets)
+    return f, PlacementConfig(n, max(s.bit_count() for s in subsets), tuple(subsets))
+
+
+def test_exact_schemes_of_wide_monomials_are_pinned():
+    rng = random.Random(1612)
+    digest = hashlib.sha256()
+    for _ in range(100):
+        f, p = _draw_heavy_instance(rng)
+        digest.update(scheme_to_json(synthesize_exact(f, p)).encode())
+    # All 100 exact schemes, byte for byte, where the search goes deep.
+    # The digest was recorded while the bound divided every set of a
+    # monomial by that monomial's widest coverable block; a tighter
+    # admissible bound must not move it (see _search_min_distinct).
+    assert digest.hexdigest() == (
+        "5c3318b06f095d21a9272162e163d39a039e9ba554ed1a5a8ee06273ce41d004"
+    )
+
+
+def test_coverable_blocks_are_widest_first_then_in_variable_order():
+    monomial = mask_from_indices(range(1, 11))
+    by_low = _coverable_blocks(monomial, [monomial, 0b1111100000])
+    assert sorted(by_low) == [1 << b for b in range(10)]
+    for low, blocks in by_low.items():
+        assert all(b & -b == low for b in blocks)
+        assert blocks == sorted(blocks, key=lambda b: (-b.bit_count(), indices_from_mask(b)))
+    assert sum(map(len, by_low.values())) == (1 << 10) - 1
 
 
 def test_synthesis_is_deterministic(example_function, window_placement):
