@@ -8,7 +8,7 @@ Each completed run emits a JSON manifest: as a ``<output>.manifest.json``
 sidecar when the command writes a file, on stderr otherwise.
 
 Exit codes: 0 success, 2 bad input, 3 infeasible mode (exact paths and
-lemma truth tables past their limits, enumeration budgets), 4 placement
+lemma truth tables past their limits, step or row budgets), 4 placement
 cannot compute the function, 5 a verification or oracle assertion failed.
 """
 
@@ -241,9 +241,15 @@ def _cmd_oracle(args, inputs):
         space = PlacementSpace(
             PlacementConstraints(f.num_datasets, args.num_servers, args.cache_size), f
         )
-        space.check_budget(ENUMERATION_BUDGET)
-        covering = (space.config(c) for c in space.ordered() if space.computable(c))
-        report = corollary_study(f, list(islice(covering, args.limit)))
+        rows = space.ordered()
+        covering = (c for c in islice(rows, ENUMERATION_BUDGET) if space.computable(c))
+        placements = [space.config(c) for c in islice(covering, args.limit)]
+        if len(placements) < args.limit and next(rows, None) is not None:
+            raise EnumerationBudgetError(
+                f"the row budget {ENUMERATION_BUDGET} ran out after {len(placements)}"
+                f" of --limit {args.limit} computable placements"
+            )
+        report = corollary_study(f, placements)
 
     summary = "; ".join(f"{k}={v}" for k, v in sorted(report.summary.items()))
     note = f"{report.claim}: {'pass' if report.passed else 'FAIL'}; {summary}\n"
@@ -380,7 +386,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-M", "--cache-size", type=int, required=True)
     p.add_argument("--method", choices=["exhaustive", "aligned"], default="exhaustive")
     p.add_argument(
-        "--budget", type=_positive_int, default=ENUMERATION_BUDGET, help="at least 1"
+        "--budget", type=_positive_int, default=ENUMERATION_BUDGET, help="search steps, at least 1"
     )
     p.add_argument("-o", "--output", metavar="FILE", help="placement file (default stdout)")
     p.set_defaults(func=_cmd_place)
@@ -411,9 +417,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("claim", choices=["lemma1", "lemma2", "theorem", "corollary"])
     p.add_argument("-d", "--degrees", help='degree grid, e.g. "2..5" or "3,4"')
-    p.add_argument("--trials", type=int, default=LEMMA1_SUBSET_TRIALS)
-    p.add_argument("-N", "--num-servers", type=int)
-    p.add_argument("-M", "--cache-size", type=int)
+    p.add_argument("--trials", type=_positive_int, default=LEMMA1_SUBSET_TRIALS)
+    p.add_argument("-N", "--num-servers", type=_positive_int)
+    p.add_argument("-M", "--cache-size", type=_positive_int)
     p.add_argument("-f", "--function", metavar="FILE", help="corollary study input")
     p.add_argument(
         "--limit", type=_positive_int, default=200, help="corollary placement cap (at least 1)"

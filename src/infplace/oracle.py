@@ -251,25 +251,25 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
     f = disjoint_products(n, m)
     constraints = PlacementConstraints(k, n, m)
     space = PlacementSpace(constraints, f)
-    space.check_budget(ENUMERATION_BUDGET)
     total = count_placements(constraints)
     target_as = Fraction(n, 1 << (m - 1))
 
-    # The least summed influence over every placement, computable or not,
-    # puts the least subset influence on every server.
-    min_as = Fraction(n * min(map(space.influence, range(space.num_subsets))), 1 << k)
     # Piece counts ignore server order: list the computable multisets,
     # weighting each by its orderings so the count stays an ordered one.
+    # It runs first, so a grid past the budget is refused before any influence count.
     num_computable = 0
     min_t = None
     min_t_placement = None
-    for combo in space.computable_multisets():
+    for combo in space.computable_multisets(budget=ENUMERATION_BUDGET):
         num_computable += orderings(combo)
         placement = space.config(combo)
         t = count_transmissions(synthesize_exact(f, placement)).total
         if min_t is None or t < min_t:
             min_t = t
             min_t_placement = placement
+    # The least summed influence over every placement, computable or not,
+    # puts the least subset influence on every server.
+    min_as = Fraction(n * min(map(space.influence, range(space.num_subsets))), 1 << k)
 
     aligned = aligned_placement(f, constraints)
     aligned_as = avg_joint_sensitivity(f, aligned).fraction

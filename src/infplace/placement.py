@@ -26,6 +26,7 @@ from .anf import (
 )
 from .influence import InfluenceValue, joint_influence_exact
 
+# Steps one placement search may take; ordered rows one corollary scan may read.
 ENUMERATION_BUDGET = 10**7
 
 # The benchmark's tracer (bench/tracing.py) reads this name.
@@ -33,7 +34,7 @@ SEARCH_EXHAUSTIVE = "exhaustive"
 
 
 class EnumerationBudgetError(RuntimeError):
-    """The requested placement grid exceeds the enumeration budget."""
+    """A placement search or scan needs more work than its budget allows."""
 
 
 def subset_label(mask: int) -> str:
@@ -220,19 +221,6 @@ class PlacementSpace:
         c = self.constraints
         return f"C({c.num_datasets},{c.cache_size})^{c.num_servers}"
 
-    def check_budget(self, budget: int) -> None:
-        """Refuse a grid of more than ``budget`` ordered placements, decided
-        without forming the count, which can have thousands of digits."""
-        total = 1
-        for _ in range(self.constraints.num_servers):
-            total *= self.num_subsets
-            if total > budget or self.num_subsets < 2:
-                break
-        if total > budget:
-            raise EnumerationBudgetError(
-                f"{self.size_text} placements exceed the enumeration budget {budget}"
-            )
-
     def mask(self, i: int) -> int:
         masks = self._masks
         while len(masks) <= i:
@@ -284,7 +272,9 @@ class PlacementSpace:
                     return
             combo[pos] += 1
 
-    def computable_multisets(self, improving: bool = False) -> Iterator[tuple[int, ...]]:
+    def computable_multisets(
+        self, improving: bool = False, budget: int = ENUMERATION_BUDGET
+    ) -> Iterator[tuple[int, ...]]:
         """Server multisets that can compute f, as sorted tuples, lexicographic.
 
         One depth-first search over sorted tuples, written as a loop so
@@ -302,8 +292,16 @@ class PlacementSpace:
         the least influence among the subsets it may still use is not
         below the best sum.  Influence is counted only for the subsets
         the search considers.
+
+        The budget counts steps: C(K,M) for filtering the subsets, checked
+        before any mask is built, then one per pass of the loop.  Past it,
+        :class:`EnumerationBudgetError` is raised.
         """
         n, m = self.constraints.num_servers, self.constraints.cache_size
+        over = f"exceed the enumeration budget {budget}"
+        steps = self.num_subsets
+        if steps > budget:
+            raise EnumerationBudgetError(f"{steps} subsets of size {m} {over}")
         need = self.function.support_mask
         cands = [
             i for i in range(self.num_subsets)
@@ -320,6 +318,9 @@ class PlacementSpace:
         total = [0] * (n + 1)  # summed influence count of the first d servers
         d = j = 0
         while True:
+            steps += 1
+            if steps > budget:
+                raise EnumerationBudgetError(f"placement search steps {over}")
             r = n - d
             if (
                 j == len(cands)
@@ -347,14 +348,10 @@ class PlacementSpace:
                 j += 1
 
 
-def enumerate_placements(
-    c: PlacementConstraints, budget: int = ENUMERATION_BUDGET
-) -> Iterator[PlacementConfig]:
-    """Every ordered N-tuple of size-M subsets of [K], lexicographic, exactly once."""
+def enumerate_placements(c: PlacementConstraints) -> Iterator[PlacementConfig]:
+    """Every ordered N-tuple of size-M subsets of [K], lexicographic, once, lazily."""
     space = PlacementSpace(c)
-    space.check_budget(budget)
-    for combo in space.ordered():
-        yield space.config(combo)
+    return map(space.config, space.ordered())
 
 
 def search_min_as(
@@ -363,17 +360,14 @@ def search_min_as(
     """Find a placement minimizing the summed joint influence, exactly.
 
     A pruned depth-first search over the server multisets of strict
-    subsets that can compute f
-    (:meth:`PlacementSpace.computable_multisets`); ties go to the
-    lexicographically first placement.  The budget counts ordered
-    placements and is checked before the search starts.  Influences are
-    exact, so a subset whose monomials are too wide raises
-    :class:`ExactLimitError`.
+    subsets that can compute f (:meth:`PlacementSpace.computable_multisets`,
+    which spends the step ``budget``); ties go to the lexicographically
+    first placement.  Influences are exact, so a subset whose monomials
+    are too wide raises :class:`ExactLimitError`.
     """
     space = PlacementSpace(c, f)
-    space.check_budget(budget)
     best = None
-    for best in space.computable_multisets(improving=True):
+    for best in space.computable_multisets(improving=True, budget=budget):
         pass
     if best is None:
         raise ValueError("no placement can cover the function's datasets")

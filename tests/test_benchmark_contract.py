@@ -54,10 +54,9 @@ def test_benchmark_tracer_runs_a_search_and_a_sweep(tmp_path):
         [sys.executable, "-B", "-c", code], capture_output=True, text=True, check=True
     )
     # The sweep's CSV and the placements come first; the summary lines are
-    # last.  The search scanned all C(4,2)^2 ordered placements, and the
-    # sweep synthesized for the 6 that compute f.  The tracer counts a
-    # search only when its third positional argument is absent or names
-    # SEARCH_EXHAUSTIVE: `place` scans the same 36, and `--method aligned`
-    # builds the aligned placement once.
+    # last.  The tracer charges each search count_placements, C(4,2)^2 = 36,
+    # though the pruned search visits fewer; the sweep synthesized for the
+    # 6 placements that compute f.  `place` is charged the same 36, and
+    # `--method aligned` builds the aligned placement once.
     assert proc.stdout.splitlines()[-2:] == ["{1,2}; {3,4} 16/16 0 1 36 6", "0 0 36 1"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]

@@ -126,6 +126,29 @@ def test_place_aligned_method(files, capsys):
     assert json.loads(out)["subsets"][0] == [1, 2, 3, 4, 5, 7]
 
 
+def test_place_answers_past_the_ordered_placement_count(files, capsys):
+    # C(9,3)^4 ordered placements are past the default budget, yet the
+    # search needs far fewer steps.  A brute force over all 84-multichoose-4
+    # server multisets finds the same minimiser and 416/512.
+    assert main(["place", "-f", files["f.json"], "-N", "4", "-M", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert out == '{"M":3,"N":4,"subsets":[[1,4,7],[2,5,8],[2,5,8],[3,6,9]]}\n'
+    assert err.splitlines()[0] == "as = 13/16"
+
+
+def test_place_budget_counts_search_steps(files, capsys):
+    # The search on the example function at (3,3) takes exactly 1,580 steps.
+    argv = ["place", "-f", files["f.json"], "-N", "3", "-M", "3", "--budget"]
+    assert main(argv + ["1580"]) == 0
+    assert capsys.readouterr().out == '{"M":3,"N":3,"subsets":[[1,4,7],[2,5,8],[3,6,9]]}\n'
+    assert main(argv + ["1579"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: placement search steps exceed the enumeration budget 1579",
+        "hint: raise --budget or shrink the instance",
+    ]
+
+
 def test_synthesize_exact_file_mode(files, capsys, tmp_path):
     out_path = tmp_path / "scheme.json"
     argv = [
@@ -324,6 +347,45 @@ def test_oracle_corollary_rho_on_the_example_function(files, capsys):
     assert '"spearman_rho":"0.8449684619067451"' in capsys.readouterr().out
 
 
+COROLLARY_4_3_LABELS = [
+    "{1,2,3}; {1,2,3}; {4,5,6}; {7,8,9}",
+    "{1,2,3}; {1,2,3}; {4,5,7}; {6,8,9}",
+    "{1,2,3}; {1,2,3}; {4,5,8}; {6,7,9}",
+    "{1,2,3}; {1,2,3}; {4,5,9}; {6,7,8}",
+    "{1,2,3}; {1,2,3}; {4,6,7}; {5,8,9}",
+]
+
+
+def test_oracle_corollary_reads_only_the_rows_it_needs(files, capsys):
+    # C(9,3)^4 ordered rows are past the row budget; the first five
+    # computable ones are reached after 5,792.
+    argv = ["oracle", "corollary", "-N", "4", "-M", "3", "-f", files["f.json"], "--limit", "5"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [case["label"] for case in report["cases"]] == COROLLARY_4_3_LABELS
+
+
+def test_oracle_corollary_exits_3_when_its_row_budget_runs_out(files, capsys, monkeypatch):
+    argv = ["oracle", "corollary", "-N", "4", "-M", "3", "-f", files["f.json"], "--limit", "5"]
+    monkeypatch.setattr(infplace.cli, "ENUMERATION_BUDGET", 5792)
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["cases"]) == 5
+    monkeypatch.setattr(infplace.cli, "ENUMERATION_BUDGET", 5791)
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the row budget 5791 ran out after 4 of --limit 5 computable placements",
+        "hint: shrink the instance",
+    ]
+    # All 36 rows of the (2,2) grid fit in a budget of 36, so the 6
+    # computable ones answer a limit of 8; one row fewer leaves a row unread.
+    argv = ["oracle", "corollary", "-N", "2", "-M", "2", "--limit", "8"]
+    monkeypatch.setattr(infplace.cli, "ENUMERATION_BUDGET", 36)
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["placements"] == "6"
+    monkeypatch.setattr(infplace.cli, "ENUMERATION_BUDGET", 35)
+    assert main(argv) == 3
+
+
 def sha256_of(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
@@ -422,12 +484,16 @@ def pairs_k24(tmp_path):
 
 
 def test_place_budget_is_checked_before_the_count_is_formed(capsys, tmp_path):
-    # C(24,12)^1000 has over 6,400 digits: too long to print as an integer.
-    argv = ["place", "-f", pairs_k24(tmp_path), "-N", "1000", "-M", "12"]
+    # C(28,14) = 40,116,600 subsets are past the budget before any is
+    # built, and C(28,14)^1000 is too long to print as an integer.
+    path = tmp_path / "pairs28.json"
+    monomials = [[2 * i + 1, 2 * i + 2] for i in range(14)]
+    path.write_text(json.dumps({"K": 28, "monomials": monomials}))
+    argv = ["place", "-f", str(path), "-N", "1000", "-M", "14"]
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.splitlines()[0] == (
-        "error: C(24,12)^1000 placements exceed the enumeration budget 10000000"
+        "error: 40116600 subsets of size 14 exceed the enumeration budget 10000000"
     )
 
 
@@ -530,6 +596,12 @@ PAIRS64_JSON = json.dumps({"K": 64, "monomials": [[2 * i + 1, 2 * i + 2] for i i
          "error: truth table for K=28 exceeds the K<=26 cap"),
         (["influence", "-f", "f.json", "--subset", "1"], {"f.json": '{"monomials":[[1]]}'}, 2,
          'error: function file needs field "K"'),
+        (["oracle", "theorem", "-N", "3", "-M", "0"], {}, 2,
+         "infplace oracle: error: argument -M/--cache-size: must be at least 1, got 0"),
+        (["oracle", "theorem", "-N", "-1", "-M", "2"], {}, 2,
+         "infplace oracle: error: argument -N/--num-servers: must be at least 1, got -1"),
+        (["oracle", "lemma1", "--trials", "-3"], {}, 2,
+         "infplace oracle: error: argument --trials: must be at least 1, got -3"),
     ],
 )
 def test_refused_requests_exit_with_their_message(argv, files, code, line, capsys, tmp_path):
@@ -537,13 +609,13 @@ def test_refused_requests_exit_with_their_message(argv, files, code, line, capsy
         (tmp_path / name).write_text(text)
     paths = [str(tmp_path / a) if a in files else a for a in argv]
     try:
-        got = main(paths)
-    except SystemExit as exc:  # argparse refuses a bad option value itself
-        got = exc.code
+        got, usage = main(paths), False
+    except SystemExit as exc:  # argparse refuses a bad option value itself,
+        got, usage = exc.code, True  # after printing its usage
     assert got == code
     err = capsys.readouterr().err
     if line is not None:
-        assert err.splitlines()[0] == line
+        assert err.splitlines()[-1 if usage else 0] == line
 
 
 def test_exit_2_for_missing_file(capsys, tmp_path):

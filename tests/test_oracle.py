@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -167,9 +168,41 @@ def test_theorem_three_servers_triples_summary():
     }
 
 
-def test_theorem_respects_enumeration_budget():
-    with pytest.raises(EnumerationBudgetError):
-        check_theorem(4, 4)
+def test_theorem_five_servers_pairs_summary():
+    # A grid the ordered-placement count once refused: C(10,2)^5 is past 10^7.
+    n, m = 5, 2
+    summary = check_theorem(n, m).summary
+    assert summary == {
+        "placements": "184528125",
+        "computable": "113400",
+        "min_as": "5/2",
+        "aligned_as": "5/2",
+        "aligned_T": "5",
+        "min_T": "5",
+        "min_T_placement": "{1,2}; {3,4}; {5,6}; {7,8}; {9,10}",
+    }
+    # Ordered placements, partitions of [NM] into N ordered M-sets, N/2^(M-1).
+    assert int(summary["placements"]) == comb(n * m, m) ** n
+    assert int(summary["computable"]) == factorial(n * m) // factorial(m) ** n
+    assert Fraction(summary["min_as"]) == Fraction(n, 1 << (m - 1))
+
+
+def test_theorem_respects_enumeration_budget(monkeypatch):
+    # The (3,3) search takes C(9,3) = 84 filter steps and 9,971 loop passes.
+    import infplace.placement as placement_module
+
+    counted = []
+
+    def influence(f, flip):
+        counted.append(flip)
+        return joint_influence_exact(f, flip)
+
+    monkeypatch.setattr(placement_module, "joint_influence_exact", influence)
+    monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 84 + 9971 - 1)
+    with pytest.raises(EnumerationBudgetError) as exc:
+        check_theorem(3, 3)
+    assert str(exc.value) == "placement search steps exceed the enumeration budget 10054"
+    assert counted == []  # refused before any influence is counted
 
 
 def test_corollary_study_records_but_never_fails():

@@ -124,12 +124,6 @@ def test_enumeration_is_lexicographic_and_complete():
     assert len(set(everything)) == len(everything)
 
 
-def test_enumeration_budget():
-    c = PlacementConstraints(12, 4, 3)
-    with pytest.raises(EnumerationBudgetError):
-        list(enumerate_placements(c, budget=1000))
-
-
 def test_exhaustive_search_returns_aligned_minimum(disjoint_pairs):
     placement, value = search_min_as(disjoint_pairs, PlacementConstraints(6, 3, 2))
     assert subsets_of(placement) == [[1, 2], [3, 4], [5, 6]]
@@ -212,20 +206,26 @@ def test_computable_matches_the_union_of_its_subsets_in_any_call_order():
     assert [space.computable(list(t)) for t in rows] == [want[t] for t in rows]
 
 
-def test_budget_guard_never_forms_the_count():
-    # C(24,12)^1000 has over 6,400 digits, past int-to-str conversion;
-    # the guard must decide without it and keep it out of the message.
-    space = PlacementSpace(PlacementConstraints(24, 1000, 12))
+# C(9,3) = 84 steps to filter the subsets, then 1,496 passes of the search loop.
+EXAMPLE_SEARCH_STEPS = 1580
+
+
+def test_search_budget_counts_the_steps_taken(example_function):
+    c = PlacementConstraints(9, 3, 3)
+    placement, value = search_min_as(example_function, c, budget=EXAMPLE_SEARCH_STEPS)
+    assert str(placement) == "{1,4,7}; {2,5,8}; {3,6,9}"
+    assert value.fraction == Fraction(11, 16)
     with pytest.raises(EnumerationBudgetError) as exc:
-        space.check_budget(10**7)
-    assert str(exc.value) == "C(24,12)^1000 placements exceed the enumeration budget 10000000"
-    PlacementSpace(PlacementConstraints(4, 2, 2)).check_budget(36)
-    with pytest.raises(EnumerationBudgetError):
-        PlacementSpace(PlacementConstraints(4, 2, 2)).check_budget(35)
-    PlacementSpace(PlacementConstraints(4, 1000, 4)).check_budget(1)  # one subset
-    PlacementSpace(PlacementConstraints(3, 5, 4)).check_budget(0)  # empty grid
-    with pytest.raises(EnumerationBudgetError):
-        PlacementSpace(PlacementConstraints(3, 5, 4)).check_budget(-1)
+        search_min_as(example_function, c, budget=EXAMPLE_SEARCH_STEPS - 1)
+    assert str(exc.value) == "placement search steps exceed the enumeration budget 1579"
+
+
+def test_search_budget_below_the_subset_count_builds_no_mask(example_function):
+    space = PlacementSpace(PlacementConstraints(9, 3, 3), example_function)
+    with pytest.raises(EnumerationBudgetError) as exc:
+        next(space.computable_multisets(budget=83))
+    assert str(exc.value) == "84 subsets of size 3 exceed the enumeration budget 83"
+    assert space._masks == [] and space._counts == {}
 
 
 def test_space_builds_only_the_subsets_it_visits():
@@ -294,8 +294,8 @@ def test_exhaustive_search_matches_ordered_reference_on_random_instances():
 
 
 def test_single_subset_grid_needs_no_recursion():
-    # One subset passes the budget guard at any N; the search must not
-    # grow the call stack with the server count.
+    # One subset on 1000 servers: the search must not grow the call stack
+    # with the server count.
     f = BooleanFunctionANF.from_indices(4, [[1, 2], [3, 4]])
     placement, value = search_min_as(f, PlacementConstraints(4, 1000, 4))
     assert placement.subset_masks == (0b1111,) * 1000
