@@ -275,14 +275,16 @@ def _cmd_sweep(args, inputs):
     )
     denom = 1 << f.num_datasets
     text: dict[int, tuple[str, str]] = {}  # subset number -> (label, influence)
+    counts: dict[int, int] = {}  # subset number -> influence count
     sums: dict[int, tuple[str, str]] = {}  # summed count -> (as, as_decimal)
     rows = space.ordered()
     emitted = 0
     for combo in islice(rows, args.budget):
         for i in combo:
             if i not in text:
-                text[i] = subset_label(space.mask(i)), str(Fraction(space.influence(i), denom))
-        summed = sum(map(space.influence, combo))
+                counts[i] = space.influence(i)
+                text[i] = subset_label(space.mask(i)), str(Fraction(counts[i], denom))
+        summed = sum(map(counts.__getitem__, combo))
         if summed not in sums:
             as_value = Fraction(summed, denom)
             sums[summed] = str(as_value), repr(float(as_value))
@@ -445,13 +447,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _infeasible_hint(args: argparse.Namespace) -> str:
-    """The ways out of exit 3 that the running command offers."""
+def _infeasible_hint(args: argparse.Namespace, exc: Exception) -> str:
+    """The ways out of the exit 3 raised that the running command offers."""
     ways = []
-    if hasattr(args, "mc"):
+    if isinstance(exc, ExactLimitError) and hasattr(args, "mc"):
         ways.append("use --mc")
-    if hasattr(args, "budget"):
-        ways.append("raise --budget")
+    if isinstance(exc, EnumerationBudgetError):
+        if args.command == "place":
+            ways.append("raise --budget")
+        elif getattr(args, "claim", None) == "corollary":
+            ways.append("lower --limit")
     ways.append("shrink the instance")
     return " or ".join(ways)
 
@@ -472,7 +477,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_UNCOMPUTABLE
     except (ExactLimitError, EnumerationBudgetError, SynthesisLimitError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        sys.stderr.write(f"hint: {_infeasible_hint(args)}\n")
+        sys.stderr.write(f"hint: {_infeasible_hint(args, exc)}\n")
         return EXIT_INFEASIBLE
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

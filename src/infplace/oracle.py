@@ -257,19 +257,28 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
     # Piece counts ignore server order: list the computable multisets,
     # weighting each by its orderings so the count stays an ordered one.
     # It runs first, so a grid past the budget is refused before any influence count.
+    # At K = N*M every computable multiset is a partition of the datasets.
+    # Two partitions with the same server types differ only by a permutation
+    # inside each product and a reordering of servers, and neither changes T,
+    # so T is synthesized once per sorted tuple of server types.
     num_computable = 0
     min_t = None
     min_t_placement = None
+    pieces: dict[tuple[tuple[int, ...], ...], int] = {}
     for combo in space.computable_multisets(budget=ENUMERATION_BUDGET):
         num_computable += orderings(combo)
         placement = space.config(combo)
-        t = count_transmissions(synthesize_exact(f, placement)).total
+        kinds = tuple(sorted(map(space.class_counts, placement.subset_masks)))
+        if kinds not in pieces:
+            pieces[kinds] = count_transmissions(synthesize_exact(f, placement)).total
+        t = pieces[kinds]
         if min_t is None or t < min_t:
             min_t = t
             min_t_placement = placement
     # The least summed influence over every placement, computable or not,
     # puts the least subset influence on every server.
-    min_as = Fraction(n * min(map(space.influence, range(space.num_subsets))), 1 << k)
+    least = min(map(space.influence, space.first_of_each_type().values()))
+    min_as = Fraction(n * least, 1 << k)
 
     aligned = aligned_placement(f, constraints)
     aligned_as = avg_joint_sensitivity(f, aligned).fraction

@@ -187,21 +187,40 @@ def orderings(combo: Sequence[int]) -> int:
     return out
 
 
+def twin_classes(f: BooleanFunctionANF) -> list[int]:
+    """f's datasets grouped by the set of monomials they lie in, as masks.
+
+    Swapping two datasets of one class (twins) maps every monomial to
+    itself, so it leaves f unchanged.  The classes of datasets that lie
+    in some monomial come first, by lowest dataset; the datasets in no
+    monomial form the last class, which may be empty.
+    """
+    groups: dict[tuple[int, ...], int] = {}
+    for b in range(f.num_datasets):
+        key = tuple(i for i, mono in enumerate(f.monomials) if mono >> b & 1)
+        groups[key] = groups.get(key, 0) | 1 << b
+    free = groups.pop((), 0)
+    return [*groups.values(), free]
+
+
 class PlacementSpace:
     """Every strict placement of one grid, and f's influence over its subsets.
 
     Size-M subsets are numbered in lexicographic order of their index
     tuples, so a placement is a tuple of subset numbers whose
-    lexicographic order is the placements' own.  Subset masks and exact
-    influence counts are built on first use: scanning the first rows of
-    a huge grid costs only those rows.
+    lexicographic order is the placements' own.  Subset masks are built
+    on first use: scanning the first rows of a huge grid costs only
+    those rows.
+
+    A subset's *type* is the number of datasets it takes from each twin
+    class of f (:func:`twin_classes`).  Two subsets of one type differ by
+    a permutation inside the classes, which leaves f unchanged, so they
+    have the same influence: it is counted once per type, on the first
+    subset of that type asked for.
 
     Summed influence, computability and the exact piece count do not
-    depend on server order, so callers that need only those search the
-    sorted server multisets with :meth:`computable_multisets`, a pruned
-    depth-first search.  The sorted tuple of any minimiser is also a
-    minimiser and comes no later, so the first minimising multiset is
-    the first minimising ordered placement.
+    depend on server order, so :meth:`computable_multisets` lists the
+    sorted server multisets instead of the ordered placements.
     """
 
     def __init__(self, c: PlacementConstraints, f: BooleanFunctionANF | None = None):
@@ -211,7 +230,8 @@ class PlacementSpace:
         # Combinations of the datasets' bits, in the order of their indices.
         self._combos = combinations([1 << b for b in range(c.num_datasets)], c.cache_size)
         self._masks: list[int] = []
-        self._counts: dict[int, int] = {}
+        self._classes = [] if f is None else twin_classes(f)
+        self._counts: dict[tuple[int, ...], int] = {}  # influence count per type
         self._prefix: Sequence[int] | None = None
         self._prefix_missing = 0
 
@@ -227,11 +247,34 @@ class PlacementSpace:
             masks.append(sum(next(self._combos)))
         return masks[i]
 
+    def class_counts(self, mask: int) -> tuple[int, ...]:
+        """How many datasets of ``mask`` lie in each twin class of f; a
+        subset's type."""
+        return tuple((mask & cls).bit_count() for cls in self._classes)
+
     def influence(self, i: int) -> int:
         """Exact joint influence of subset ``i`` as a count over 2^K inputs."""
-        if i not in self._counts:
-            self._counts[i] = joint_influence_exact(self.function, self.mask(i)).count
-        return self._counts[i]
+        kind = self.class_counts(self.mask(i))
+        if kind not in self._counts:
+            self._counts[kind] = joint_influence_exact(self.function, self.mask(i)).count
+        return self._counts[kind]
+
+    def check_subset_budget(self, budget: int) -> int:
+        """The C(K,M) steps of listing the subsets, refused past ``budget``
+        before any mask is built."""
+        if self.num_subsets > budget:
+            raise EnumerationBudgetError(
+                f"{self.num_subsets} subsets of size {self.constraints.cache_size}"
+                f" exceed the enumeration budget {budget}"
+            )
+        return self.num_subsets
+
+    def first_of_each_type(self) -> dict[tuple[int, ...], int]:
+        """Each subset type and the number of its first subset, in that order."""
+        first: dict[tuple[int, ...], int] = {}
+        for i in range(self.num_subsets):
+            first.setdefault(self.class_counts(self.mask(i)), i)
+        return first
 
     def computable(self, combo: Sequence[int]) -> bool:
         """Every dataset of f is held by some server of the placement.
@@ -272,9 +315,7 @@ class PlacementSpace:
                     return
             combo[pos] += 1
 
-    def computable_multisets(
-        self, improving: bool = False, budget: int = ENUMERATION_BUDGET
-    ) -> Iterator[tuple[int, ...]]:
+    def computable_multisets(self, budget: int = ENUMERATION_BUDGET) -> Iterator[tuple[int, ...]]:
         """Server multisets that can compute f, as sorted tuples, lexicographic.
 
         One depth-first search over sorted tuples, written as a loop so
@@ -285,65 +326,43 @@ class PlacementSpace:
         datasets to the other servers are in no computable multiset, so
         the search never considers them.
 
-        With ``improving``, a multiset is yielded only when its summed
-        influence is strictly below that of every multiset yielded
-        before, so the last one yielded is the lexicographically first
-        minimiser.  A prefix is then also cut when its sum plus r times
-        the least influence among the subsets it may still use is not
-        below the best sum.  Influence is counted only for the subsets
-        the search considers.
-
         The budget counts steps: C(K,M) for filtering the subsets, checked
         before any mask is built, then one per pass of the loop.  Past it,
         :class:`EnumerationBudgetError` is raised.
         """
         n, m = self.constraints.num_servers, self.constraints.cache_size
-        over = f"exceed the enumeration budget {budget}"
-        steps = self.num_subsets
-        if steps > budget:
-            raise EnumerationBudgetError(f"{steps} subsets of size {m} {over}")
+        steps = self.check_subset_budget(budget)
         need = self.function.support_mask
         cands = [
             i for i in range(self.num_subsets)
             if (need & ~self.mask(i)).bit_count() <= (n - 1) * m
         ]
         masks = [self.mask(i) for i in cands]
-        counts = [self.influence(i) for i in cands] if improving else [0] * len(cands)
-        # The union and the least count over candidates j, j+1, ...
+        # The union over candidates j, j+1, ...
         reach = [*accumulate(reversed(masks), or_)][::-1] + [0]
-        floor = [*accumulate(reversed(counts), min)][::-1]
-        best = None
         combo = [0] * n  # candidate positions chosen for the first d servers
         left = [need] + [0] * n  # f's datasets not yet held
-        total = [0] * (n + 1)  # summed influence count of the first d servers
         d = j = 0
         while True:
             steps += 1
             if steps > budget:
-                raise EnumerationBudgetError(f"placement search steps {over}")
+                raise EnumerationBudgetError(
+                    f"placement search steps exceed the enumeration budget {budget}"
+                )
             r = n - d
-            if (
-                j == len(cands)
-                or left[d] & ~reach[j]
-                or best is not None and total[d] + r * floor[j] >= best
-            ):
+            if j == len(cands) or left[d] & ~reach[j]:
                 if d == 0:
                     return
                 d -= 1
                 j = combo[d] + 1
                 continue
             rest = left[d] & ~masks[j]
-            t = total[d] + counts[j]
-            if rest.bit_count() > (r - 1) * m or (
-                best is not None and t + (r - 1) * floor[j] >= best
-            ):
+            if rest.bit_count() > (r - 1) * m:
                 j += 1
             elif r > 1:
-                combo[d], left[d + 1], total[d + 1] = j, rest, t
+                combo[d], left[d + 1] = j, rest
                 d += 1
             else:
-                if improving:
-                    best = t
                 yield tuple(cands[i] for i in combo[:d] + [j])
                 j += 1
 
@@ -359,17 +378,115 @@ def search_min_as(
 ) -> tuple[PlacementConfig, InfluenceValue]:
     """Find a placement minimizing the summed joint influence, exactly.
 
-    A pruned depth-first search over the server multisets of strict
-    subsets that can compute f (:meth:`PlacementSpace.computable_multisets`,
-    which spends the step ``budget``); ties go to the lexicographically
-    first placement.  Influences are exact, so a subset whose monomials
-    are too wide raises :class:`ExactLimitError`.
+    Returns the lexicographically first strict placement of least summed
+    influence among those that can compute f.  Summed influence and
+    coverage depend only on each server's subset type, and on how many
+    datasets of each twin class f still needs (:class:`PlacementSpace`),
+    so the search runs over types in two exact phases:
+
+    1. The least sum v* comes from a memoised search over (servers left,
+       datasets each class still needs).  It uses only the types that
+       leave at most (N-1)*M of f's datasets to the other servers.  Some
+       server must hold the first class still needed, and it may as well
+       come first, so a state tries only the types that hold some of
+       that class, cheapest first.  It skips a type that leaves the same
+       need as a cheaper one, and stops once r times the least influence
+       cannot beat its best.  Servers left once nothing is needed take
+       the cheapest type.  Every level holds a needed dataset, so the
+       search recurses at most once per dataset of f, never once per
+       server.
+    2. The minimiser is built one server at a time.  Each server takes the
+       first subset, at or after the previous server's, whose influence
+       and the least completion of what is still needed keep the sum at
+       v*.  A sorted multiset that attains v* after a smaller choice would
+       come before the first minimiser, so every choice is that
+       minimiser's.
+
+    The budget counts steps: C(K,M) for listing the subsets' types,
+    checked before any mask is built, then one per type tried in phase 1
+    and one per subset scanned in phase 2.  Past it,
+    :class:`EnumerationBudgetError` is raised.  Influences are exact, so
+    a subset whose monomials are too wide raises :class:`ExactLimitError`.
     """
     space = PlacementSpace(c, f)
-    best = None
-    for best in space.computable_multisets(improving=True, budget=budget):
-        pass
-    if best is None:
+    n, m = c.num_servers, c.cache_size
+    steps = space.check_subset_budget(budget)
+    over = f"placement search steps exceed the enumeration budget {budget}"
+    need = f.support_mask
+    counts = {
+        kind: space.influence(i)
+        for kind, i in space.first_of_each_type().items()
+        if (need & ~space.mask(i)).bit_count() <= (n - 1) * m
+    }
+    least = min(counts.values(), default=None)
+    # Phase 1 packs the counts per class into one integer, `width` bits a
+    # class, the top bit of each field a guard no count reaches (counts are
+    # at most K).  Subtracting a type from (need | guards) clears a field's
+    # guard exactly where the type holds more than is needed, and the other
+    # fields are what is still needed there.  As 2^width - 1 exceeds K, a
+    # packed need's remainder modulo 2^width - 1 is its sum.
+    width = c.num_datasets.bit_length() + 1
+    fold = (1 << width) - 1
+    demand = space.class_counts(need)
+    guards = sum(1 << (width * cls + width - 1) for cls in range(len(demand)))
+
+    def packed(kind: tuple[int, ...]) -> int:
+        return sum(v << (width * cls) for cls, v in enumerate(kind))
+
+    kinds = sorted((count, packed(kind)) for kind, count in counts.items())
+    # Per class, the types that hold some of its datasets, cheapest first.
+    holding = [
+        [(count, kind) for count, kind in kinds if kind >> (width * cls) & fold]
+        for cls in range(len(demand))
+    ]
+    memo: dict[tuple[int, int], int | None] = {}
+
+    def completion(r: int, left: int) -> int | None:
+        """Least summed influence of r servers holding the packed need ``left``."""
+        nonlocal steps
+        if (r, left) in memo:
+            return memo[r, left]
+        if not left:
+            return r * least
+        best = None
+        if left % fold <= r * m:
+            first = ((left & -left).bit_length() - 1) // width
+            tried = set()  # a later type that leaves the same need costs no less
+            for count, kind in holding[first]:
+                if best is not None and count + (r - 1) * least >= best:
+                    break
+                steps += 1
+                if steps > budget:
+                    raise EnumerationBudgetError(over)
+                diff = (left | guards) - kind
+                kept = diff & guards
+                rest = diff & (kept - (kept >> (width - 1)))
+                if rest in tried:
+                    continue
+                tried.add(rest)
+                after = completion(r - 1, rest)
+                if after is not None and (best is None or count + after < best):
+                    best = count + after
+        memo[r, left] = best
+        return best
+
+    value = None if least is None else completion(n, packed(demand))
+    if value is None:
         raise ValueError("no placement can cover the function's datasets")
-    total = sum(space.influence(i) for i in best)
-    return space.config(best), InfluenceValue.exact_value(total, 1 << c.num_datasets)
+    combo: list[int] = []
+    left, total, j = need, 0, 0
+    for r in range(n, 0, -1):
+        while True:
+            steps += 1
+            if steps > budget:
+                raise EnumerationBudgetError(over)
+            count = counts.get(space.class_counts(space.mask(j)))
+            if count is not None and total + count + (r - 1) * least <= value:
+                rest = left & ~space.mask(j)
+                after = completion(r - 1, packed(space.class_counts(rest)))
+                if after is not None and total + count + after == value:
+                    break
+            j += 1
+        combo.append(j)
+        left, total = rest, total + count
+    return space.config(combo), InfluenceValue.exact_value(value, 1 << c.num_datasets)

@@ -8,7 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial
 
 import numpy as np
@@ -185,6 +185,42 @@ def test_theorem_five_servers_pairs_summary():
     assert int(summary["placements"]) == comb(n * m, m) ** n
     assert int(summary["computable"]) == factorial(n * m) // factorial(m) ** n
     assert Fraction(summary["min_as"]) == Fraction(n, 1 << (m - 1))
+
+
+@pytest.mark.parametrize("n,m", [(3, 3), (4, 2)])
+def test_piece_count_depends_only_on_the_server_by_product_counts(n, m):
+    # check_theorem synthesizes one multiset per class of equal sorted
+    # server-by-product counts; here every computable multiset is
+    # synthesized and compared with the first of its class.
+    f = disjoint_products(n, m)
+    subsets = [mask_from_indices(ix) for ix in combinations(range(1, n * m + 1), m)]
+    first_t = {}
+    listed = 0
+    for combo in combinations_with_replacement(subsets, n):
+        union = 0
+        for s in combo:
+            union |= s
+        if f.support_mask & ~union:
+            continue
+        listed += 1
+        kinds = tuple(sorted(tuple((s & p).bit_count() for p in f.monomials) for s in combo))
+        t = count_transmissions(synthesize_exact(f, PlacementConfig(n, m, combo))).total
+        assert first_t.setdefault(kinds, t) == t, combo
+    assert listed == factorial(n * m) // factorial(m) ** n // factorial(n)
+    assert len(first_t) == {(3, 3): 10, (4, 2): 17}[n, m]
+
+
+def test_theorem_synthesizes_once_per_class_and_once_aligned(monkeypatch):
+    calls = []
+
+    def counted(f, placement):
+        calls.append(placement)
+        return synthesize_exact(f, placement)
+
+    monkeypatch.setattr(oracle, "synthesize_exact", counted)
+    summary = check_theorem(3, 3).summary
+    assert summary["computable"] == "1680" and summary["min_T"] == "3"
+    assert len(calls) == 10 + 1  # the 10 classes of the 280 multisets, then aligned
 
 
 def test_theorem_respects_enumeration_budget(monkeypatch):

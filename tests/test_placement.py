@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement, product
 from math import comb
 from operator import or_
 
@@ -206,8 +206,9 @@ def test_computable_matches_the_union_of_its_subsets_in_any_call_order():
     assert [space.computable(list(t)) for t in rows] == [want[t] for t in rows]
 
 
-# C(9,3) = 84 steps to filter the subsets, then 1,496 passes of the search loop.
-EXAMPLE_SEARCH_STEPS = 1580
+# C(9,3) = 84 steps to list the subsets' types, 97 types tried in phase 1,
+# and 63 subsets scanned in phase 2: the minimiser's last subset is number 60.
+EXAMPLE_SEARCH_STEPS = 244
 
 
 def test_search_budget_counts_the_steps_taken(example_function):
@@ -217,7 +218,7 @@ def test_search_budget_counts_the_steps_taken(example_function):
     assert value.fraction == Fraction(11, 16)
     with pytest.raises(EnumerationBudgetError) as exc:
         search_min_as(example_function, c, budget=EXAMPLE_SEARCH_STEPS - 1)
-    assert str(exc.value) == "placement search steps exceed the enumeration budget 1579"
+    assert str(exc.value) == "placement search steps exceed the enumeration budget 243"
 
 
 def test_search_budget_below_the_subset_count_builds_no_mask(example_function):
@@ -375,3 +376,61 @@ def test_pruned_search_matches_multiset_reference_at_four_and_five_servers():
         assert value.fraction == expected[1], (str(f), c)
         found += 1
     assert found >= 50
+
+
+def pruned_search_reference(f, c):
+    """The sorted-multiset search the search replaced: depth first, cut
+    when the subsets left cannot hold what f still needs or when the sum
+    cannot beat the best so far, counting influence once per subset.
+    The first computable multiset of least summed influence, as (masks,
+    count), or ``None``."""
+    n, m = c.num_servers, c.cache_size
+    need = f.support_mask
+    masks = [mask_from_indices(ix) for ix in combinations(range(1, c.num_datasets + 1), m)]
+    masks = [s for s in masks if (need & ~s).bit_count() <= (n - 1) * m]
+    counts = [joint_influence_exact(f, s).count for s in masks]
+    reach = [*accumulate(reversed(masks), or_)][::-1] + [0]
+    floor = [*accumulate(reversed(counts), min)][::-1]
+    best = None
+
+    def extend(start, left, total, chosen):
+        nonlocal best
+        r = n - len(chosen)
+        for j in range(start, len(masks)):
+            if left & ~reach[j] or best is not None and total + r * floor[j] >= best[1]:
+                return
+            rest, t = left & ~masks[j], total + counts[j]
+            if rest.bit_count() > (r - 1) * m or best is not None and t + (r - 1) * floor[j] >= best[1]:
+                continue
+            if r > 1:
+                extend(j, rest, t, chosen + [j])
+            else:
+                best = (tuple(masks[i] for i in chosen + [j]), t)
+
+    extend(0, need, 0, [])
+    return best
+
+
+def test_twin_class_search_matches_the_pruned_subset_search():
+    rng = random.Random(20261019)
+    found = constant = 0
+    for _ in range(400):
+        k = rng.randint(3, 9)
+        n = rng.randint(2, 5)
+        m = rng.randint(1, min(4, k))
+        monomials = [
+            rng.sample(range(1, k + 1), rng.randint(0, min(k, 3)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        f, c = BooleanFunctionANF.from_indices(k, monomials), PlacementConstraints(k, n, m)
+        constant += f.constant_term
+        expected = pruned_search_reference(f, c)
+        if expected is None:
+            with pytest.raises(ValueError, match="no placement can cover"):
+                search_min_as(f, c)
+            continue
+        placement, value = search_min_as(f, c)
+        assert placement.subset_masks == expected[0], (str(f), c)
+        assert (value.count, value.denominator) == (expected[1], 1 << k), (str(f), c)
+        found += 1
+    assert found >= 350 and constant >= 100
