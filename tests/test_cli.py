@@ -427,6 +427,32 @@ def test_oracle_corollary_outputs_are_pinned(files, capsys, tmp_path):
     )
 
 
+THEOREM_SHA256 = {  # (N, M): JSON and CSV of `oracle theorem`
+    (3, 3): ("71d149d550affbbd4e73eb16edd54de914b62c9e94f557d65b3e1dd5ec4e93c6",
+             "5f18412e160abbce1ebbd3cd49feab768782e43435a86fd3880208b7ae65faae"),
+    (5, 2): ("144b225986b7fefbf15c0fc1a12e9009df7746f2a89d2874ed44af2f7ff77ba2",
+             "f383ffcdc3764df3895ffedb382b288253445f0e356862235729c281e16f4a30"),
+    (2, 4): ("99fea93b92800e4ed3b22f5ce584612a9091dd55a90434430134e40a986ea3bc",
+             "d2e3d7c25e297e131c4d5610be9ca8909d43c00fca3649a15b2efc791abeb98c"),
+    (4, 2): ("434d859e270d9b71b5ed67b15afc754d6652961bb165dcefd7c4ba41e3bfcb27",
+             "00a7122bb13b9098167b8a7e7c820fe06c613d8b0610d162b110056f47a5fa8a"),
+    (3, 4): ("57af905821724e5b0d758b7f220dc2dc63fde943bef9ac4e5693d9bc41d77842",
+             "d1ee40e7662431c90eec4413c5b8c1edeff613321d9945c3559f440019cc8ccf"),
+    (4, 3): ("c222089442f58bb438f5933582c75578df151b80c426e6fa8133bd8fe1461c20",
+             "029f94857e5f413a2d54d7245b52dcfa1b08da2124ce9d387290537245911631"),
+    (6, 2): ("41d4e332b18ffc8521ebdd32def79c78aa5463157aee1b318009d2b47cec31cc",
+             "01c6d251a80fc3428e20cba9870bbade1a88d43e5e1f87fd18c35a39f606582e"),
+}
+
+
+@pytest.mark.parametrize("n,m", list(THEOREM_SHA256))
+def test_oracle_theorem_outputs_are_pinned(capsys, tmp_path, n, m):
+    report, cases = tmp_path / "theorem.json", tmp_path / "theorem.csv"
+    argv = ["oracle", "theorem", "-N", str(n), "-M", str(m)]
+    assert main(argv + ["-o", str(report), "--csv", str(cases)]) == 0
+    assert (sha256_of(report), sha256_of(cases)) == THEOREM_SHA256[n, m]
+
+
 @pytest.mark.parametrize("limit", ["0", "-1"])
 def test_oracle_corollary_limit_below_one_exits_2(capsys, limit):
     with pytest.raises(SystemExit) as exc:
