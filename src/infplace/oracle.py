@@ -20,8 +20,10 @@ from __future__ import annotations
 import csv
 import io
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,12 +45,12 @@ from .influence import (
 )
 from .placement import (
     ENUMERATION_BUDGET,
+    Budget,
     PlacementConfig,
     PlacementConstraints,
     PlacementSpace,
     aligned_placement,
     count_placements,
-    orderings,
     subset_label,
 )
 from .transmission import count_transmissions, synthesize_exact
@@ -245,6 +247,21 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
     the minimum average joint sensitivity over all strict placements is
     N/2^(M-1), the aligned placement attains it, and no placement that
     admits a scheme beats the aligned piece count of N.
+
+    At K = N*M every computable placement is a partition of the datasets
+    and f's twin classes are its products, so a server's type
+    (:class:`PlacementSpace`) is one row of an N x N server-by-product
+    count matrix whose columns each sum to M.  Permuting datasets inside
+    a product, or the servers, maps f to itself and keeps the exact piece
+    count T.  So the check lists the tuples of types with exact column
+    sums, each sorted in the order of the types' first subsets, one budget
+    step per type tried.  It charges one step per tuple before the first
+    synthesis, then synthesizes T once per tuple, on its member where each
+    server in turn takes the lowest datasets still free in each product.
+    A tuple stands for N!/prod(repeats!) * prod_j M!/prod_n a_nj! ordered
+    placements.  That member is the tuple's first sorted placement, and
+    tuples are listed in the order of their members, so the first member
+    of least T is ``min_T_placement``.
     """
     n, m = num_servers, cache_size
     k = n * m
@@ -253,31 +270,45 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
     space = PlacementSpace(constraints, f)
     total = count_placements(constraints)
     target_as = Fraction(n, 1 << (m - 1))
+    budget = Budget(ENUMERATION_BUDGET)
+    first = space.first_of_each_type(budget)
+    order = list(first)
+    rank = {kind: i for i, kind in enumerate(order)}
+    tuples: list[tuple[int, ...]] = []
 
-    # Piece counts ignore server order: list the computable multisets,
-    # weighting each by its orderings so the count stays an ordered one.
-    # It runs first, so a grid past the budget is refused before any influence count.
-    # At K = N*M every computable multiset is a partition of the datasets.
-    # Two partitions with the same server types differ only by a permutation
-    # inside each product and a reordering of servers, and neither changes T,
-    # so T is synthesized once per sorted tuple of server types.
-    num_computable = 0
-    min_t = None
-    min_t_placement = None
-    pieces: dict[tuple[tuple[int, ...], ...], int] = {}
-    for combo in space.computable_multisets(budget=ENUMERATION_BUDGET):
-        num_computable += orderings(combo)
-        placement = space.config(combo)
-        kinds = tuple(sorted(map(space.class_counts, placement.subset_masks)))
-        if kinds not in pieces:
-            pieces[kinds] = count_transmissions(synthesize_exact(f, placement)).total
-        t = pieces[kinds]
-        if min_t is None or t < min_t:
-            min_t = t
-            min_t_placement = placement
+    def extend(kinds: tuple[int, ...], left: int, start: int) -> None:
+        """List each sorted completion of ``kinds`` that takes exactly the packed ``left``."""
+        if not left:
+            tuples.append(kinds)
+            return
+        budget.charge(len(order) - start)  # every type from the previous server's on
+        for kind in space.within(left, order[start:]):
+            extend(kinds + (kind,), left - kind, rank[kind])
+
+    def member(kinds: tuple[int, ...]) -> PlacementConfig:
+        taken = [0] * n  # datasets j*M+1 .. (j+1)*M form product j
+        masks = []
+        for kind in kinds:
+            counts = [space.count(kind, j) for j in range(n)]
+            masks.append(sum(((1 << a) - 1) << (j * m + taken[j]) for j, a in enumerate(counts)))
+            taken = [t + a for t, a in zip(taken, counts)]
+        return PlacementConfig(n, m, tuple(masks))
+
+    extend((), space.kind(f.support_mask), 0)
+    budget.charge(len(tuples))
+    members = [member(kinds) for kinds in tuples]
+    pieces = [count_transmissions(synthesize_exact(f, p)).total for p in members]
+    num_computable = sum(
+        factorial(n) // prod(map(factorial, Counter(kinds).values()))
+        * prod(factorial(m) // prod(factorial(space.count(kind, j)) for kind in kinds)
+               for j in range(n))
+        for kinds in tuples
+    )
+    min_t = min(pieces)
+    min_t_placement = members[pieces.index(min_t)]
     # The least summed influence over every placement, computable or not,
     # puts the least subset influence on every server.
-    least = min(map(space.influence, space.first_of_each_type().values()))
+    least = min(map(space.influence, first.values()))
     min_as = Fraction(n * least, 1 << k)
 
     aligned = aligned_placement(f, constraints)
@@ -307,7 +338,7 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
             label=f"min piece count over {num_computable} computable placements",
             expected=f">= {n}",
             observed=str(min_t),
-            passed=min_t is not None and min_t >= n,
+            passed=min_t >= n,
         ),
     ]
     summary = {

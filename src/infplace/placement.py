@@ -11,9 +11,8 @@ only.  Every scan over placements goes through :class:`PlacementSpace`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, combinations, groupby
-from math import comb, factorial
-from operator import or_
+from itertools import combinations
+from math import comb
 from typing import Iterator, Sequence
 
 from .anf import (
@@ -55,6 +54,10 @@ class PlacementConstraints:
             v = getattr(self, name)
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        if self.cache_size > self.num_datasets:
+            raise ValueError(
+                f"cache size {self.cache_size} exceeds dataset count {self.num_datasets}"
+            )
 
 
 @dataclass(frozen=True)
@@ -123,8 +126,6 @@ def cyclic_placement(c: PlacementConstraints) -> PlacementConfig:
     """Baseline placement: server n holds an M-wide index window shifted by
     ceil(K/N) per server (the shift rule also covers K != N*M)."""
     k, n, m = c.num_datasets, c.num_servers, c.cache_size
-    if m > k:
-        raise ValueError(f"cache size {m} exceeds dataset count {k}")
     shift = -(-k // n)
     masks = []
     for server in range(n):
@@ -179,14 +180,6 @@ def count_placements(c: PlacementConstraints) -> int:
     return comb(c.num_datasets, c.cache_size) ** c.num_servers
 
 
-def orderings(combo: Sequence[int]) -> int:
-    """Ordered placements sharing this sorted multiset of subsets: n!/prod(mult!)."""
-    out = factorial(len(combo))
-    for _, run in groupby(combo):
-        out //= factorial(len(list(run)))
-    return out
-
-
 def twin_classes(f: BooleanFunctionANF) -> list[int]:
     """f's datasets grouped by the set of monomials they lie in, as masks.
 
@@ -201,6 +194,20 @@ def twin_classes(f: BooleanFunctionANF) -> list[int]:
         groups[key] = groups.get(key, 0) | 1 << b
     free = groups.pop((), 0)
     return [*groups.values(), free]
+
+
+class Budget:
+    """The steps one placement search may take."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.steps = 0
+
+    def charge(self, steps: int = 1, what: str = "placement search steps") -> None:
+        """Spend ``steps``; past the limit, :class:`EnumerationBudgetError`."""
+        self.steps += steps
+        if self.steps > self.limit:
+            raise EnumerationBudgetError(f"{what} exceed the enumeration budget {self.limit}")
 
 
 class PlacementSpace:
@@ -218,9 +225,12 @@ class PlacementSpace:
     have the same influence: it is counted once per type, on the first
     subset of that type asked for.
 
-    Summed influence, computability and the exact piece count do not
-    depend on server order, so :meth:`computable_multisets` lists the
-    sorted server multisets instead of the ordered placements.
+    Types, and what a set of servers still needs of each class, are
+    packed into one integer, ``width`` bits a class, class 0 lowest.  The
+    top bit of each field is a guard that no count reaches (counts are at
+    most K), so :meth:`take` is a few integer operations, and as
+    2^width - 1 exceeds K, a packed count's remainder modulo 2^width - 1
+    is its sum (:meth:`size`).
     """
 
     def __init__(self, c: PlacementConstraints, f: BooleanFunctionANF | None = None):
@@ -230,10 +240,13 @@ class PlacementSpace:
         # Combinations of the datasets' bits, in the order of their indices.
         self._combos = combinations([1 << b for b in range(c.num_datasets)], c.cache_size)
         self._masks: list[int] = []
-        self._classes = [] if f is None else twin_classes(f)
-        self._counts: dict[tuple[int, ...], int] = {}  # influence count per type
+        self.classes = [] if f is None else twin_classes(f)
+        self._counts: dict[int, int] = {}  # influence count per type
         self._prefix: Sequence[int] | None = None
         self._prefix_missing = 0
+        self._width = c.num_datasets.bit_length() + 1
+        self._fold = (1 << self._width) - 1
+        self._guards = sum(1 << (self._width * (cls + 1) - 1) for cls in range(len(self.classes)))
 
     @property
     def size_text(self) -> str:
@@ -247,33 +260,61 @@ class PlacementSpace:
             masks.append(sum(next(self._combos)))
         return masks[i]
 
-    def class_counts(self, mask: int) -> tuple[int, ...]:
-        """How many datasets of ``mask`` lie in each twin class of f; a
-        subset's type."""
-        return tuple((mask & cls).bit_count() for cls in self._classes)
+    def kind(self, mask: int) -> int:
+        """How many datasets of ``mask`` lie in each twin class of f, packed:
+        a subset's type."""
+        w = self._width
+        return sum((mask & cls).bit_count() << (w * i) for i, cls in enumerate(self.classes))
+
+    def count(self, kind: int, cls: int) -> int:
+        """The count of class ``cls`` in a packed type or need."""
+        return kind >> (self._width * cls) & self._fold
+
+    def first_class(self, left: int) -> int:
+        """The first class with a nonzero count in a nonzero packed need."""
+        return ((left & -left).bit_length() - 1) // self._width
+
+    def size(self, left: int) -> int:
+        """The sum of a packed need's counts."""
+        return left % self._fold
+
+    def take(self, left: int, kinds: Sequence[int]) -> list[int]:
+        """Per type in ``kinds``, what the packed need ``left`` still needs
+        once a subset of that type holds what it can of it.  Subtracting a
+        type from (left | guards) clears a field's guard exactly where the
+        type holds more than is needed: those fields become 0."""
+        top, guards, shift = left | self._guards, self._guards, self._width - 1
+        rests = []
+        for kind in kinds:
+            kept = (top - kind) & guards
+            rests.append((top - kind) & (kept - (kept >> shift)))
+        return rests
+
+    def within(self, left: int, kinds: Sequence[int]) -> list[int]:
+        """The types in ``kinds`` that hold no more of any class than the
+        packed need ``left``: those whose subtraction keeps every guard."""
+        top, guards = left | self._guards, self._guards
+        return [kind for kind in kinds if (top - kind) & guards == guards]
 
     def influence(self, i: int) -> int:
         """Exact joint influence of subset ``i`` as a count over 2^K inputs."""
-        kind = self.class_counts(self.mask(i))
+        kind = self.kind(self.mask(i))
         if kind not in self._counts:
             self._counts[kind] = joint_influence_exact(self.function, self.mask(i)).count
         return self._counts[kind]
 
-    def check_subset_budget(self, budget: int) -> int:
-        """The C(K,M) steps of listing the subsets, refused past ``budget``
-        before any mask is built."""
-        if self.num_subsets > budget:
-            raise EnumerationBudgetError(
-                f"{self.num_subsets} subsets of size {self.constraints.cache_size}"
-                f" exceed the enumeration budget {budget}"
-            )
-        return self.num_subsets
+    def first_of_each_type(self, budget: Budget) -> dict[int, int]:
+        """Each subset type and the number of its first subset, in that order.
 
-    def first_of_each_type(self) -> dict[tuple[int, ...], int]:
-        """Each subset type and the number of its first subset, in that order."""
-        first: dict[tuple[int, ...], int] = {}
+        Listing the subsets costs ``budget`` C(K,M) steps, charged before
+        any mask is built.
+        """
+        budget.charge(
+            self.num_subsets, f"{self.num_subsets} subsets of size {self.constraints.cache_size}"
+        )
+        first: dict[int, int] = {}
         for i in range(self.num_subsets):
-            first.setdefault(self.class_counts(self.mask(i)), i)
+            first.setdefault(self.kind(self.mask(i)), i)
         return first
 
     def computable(self, combo: Sequence[int]) -> bool:
@@ -302,8 +343,6 @@ class PlacementSpace:
         memory before the first row, or fails outright.
         """
         n, last = self.constraints.num_servers, self.num_subsets - 1
-        if last < 0:
-            return
         combo = [0] * n
         while True:
             yield tuple(combo)
@@ -314,57 +353,6 @@ class PlacementSpace:
                 if pos < 0:
                     return
             combo[pos] += 1
-
-    def computable_multisets(self, budget: int = ENUMERATION_BUDGET) -> Iterator[tuple[int, ...]]:
-        """Server multisets that can compute f, as sorted tuples, lexicographic.
-
-        One depth-first search over sorted tuples, written as a loop so
-        that N does not bound it by the recursion limit.  With r servers
-        left to fill, a prefix is cut when the subsets it may still use
-        do not hold every dataset f still needs, or when more than r*M
-        are still needed.  Subsets that leave more than (N-1)*M of f's
-        datasets to the other servers are in no computable multiset, so
-        the search never considers them.
-
-        The budget counts steps: C(K,M) for filtering the subsets, checked
-        before any mask is built, then one per pass of the loop.  Past it,
-        :class:`EnumerationBudgetError` is raised.
-        """
-        n, m = self.constraints.num_servers, self.constraints.cache_size
-        steps = self.check_subset_budget(budget)
-        need = self.function.support_mask
-        cands = [
-            i for i in range(self.num_subsets)
-            if (need & ~self.mask(i)).bit_count() <= (n - 1) * m
-        ]
-        masks = [self.mask(i) for i in cands]
-        # The union over candidates j, j+1, ...
-        reach = [*accumulate(reversed(masks), or_)][::-1] + [0]
-        combo = [0] * n  # candidate positions chosen for the first d servers
-        left = [need] + [0] * n  # f's datasets not yet held
-        d = j = 0
-        while True:
-            steps += 1
-            if steps > budget:
-                raise EnumerationBudgetError(
-                    f"placement search steps exceed the enumeration budget {budget}"
-                )
-            r = n - d
-            if j == len(cands) or left[d] & ~reach[j]:
-                if d == 0:
-                    return
-                d -= 1
-                j = combo[d] + 1
-                continue
-            rest = left[d] & ~masks[j]
-            if rest.bit_count() > (r - 1) * m:
-                j += 1
-            elif r > 1:
-                combo[d], left[d + 1] = j, rest
-                d += 1
-            else:
-                yield tuple(cands[i] for i in combo[:d] + [j])
-                j += 1
 
 
 def enumerate_placements(c: PlacementConstraints) -> Iterator[PlacementConfig]:
@@ -410,57 +398,37 @@ def search_min_as(
     """
     space = PlacementSpace(c, f)
     n, m = c.num_servers, c.cache_size
-    steps = space.check_subset_budget(budget)
-    over = f"placement search steps exceed the enumeration budget {budget}"
+    steps = Budget(budget)
     need = f.support_mask
     counts = {
         kind: space.influence(i)
-        for kind, i in space.first_of_each_type().items()
+        for kind, i in space.first_of_each_type(steps).items()
         if (need & ~space.mask(i)).bit_count() <= (n - 1) * m
     }
     least = min(counts.values(), default=None)
-    # Phase 1 packs the counts per class into one integer, `width` bits a
-    # class, the top bit of each field a guard no count reaches (counts are
-    # at most K).  Subtracting a type from (need | guards) clears a field's
-    # guard exactly where the type holds more than is needed, and the other
-    # fields are what is still needed there.  As 2^width - 1 exceeds K, a
-    # packed need's remainder modulo 2^width - 1 is its sum.
-    width = c.num_datasets.bit_length() + 1
-    fold = (1 << width) - 1
-    demand = space.class_counts(need)
-    guards = sum(1 << (width * cls + width - 1) for cls in range(len(demand)))
-
-    def packed(kind: tuple[int, ...]) -> int:
-        return sum(v << (width * cls) for cls, v in enumerate(kind))
-
-    kinds = sorted((count, packed(kind)) for kind, count in counts.items())
+    kinds = sorted((count, kind) for kind, count in counts.items())
     # Per class, the types that hold some of its datasets, cheapest first.
     holding = [
-        [(count, kind) for count, kind in kinds if kind >> (width * cls) & fold]
-        for cls in range(len(demand))
+        [(count, kind) for count, kind in kinds if space.count(kind, cls)]
+        for cls in range(len(space.classes))
     ]
     memo: dict[tuple[int, int], int | None] = {}
 
     def completion(r: int, left: int) -> int | None:
         """Least summed influence of r servers holding the packed need ``left``."""
-        nonlocal steps
         if (r, left) in memo:
             return memo[r, left]
         if not left:
             return r * least
         best = None
-        if left % fold <= r * m:
-            first = ((left & -left).bit_length() - 1) // width
+        if space.size(left) <= r * m:
+            types = holding[space.first_class(left)]
+            rests = space.take(left, [kind for _, kind in types])
             tried = set()  # a later type that leaves the same need costs no less
-            for count, kind in holding[first]:
+            for (count, _), rest in zip(types, rests):
                 if best is not None and count + (r - 1) * least >= best:
                     break
-                steps += 1
-                if steps > budget:
-                    raise EnumerationBudgetError(over)
-                diff = (left | guards) - kind
-                kept = diff & guards
-                rest = diff & (kept - (kept >> (width - 1)))
+                steps.charge()
                 if rest in tried:
                     continue
                 tried.add(rest)
@@ -470,20 +438,18 @@ def search_min_as(
         memo[r, left] = best
         return best
 
-    value = None if least is None else completion(n, packed(demand))
+    value = None if least is None else completion(n, space.kind(need))
     if value is None:
         raise ValueError("no placement can cover the function's datasets")
     combo: list[int] = []
     left, total, j = need, 0, 0
     for r in range(n, 0, -1):
         while True:
-            steps += 1
-            if steps > budget:
-                raise EnumerationBudgetError(over)
-            count = counts.get(space.class_counts(space.mask(j)))
+            steps.charge()
+            count = counts.get(space.kind(space.mask(j)))
             if count is not None and total + count + (r - 1) * least <= value:
                 rest = left & ~space.mask(j)
-                after = completion(r - 1, packed(space.class_counts(rest)))
+                after = completion(r - 1, space.kind(rest))
                 if after is not None and total + count + after == value:
                     break
             j += 1

@@ -720,6 +720,18 @@ def test_place_past_k24_finds_the_aligned_minimum(capsys, tmp_path):
     assert err.splitlines()[0] == "as = 1"
 
 
+@pytest.mark.parametrize("command", ["place", "place --method aligned", "sweep", "oracle corollary"])
+def test_cache_larger_than_the_dataset_count_exits_2(capsys, tmp_path, command):
+    # Once these answered with 0 rows, or with subsets of 4 under "M":5.
+    f_path = tmp_path / "f4.json"
+    f_path.write_text('{"K":4,"monomials":[[1,2],[3,4]]}\n')
+    out_path = tmp_path / "out"
+    argv = command.split() + ["-f", str(f_path), "-N", "2", "-M", "5", "-o", str(out_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cache size 5 exceeds dataset count 4\n"
+    assert not out_path.exists()
+
+
 def test_exit_4_for_uncomputable_placement(files, capsys, tmp_path):
     p_path = tmp_path / "short.json"
     p_path.write_text('{"N":2,"M":2,"subsets":[[1,2],[3,4]]}\n')

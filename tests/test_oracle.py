@@ -211,6 +211,7 @@ def test_piece_count_depends_only_on_the_server_by_product_counts(n, m):
 
 
 def test_theorem_synthesizes_once_per_class_and_once_aligned(monkeypatch):
+    # The class counts are those the brute-force listing above finds.
     calls = []
 
     def counted(f, placement):
@@ -218,27 +219,69 @@ def test_theorem_synthesizes_once_per_class_and_once_aligned(monkeypatch):
         return synthesize_exact(f, placement)
 
     monkeypatch.setattr(oracle, "synthesize_exact", counted)
-    summary = check_theorem(3, 3).summary
-    assert summary["computable"] == "1680" and summary["min_T"] == "3"
-    assert len(calls) == 10 + 1  # the 10 classes of the 280 multisets, then aligned
+    for n, m, classes in [(3, 3, 10), (4, 2, 17)]:
+        calls.clear()
+        summary = check_theorem(n, m).summary
+        assert summary["computable"] == str(factorial(n * m) // factorial(m) ** n)
+        assert summary["min_T"] == str(n)
+        assert len(calls) == classes + 1  # one member of each class, then aligned
+
+
+# The (3,3) check takes C(9,3) = 84 steps to list the subsets' types, tries
+# 166 types while listing the 10 sorted tuples of types, and charges one
+# step per tuple before its syntheses.
+THEOREM_3_3_STEPS = 84 + 166 + 10
 
 
 def test_theorem_respects_enumeration_budget(monkeypatch):
-    # The (3,3) search takes C(9,3) = 84 filter steps and 9,971 loop passes.
     import infplace.placement as placement_module
 
-    counted = []
+    counted, synthesized = [], []
 
     def influence(f, flip):
         counted.append(flip)
         return joint_influence_exact(f, flip)
 
+    def synthesize(f, placement):
+        synthesized.append(placement)
+        return synthesize_exact(f, placement)
+
     monkeypatch.setattr(placement_module, "joint_influence_exact", influence)
-    monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 84 + 9971 - 1)
+    monkeypatch.setattr(oracle, "synthesize_exact", synthesize)
+    monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", THEOREM_3_3_STEPS - 1)
     with pytest.raises(EnumerationBudgetError) as exc:
         check_theorem(3, 3)
-    assert str(exc.value) == "placement search steps exceed the enumeration budget 10054"
-    assert counted == []  # refused before any influence is counted
+    assert str(exc.value) == "placement search steps exceed the enumeration budget 259"
+    # Refused before any synthesis and before any influence is counted.
+    assert synthesized == [] and counted == []
+    monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", THEOREM_3_3_STEPS)
+    assert check_theorem(3, 3).passed
+    assert len(synthesized) == 10 + 1
+
+
+@pytest.mark.parametrize("n,m", [(4, 4), (5, 3)])
+def test_theorem_answers_the_grids_past_the_multiset_walk(n, m):
+    # Every expected value is a closed form, or the aligned placement spelled out.
+    report = check_theorem(n, m)
+    assert report.passed
+    aligned = "; ".join(
+        "{" + ",".join(str(server * m + d) for d in range(1, m + 1)) + "}" for server in range(n)
+    )
+    assert report.summary == {
+        "placements": str(comb(n * m, m) ** n),
+        "computable": str(factorial(n * m) // factorial(m) ** n),
+        "min_as": str(Fraction(n, 1 << (m - 1))),
+        "aligned_as": str(Fraction(n, 1 << (m - 1))),
+        "aligned_T": str(n),
+        "min_T": str(n),
+        "min_T_placement": aligned,
+    }
+
+
+def test_theorem_five_servers_triples_matches_the_brute_force_run():
+    # A 142 s run of the old multiset walk, with its budget guard bypassed.
+    summary = check_theorem(5, 3).summary
+    assert (summary["computable"], summary["min_T"], summary["min_as"]) == ("168168000", "5", "5/4")
 
 
 def test_corollary_study_records_but_never_fails():
