@@ -188,13 +188,13 @@ def test_theorem_five_servers_pairs_summary():
 
 
 @pytest.mark.parametrize("n,m", [(3, 3), (4, 2)])
-def test_piece_count_depends_only_on_the_server_by_product_counts(n, m):
+def test_piece_count_depends_only_on_the_server_by_product_counts(n, m, monkeypatch):
     # check_theorem synthesizes one multiset per class of equal sorted
     # server-by-product counts; here every computable multiset is
     # synthesized and compared with the first of its class.
     f = disjoint_products(n, m)
     subsets = [mask_from_indices(ix) for ix in combinations(range(1, n * m + 1), m)]
-    first_t = {}
+    first_t, first_combo = {}, {}
     listed = 0
     for combo in combinations_with_replacement(subsets, n):
         union = 0
@@ -206,8 +206,20 @@ def test_piece_count_depends_only_on_the_server_by_product_counts(n, m):
         kinds = tuple(sorted(tuple((s & p).bit_count() for p in f.monomials) for s in combo))
         t = count_transmissions(synthesize_exact(f, PlacementConfig(n, m, combo))).total
         assert first_t.setdefault(kinds, t) == t, combo
+        first_combo.setdefault(kinds, combo)
     assert listed == factorial(n * m) // factorial(m) ** n // factorial(n)
     assert len(first_t) == {(3, 3): 10, (4, 2): 17}[n, m]
+    # The member check_theorem synthesizes is the first multiset of its
+    # class, and the classes come in the order of those first multisets.
+    synthesized = []
+
+    def recorded(f, placement):
+        synthesized.append(placement)
+        return synthesize_exact(f, placement)
+
+    monkeypatch.setattr(oracle, "synthesize_exact", recorded)
+    check_theorem(n, m)
+    assert [p.subset_masks for p in synthesized[:-1]] == list(first_combo.values())
 
 
 def test_theorem_synthesizes_once_per_class_and_once_aligned(monkeypatch):
