@@ -296,8 +296,7 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
 
     extend((), space.kind(f.support_mask), 0)
     budget.charge(len(tuples))
-    members = [member(kinds) for kinds in tuples]
-    pieces = [count_transmissions(synthesize_exact(f, p)).total for p in members]
+    pieces = [count_transmissions(synthesize_exact(f, member(kinds))).total for kinds in tuples]
     num_computable = sum(
         factorial(n) // prod(map(factorial, Counter(kinds).values()))
         * prod(factorial(m) // prod(factorial(space.count(kind, j)) for kind in kinds)
@@ -305,7 +304,7 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
         for kinds in tuples
     )
     min_t = min(pieces)
-    min_t_placement = members[pieces.index(min_t)]
+    min_t_placement = member(tuples[pieces.index(min_t)])
     # The least summed influence over every placement, computable or not,
     # puts the least subset influence on every server.
     least = min(map(space.influence, first.values()))
