@@ -20,11 +20,12 @@ from __future__ import annotations
 import csv
 import io
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -251,17 +252,22 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
     At K = N*M every computable placement is a partition of the datasets
     and f's twin classes are its products, so a server's type
     (:class:`PlacementSpace`) is one row of an N x N server-by-product
-    count matrix whose columns each sum to M.  Permuting datasets inside
-    a product, or the servers, maps f to itself and keeps the exact piece
+    count matrix whose columns each sum to M.  Permuting datasets inside a
+    product, or the servers, maps f to itself and keeps the exact piece
     count T.  So the check lists the tuples of types with exact column
-    sums, each sorted in the order of the types' first subsets, one budget
-    step per type tried.  It charges one step per tuple before the first
-    synthesis, then synthesizes T once per tuple, on its member where each
-    server in turn takes the lowest datasets still free in each product.
-    A tuple stands for N!/prod(repeats!) * prod_j M!/prod_n a_nj! ordered
-    placements.  That member is the tuple's first sorted placement, and
-    tuples are listed in the order of their members, so the first member
-    of least T is ``min_T_placement``.
+    sums, each in the order of the types' first subsets, which is by first
+    product (a first subset starts at its lowest dataset).  Some server
+    holds the first product still needed, so from the previous server's
+    type on only the types holding it are tried, one budget step each,
+    recursing at most ``MAX_DATASETS`` deep.  As listed, a tuple is
+    charged its synthesis's work before the search: per server, N
+    intersections and 2^a - 1 blocks of each product it holds a > 0 of, so
+    a refused grid has made no synthesis.  T is synthesized once per
+    tuple, on its member where each server in turn takes the lowest
+    datasets still free in each product; that member is the tuple's first
+    sorted placement, and tuples are listed in the order of their members,
+    so the first member of least T is ``min_T_placement``.  A tuple stands
+    for N!/prod(repeats!) * prod_j M!/prod_n a_nj! ordered placements.
     """
     n, m = num_servers, cache_size
     k = n * m
@@ -273,29 +279,32 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
     budget = Budget(ENUMERATION_BUDGET)
     first = space.first_of_each_type(budget)
     order = list(first)
-    rank = {kind: i for i, kind in enumerate(order)}
-    tuples: list[tuple[int, ...]] = []
+    firsts = [space.first_class(kind) for kind in order]  # sorted, see above
+    cost = {kind: n + sum((1 << space.count(kind, j)) - 1 for j in range(n)) for kind in order}
 
-    def extend(kinds: tuple[int, ...], left: int, start: int) -> None:
-        """List each sorted completion of ``kinds`` that takes exactly the packed ``left``."""
+    def extend(kinds: tuple[int, ...], left: int, start: int) -> Iterator[tuple[int, ...]]:
+        """Each sorted completion of ``kinds`` that takes exactly the packed ``left``."""
         if not left:
-            tuples.append(kinds)
+            budget.charge(sum(map(cost.__getitem__, kinds)))
+            yield kinds
             return
-        budget.charge(len(order) - start)  # every type from the previous server's on
-        for kind in space.within(left, order[start:]):
-            extend(kinds + (kind,), left - kind, rank[kind])
+        c = space.first_class(left)
+        lo = max(start, bisect_left(firsts, c))
+        rests = space.take(left, order[lo : bisect_right(firsts, c)])
+        budget.charge(len(rests))
+        for i, rest in enumerate(rests, lo):
+            if space.size(rest) == space.size(left) - m:  # all M datasets still needed
+                yield from extend(kinds + (order[i],), rest, i)
 
     def member(kinds: tuple[int, ...]) -> PlacementConfig:
-        taken = [0] * n  # datasets j*M+1 .. (j+1)*M form product j
-        masks = []
+        free = [indices_from_mask(cls) for cls in space.classes]
+        subsets = []
         for kind in kinds:
-            counts = [space.count(kind, j) for j in range(n)]
-            masks.append(sum(((1 << a) - 1) << (j * m + taken[j]) for j, a in enumerate(counts)))
-            taken = [t + a for t, a in zip(taken, counts)]
-        return PlacementConfig(n, m, tuple(masks))
+            subsets.append([d for j, ds in enumerate(free) for d in ds[: space.count(kind, j)]])
+            free = [ds[space.count(kind, j) :] for j, ds in enumerate(free)]
+        return PlacementConfig.from_indices(m, subsets)
 
-    extend((), space.kind(f.support_mask), 0)
-    budget.charge(len(tuples))
+    tuples = list(extend((), space.kind(f.support_mask), 0))
     pieces = [count_transmissions(synthesize_exact(f, member(kinds))).total for kinds in tuples]
     num_computable = sum(
         factorial(n) // prod(map(factorial, Counter(kinds).values()))

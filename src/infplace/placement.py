@@ -290,12 +290,6 @@ class PlacementSpace:
             rests.append((top - kind) & (kept - (kept >> shift)))
         return rests
 
-    def within(self, left: int, kinds: Sequence[int]) -> list[int]:
-        """The types in ``kinds`` that hold no more of any class than the
-        packed need ``left``: those whose subtraction keeps every guard."""
-        top, guards = left | self._guards, self._guards
-        return [kind for kind in kinds if (top - kind) & guards == guards]
-
     def influence(self, i: int) -> int:
         """Exact joint influence of subset ``i`` as a count over 2^K inputs."""
         kind = self.kind(self.mask(i))

@@ -240,9 +240,9 @@ def test_theorem_synthesizes_once_per_class_and_once_aligned(monkeypatch):
 
 
 # The (3,3) check takes C(9,3) = 84 steps to list the subsets' types, tries
-# 166 types while listing the 10 sorted tuples of types, and charges one
-# step per tuple before its syntheses.
-THEOREM_3_3_STEPS = 84 + 166 + 10
+# 50 types while listing the 10 sorted tuples of types, and charges the 10
+# syntheses 3 intersections a server each and their 132 blocks.
+THEOREM_3_3_STEPS = 84 + 50 + 10 * 3 * 3 + 132
 
 
 def test_theorem_respects_enumeration_budget(monkeypatch):
@@ -263,7 +263,7 @@ def test_theorem_respects_enumeration_budget(monkeypatch):
     monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", THEOREM_3_3_STEPS - 1)
     with pytest.raises(EnumerationBudgetError) as exc:
         check_theorem(3, 3)
-    assert str(exc.value) == "placement search steps exceed the enumeration budget 259"
+    assert str(exc.value) == "placement search steps exceed the enumeration budget 355"
     # Refused before any synthesis and before any influence is counted.
     assert synthesized == [] and counted == []
     monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", THEOREM_3_3_STEPS)
@@ -290,6 +290,29 @@ def test_theorem_answers_the_grids_past_the_multiset_walk(n, m, computable):
         "aligned_T": str(n),
         "min_T": str(n),
         "min_T_placement": aligned,
+    }
+
+
+def test_theorem_tries_one_type_per_server_at_single_dataset_caches(monkeypatch):
+    # One type per product, and one tuple: C(24,1) = 24 listing steps, one
+    # type tried per server, and a synthesis charged 24 intersections and
+    # one block a server.
+    n = 24
+    steps = n + n + n * (n + 1)
+    monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", steps - 1)
+    with pytest.raises(EnumerationBudgetError):
+        check_theorem(n, 1)
+    monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", steps)
+    report = check_theorem(n, 1)
+    assert report.passed
+    assert report.summary == {
+        "placements": str(n**n),
+        "computable": str(factorial(n)),
+        "min_as": str(n),
+        "aligned_as": str(n),
+        "aligned_T": str(n),
+        "min_T": str(n),
+        "min_T_placement": "; ".join(f"{{{d}}}" for d in range(1, n + 1)),
     }
 
 
