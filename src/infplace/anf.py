@@ -238,12 +238,40 @@ def uniform_assignments(
 ) -> np.ndarray:
     """``size`` uniform assignment masks over K datasets, as uint64.
 
-    numpy bounds its integer draws below 2^64, so K = 64 joins a high
-    and a low 32-bit draw.
+    The same stream as ``rng.integers(0, 1 << K, size=size, dtype=np.uint64)``
+    (for K = 64, a high and then a low 32-bit draw), read off the raw words
+    of ``rng``'s PCG64 bit generator.  numpy draws below a power of two
+    2^K without rejection: the top K bits of a 32-bit draw for K <= 32 and
+    of a raw word for K > 32.
     """
     k = num_datasets
-    if k <= 63:
-        return rng.integers(0, 1 << k, size=size, dtype=np.uint64)
-    hi = rng.integers(0, 1 << (k - 32), size=size, dtype=np.uint64)
-    lo = rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
-    return (hi << np.uint64(32)) | lo
+    bits = rng.bit_generator
+    if 32 < k < 64:
+        return bits.random_raw(size) >> np.uint64(64 - k)
+    if k <= 32:
+        return _draws32(bits, size) >> np.uint64(32 - k)
+    halves = _draws32(bits, 2 * size)
+    return (halves[:size] << np.uint64(32)) | halves[size:]
+
+
+def _draws32(bits: np.random.BitGenerator, count: int) -> np.ndarray:
+    """The next ``count`` 32-bit draws of a PCG64 bit generator, as uint64.
+
+    As numpy's own 32-bit draws: the low half of a raw word, then its
+    high half, which the generator keeps for the next 32-bit draw.
+    """
+    state = bits.state
+    carry = state["has_uint32"]
+    raw = bits.random_raw((count - carry + 1) // 2)
+    out = np.empty(carry + 2 * raw.size, dtype=np.uint64)
+    out[:carry] = state["uinteger"]
+    out[carry::2] = raw & np.uint64(0xFFFFFFFF)
+    out[carry + 1 :: 2] = raw >> np.uint64(32)
+    kept = out.size > count
+    if carry or kept:
+        state = bits.state
+        state["has_uint32"] = int(kept)
+        if kept:
+            state["uinteger"] = int(out[count])
+        bits.state = state
+    return out[:count]

@@ -20,10 +20,15 @@ on one server.  It never overestimates, and the search keeps the first
 strictly better scheme in a DFS order the bound does not affect, so the
 bound sets the running time, never the scheme.  Cost grows exponentially
 with monomial degree; the degree limit is enforced, not advisory.
+
+Exhaustive verification (K <= 20) evaluates f and the decoder on all 2^K
+inputs at once, each held as one Python int with one bit per input; the
+sampled check above that stays on numpy arrays of sampled masks.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -38,7 +43,6 @@ from .anf import (
     indices_from_mask,
     load_object,
     mask_from_indices,
-    truth_table,
     uniform_assignments,
 )
 from .placement import PlacementConfig
@@ -209,7 +213,7 @@ def _coverable_blocks(monomial: int, subset_masks: Sequence[int]) -> dict[int, l
     # it comes first in variable order, so a descending sort on the
     # reversed bits is that order without building index tuples.
     by_low: dict[int, list[int]] = {}
-    for b in sorted(blocks, key=lambda b: (b.bit_count(), bin(b)[:1:-1]), reverse=True):
+    for _, _, b in sorted(((b.bit_count(), bin(b)[:1:-1], b) for b in blocks), reverse=True):
         by_low.setdefault(b & -b, []).append(b)
     return by_low
 
@@ -294,7 +298,8 @@ def _search_min_distinct(
     one server holds.  It never overestimates (see there), and the first
     strictly better leaf in the DFS order (which the bound does not
     affect) is kept, so every such bound returns the same blocks; it only
-    sets how much is pruned.
+    sets how much is pruned.  A node tries no more new blocks once one
+    would bring the count to the best so far: no leaf below could beat it.
     """
     best_choice = [list(blocks) for blocks in init]
     best_count = len({b for blocks in init for b in blocks})
@@ -302,6 +307,7 @@ def _search_min_distinct(
     if not n:
         return best_choice
     servers = list(dict.fromkeys(subset_masks))
+
     widths: dict[int, int] = {}  # the same sets recur at many nodes
 
     def width(v: int) -> int:
@@ -320,7 +326,8 @@ def _search_min_distinct(
     if _new_blocks_bound(monomials, shared, width) >= best_count:
         return best_choice
     path: list[list[int]] = [[] for _ in range(n)]
-    by_low = [_coverable_blocks(m, servers) for m in monomials]
+    # Each monomial's blocks are built when the search first reaches it.
+    by_low: list[dict[int, list[int]] | None] = [None] * n
     uncovered = list(monomials)  # U_j of each monomial past the current one
 
     def go(i: int, remaining: int, used: set[int]) -> None:
@@ -341,21 +348,32 @@ def _search_min_distinct(
         left = (remaining & ~here, *uncovered[i + 1 :])
         if len(used) + _new_blocks_bound(left, shared, width) >= best_count:
             return
-        fits = [b for b in by_low[i][remaining & -remaining] if b & ~remaining == 0]
-        for block in [b for b in fits if b in used] + [b for b in fits if b not in used]:
-            added = block not in used
-            if added:
-                used.add(block)
-                saved = uncovered[i + 1 :]
-                for j in range(i + 1, n):
-                    if block & ~monomials[j] == 0:
-                        uncovered[j] &= ~block
-            path[i].append(block)
+        fits = by_low[i]
+        if fits is None:
+            fits = by_low[i] = _coverable_blocks(monomials[i], servers)
+        reuse: list[int] = []
+        new: list[int] = []
+        for b in fits[remaining & -remaining]:
+            if b & ~remaining == 0:
+                (reuse if b in used else new).append(b)
+        blocks = path[i]
+        for block in reuse:
+            blocks.append(block)
             go(i, remaining & ~block, used)
-            path[i].pop()
-            if added:
-                used.remove(block)
-                uncovered[i + 1 :] = saved
+            blocks.pop()
+        for block in new:
+            if len(used) + 1 >= best_count:
+                break  # best_count only falls, so no later new block can beat it
+            used.add(block)
+            saved = uncovered[i + 1 :]
+            for j in range(i + 1, n):
+                if block & ~monomials[j] == 0:
+                    uncovered[j] &= ~block
+            blocks.append(block)
+            go(i, remaining & ~block, used)
+            blocks.pop()
+            used.remove(block)
+            uncovered[i + 1 :] = saved
 
     go(0, monomials[0], set())
     return best_choice
@@ -368,17 +386,23 @@ def _scheme_from_blocks(
 ) -> TransmissionScheme:
     """Assign each distinct block the lowest covering server and build the
     scheme in canonical order (see :meth:`TransmissionScheme.canonical`)."""
-
-    def server_for(block: int) -> int:
-        return next(n for n, s in enumerate(p.subset_masks, start=1) if block & ~s == 0)
-
-    distinct = {b for blocks in per_monomial_blocks for b in blocks}
-    pieces = sorted((Piece(server_for(b), b) for b in distinct), key=Piece.sort_key)
-    index_of = {piece.vars_mask: i for i, piece in enumerate(pieces)}
+    rows = []
+    for b in {b for blocks in per_monomial_blocks for b in blocks}:
+        server = 1
+        for held in p.subset_masks:
+            if b & ~held == 0:
+                break
+            server += 1
+        rows.append((server, indices_from_mask(b), b))
+    # Piece.sort_key order: distinct masks have distinct indices, so the
+    # mask in a row never decides it.
+    rows.sort()
+    pieces = tuple([Piece(server, b) for server, _, b in rows])
+    index_of = {b: i for i, (_, _, b) in enumerate(rows)}
     plan = tuple(
-        tuple(sorted(index_of[b] for b in blocks)) for blocks in per_monomial_blocks
+        [tuple(sorted([index_of[b] for b in blocks])) for blocks in per_monomial_blocks]
     )
-    return TransmissionScheme(tuple(pieces), plan, f.constant_term)
+    return TransmissionScheme(pieces, plan, f.constant_term)
 
 
 def synthesize_greedy(
@@ -443,6 +467,10 @@ def decode(s: TransmissionScheme, f: BooleanFunctionANF, assignment: int) -> int
 
 
 def _decode_batch(s: TransmissionScheme, assignments: np.ndarray) -> np.ndarray:
+    """:func:`decode` at each of an array of sampled masks.  Sampled verify
+    stays on numpy: holding samples one bit each, as the exhaustive check
+    holds inputs, means packing K columns of them first, which at K = 64
+    costs more than it saves."""
     piece_vals = []
     for p in s.pieces:
         mm = assignments.dtype.type(p.vars_mask)
@@ -470,22 +498,58 @@ class VerifyResult:
         return bits_from_assignment(self.counterexample, num_datasets)
 
 
+@functools.cache
+def _columns(num_datasets: int) -> tuple[int, ...]:
+    """Per dataset i (0-based), the 2^K-bit int whose bit x is bit i of x."""
+    size = 1 << num_datasets
+    columns = []
+    for i in range(num_datasets):
+        run = 1 << i
+        column, period = ((1 << run) - 1) << run, run << 1  # one period: 0s, then 1s
+        while period < size:
+            column |= column << period
+            period <<= 1
+        columns.append(column)
+    return tuple(columns)
+
+
+def _product(mask: int, columns: Sequence[int], full: int) -> int:
+    """The AND of the columns of ``mask``'s datasets: bit x is 1 where x holds them all."""
+    out = full
+    while mask:
+        low = mask & -mask
+        out &= columns[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def verify_scheme(
     s: TransmissionScheme, f: BooleanFunctionANF, seed: int = 0
 ) -> VerifyResult:
     """Check decode == evaluate: every input for K <= VERIFY_EXHAUSTIVE_LIMIT,
     VERIFY_SAMPLE_COUNT seeded uniform samples otherwise.  Reports the
-    first failing input."""
+    first failing input: exhaustively, the lowest set bit of f XOR the
+    decoder, each held as one int whose bit x is its value at input x.
+    """
     if len(s.plan) != len(f.non_constant_monomials):
         raise ValueError(
             f"plan has {len(s.plan)} rows for {len(f.non_constant_monomials)} monomials"
         )
     k = f.num_datasets
     if k <= VERIFY_EXHAUSTIVE_LIMIT:
-        expect = truth_table(f)
-        got = _decode_batch(s, np.arange(1 << k, dtype=np.uint32))
-        bad = np.nonzero(expect != got)[0]
-        counter = int(bad[0]) if bad.size else None
+        columns, full = _columns(k), (1 << (1 << k)) - 1
+        expect = 0
+        for m in f.monomials:
+            expect ^= _product(m, columns, full)
+        pieces = [_product(p.vars_mask, columns, full) for p in s.pieces]
+        got = full if s.constant else 0
+        for refs in s.plan:
+            prod = full
+            for r in refs:
+                prod &= pieces[r]
+            got ^= prod
+        bad = expect ^ got
+        counter = (bad & -bad).bit_length() - 1 if bad else None
         return VerifyResult(counter is None, "exhaustive", 1 << k, counter, None)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
     w = uniform_assignments(rng, k, VERIFY_SAMPLE_COUNT)

@@ -20,6 +20,7 @@ from infplace.anf import (
     mask_from_indices,
     parse_function,
     truth_table,
+    uniform_assignments,
 )
 
 
@@ -215,3 +216,26 @@ def test_function_json_digest_stability(example_function):
         json.dumps({"K": 9, "monomials": [[3, 6, 9], [2, 5, 7, 8], [1, 4, 7]]})
     )
     assert function_to_json(other) == function_to_json(example_function)
+
+
+def test_uniform_assignments_are_numpys_bounded_draws():
+    # The sampler reads raw PCG64 words; it must give rng.integers' draws
+    # element for element at every K (K = 64 as a high and a low 32-bit
+    # draw), and leave the generator where rng.integers does, so later
+    # draws match too, also when an odd count left a 32-bit half kept.
+    def reference(rng, k, size):
+        if k <= 63:
+            return rng.integers(0, 1 << k, size=size, dtype=np.uint64)
+        hi = rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
+        lo = rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
+        return (hi << np.uint64(32)) | lo
+
+    for k in range(1, 65):
+        for size in (1, 2, 3, 7, 5000, 8191, 8192):
+            ours, numpys = (np.random.Generator(np.random.PCG64(1000 * k + size)) for _ in "ab")
+            for draw in (size, 5, 0):
+                got = uniform_assignments(ours, k, draw)
+                want = reference(numpys, k, draw)
+                assert got.dtype == np.uint64 and np.array_equal(got, want), (k, size, draw)
+            after = [rng.integers(0, 1 << 32, size=3) for rng in (ours, numpys)]
+            assert np.array_equal(*after), (k, size)

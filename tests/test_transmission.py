@@ -5,18 +5,28 @@ import hashlib
 import itertools
 import operator
 import random
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infplace.anf import BooleanFunctionANF, evaluate, indices_from_mask, mask_from_indices
+import infplace.anf
+from infplace.anf import (
+    BooleanFunctionANF,
+    evaluate,
+    indices_from_mask,
+    mask_from_indices,
+    truth_table,
+)
 from infplace.placement import PlacementConfig
 from infplace.transmission import (
     Piece,
     SynthesisLimitError,
     TransmissionScheme,
     UncomputablePlacementError,
+    VerifyResult,
     _coverable_blocks,
     _new_blocks_bound,
     count_transmissions,
@@ -28,6 +38,8 @@ from infplace.transmission import (
     synthesize_greedy,
     verify_scheme,
 )
+
+from test_acceptance import covering_placement, random_function
 
 OVERLAP_SCHEME_JSON = (
     '{"constant":0,"pieces":[{"server":1,"vars":[1,4,7]},{"server":1,"vars":[2,5,7]},'
@@ -207,6 +219,105 @@ def test_verify_sample_stream_at_k64_is_pinned():
     assert result.counterexample_bits(64) == (
         "1101010010011100110010000001001101111011110100111101111110011001"
     )
+
+
+def reference_verify(s, f):
+    """What exhaustive ``verify_scheme`` must report, from f's numpy truth
+    table and the decoder's product of pieces per plan row on every input."""
+    k = f.num_datasets
+    x = np.arange(1 << k, dtype=np.uint32)
+    got = np.full(1 << k, bool(s.constant))
+    for refs in s.plan:
+        term = np.ones(1 << k, dtype=bool)
+        for r in refs:
+            m = np.uint32(s.pieces[r].vars_mask)
+            term &= (x & m) == m
+        got ^= term
+    bad = np.nonzero(truth_table(f) != got)[0]
+    counter = int(bad[0]) if bad.size else None
+    return VerifyResult(counter is None, "exhaustive", 1 << k, counter, None)
+
+
+def tampered_schemes(s, k, rng):
+    """``s`` with its constant flipped, with one piece's vars moved and with
+    one piece left out of its first plan row."""
+    out = [TransmissionScheme(s.pieces, s.plan, 1 - s.constant)]
+    if s.pieces:
+        i = rng.randrange(len(s.pieces))
+        moved = s.pieces[i].vars_mask ^ (1 << rng.randrange(k)) or 1 << k - 1
+        if Piece(s.pieces[i].server, moved) not in s.pieces:
+            pieces = s.pieces[:i] + (Piece(s.pieces[i].server, moved),) + s.pieces[i + 1 :]
+            out.append(TransmissionScheme(pieces, s.plan, s.constant))
+        row = next(j for j, refs in enumerate(s.plan) if refs)
+        plan = s.plan[:row] + (s.plan[row][1:],) + s.plan[row + 1 :]
+        out.append(TransmissionScheme(s.pieces, plan, s.constant))
+    return out
+
+
+def test_exhaustive_verify_matches_the_truth_table_reference():
+    # Acceptance 5's draws, every other one with a constant-1 term, their
+    # exact and greedy schemes, and tampered copies that must fail at the
+    # same first input the reference finds.
+    rng = random.Random(2005)
+    failed = 0
+    for n in range(150):
+        f = random_function(rng)
+        if n % 2:
+            f = BooleanFunctionANF.from_masks(f.num_datasets, (*f.monomials, 0))
+        p = covering_placement(rng, f, rng.randint(1, 4))
+        for scheme in (synthesize_exact(f, p), synthesize_greedy(f, p)):
+            for s in (scheme, *tampered_schemes(scheme, f.num_datasets, rng)):
+                result = verify_scheme(s, f)
+                assert result == reference_verify(s, f), (f, s)
+                if not result.passed:
+                    failed += 1
+                    w = result.counterexample
+                    assert decode(s, f, w) != evaluate(f, w)
+    assert failed >= 500
+
+
+def test_exhaustive_verify_at_the_ends_of_its_range():
+    # K = 1 and K = 20 are checked on every input, K = 21 on samples.
+    one = BooleanFunctionANF.from_indices(1, [[], [1]])
+    only = Piece(1, 0b1)
+    cases = [
+        (one, TransmissionScheme((only,), ((0,),), 1)),
+        (one, TransmissionScheme((only,), ((0,),), 0)),  # wrong at input 0
+        (BooleanFunctionANF.from_indices(1, [[1]]), TransmissionScheme((), ((),), 0)),
+    ]
+    f20 = BooleanFunctionANF.from_indices(20, [[], [1, 2, 3], [3, 4, 19], [5, 20], [6, 7, 8, 20]])
+    p20 = PlacementConfig.from_indices(10, [range(1, 11), range(11, 21), [3, 4, 19, 20]])
+    scheme = synthesize_exact(f20, p20)
+    cases.append((f20, scheme))
+    cases += [(f20, s) for s in tampered_schemes(scheme, 20, random.Random(20))]
+    outcomes = []
+    for f, s in cases:
+        result = verify_scheme(s, f)
+        assert result == reference_verify(s, f)
+        outcomes.append(result.passed)
+    assert outcomes == [True, False, False, True] + [False] * (len(cases) - 4)
+    f21 = BooleanFunctionANF.from_indices(21, [[1, 21]])
+    result = verify_scheme(TransmissionScheme((Piece(1, 1 | 1 << 20),), ((0,),)), f21, seed=3)
+    assert (result.passed, result.mode, result.inputs_checked, result.seed) == (
+        True,
+        "sampled",
+        100_000,
+        3,
+    )
+
+
+def test_exhaustive_verify_builds_no_truth_table(monkeypatch, example_function, overlap_placement):
+    # Exhaustive verify evaluates f on its own bit-parallel columns, never
+    # through numpy truth tables, under whatever name a module holds them.
+    def refuse(f):
+        raise AssertionError("exhaustive verify built a truth table")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "infplace" and hasattr(module, "truth_table"):
+            monkeypatch.setattr(module, "truth_table", refuse)
+    assert infplace.anf.truth_table is refuse
+    scheme = synthesize_exact(example_function, overlap_placement)
+    assert verify_scheme(scheme, example_function).passed
 
 
 def test_verify_rejects_plan_shape_mismatch(example_function):
@@ -533,3 +644,21 @@ def test_synthesis_is_deterministic(example_function, window_placement):
     a = scheme_to_json(synthesize_exact(example_function, window_placement))
     b = scheme_to_json(synthesize_exact(example_function, window_placement))
     assert a == b
+
+
+def test_coverable_blocks_match_the_reference_order():
+    rng = random.Random(3003)
+    for _ in range(300):
+        k = rng.randint(1, 10)
+        monomial = rng.randrange(1, 1 << k)
+        servers = [rng.randrange(1, 1 << k) for _ in range(rng.randint(1, 4))]
+        blocks = [
+            b
+            for b in range(1, 1 << k)
+            if b & ~monomial == 0 and any(b & ~s == 0 for s in servers)
+        ]
+        want = {}
+        for b in sorted(blocks, key=lambda b: (b.bit_count(), bin(b)[:1:-1]), reverse=True):
+            want.setdefault(b & -b, []).append(b)
+        got = _coverable_blocks(monomial, servers)
+        assert list(got.items()) == list(want.items()), (monomial, servers)
