@@ -427,6 +427,24 @@ def test_oracle_corollary_outputs_are_pinned(files, capsys, tmp_path):
     )
 
 
+def test_oracle_corollary_outputs_are_pinned_when_the_support_is_narrower(capsys, tmp_path):
+    # Datasets 3 and 6 lie in no monomial, so many of the 200 placements
+    # hold the same datasets of f on each server.  The violation examples
+    # stop at 10 of the 12 violations.
+    f_path = tmp_path / "f6.json"
+    f_path.write_text('{"K":6,"monomials":[[1,2],[2,4],[4,5]]}\n')
+    report, cases = tmp_path / "corollary.json", tmp_path / "corollary.csv"
+    argv = ["oracle", "corollary", "-N", "3", "-M", "2", "-f", str(f_path)]
+    assert main(argv + ["-o", str(report), "--csv", str(cases)]) == 0
+    assert "ordering_violations=12; placements=200;" in capsys.readouterr().out
+    assert sha256_of(report) == (
+        "30086708f4c83e4ae779b6fef9ce2317a807cdb5365dd666bbd44970a3733908"
+    )
+    assert sha256_of(cases) == (
+        "c2c977ae3feab21c32b7d140a6a0506db0cd6ed7aba14e7f821f02912bd2e8fb"
+    )
+
+
 THEOREM_SHA256 = {  # (N, M): JSON and CSV of `oracle theorem`
     (3, 3): ("71d149d550affbbd4e73eb16edd54de914b62c9e94f557d65b3e1dd5ec4e93c6",
              "5f18412e160abbce1ebbd3cd49feab768782e43435a86fd3880208b7ae65faae"),
@@ -496,6 +514,21 @@ def test_sweep_output_is_pinned(files, capsys, tmp_path):
     assert capsys.readouterr().out == "592704 placements swept\n"
     assert sha256_of(out_path) == (
         "b27126536b73b2b4c201c78d4db6a84ac6e406e44070f1310fd726b2bc841a3f"
+    )
+
+
+def test_sweep_output_is_pinned_when_the_support_is_narrower(capsys, tmp_path):
+    # f's support is {3,5,6,7} of K=7: the first 400 rows hold 88
+    # computable placements but only 32 distinct tuples of f's datasets
+    # per server, and greedy needs more pieces than exact on some of them.
+    f_path = tmp_path / "f7.json"
+    f_path.write_text('{"K":7,"monomials":[[3,6],[3,5,6],[5,6,7]]}\n')
+    out_path = tmp_path / "sweep.csv"
+    argv = ["sweep", "-f", str(f_path), "-N", "2", "-M", "4", "--budget", "400"]
+    assert main(argv + ["-o", str(out_path)]) == 0
+    assert capsys.readouterr().out == "400 placements swept\n"
+    assert sha256_of(out_path) == (
+        "feca7fdd1858cd95d390c7d36f1b7db05ba99a0ee210f6a29c21046fd7e511da"
     )
 
 
