@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import sys
@@ -71,6 +72,7 @@ from .transmission import (
     scheme_structure_errors,
     scheme_to_json,
     synthesize_exact,
+    synthesis_key,
     synthesize_greedy,
     verify_scheme,
 )
@@ -151,7 +153,9 @@ def _cmd_place(args, inputs):
         placement = aligned_placement(f, constraints)
         value = avg_joint_sensitivity(f, placement)
     else:
-        placement, value = search_min_as(f, constraints, budget=args.budget)
+        placement, value = search_min_as(
+            f, constraints, budget=args.budget or ENUMERATION_BUDGET
+        )
     _write_primary(args.output, placement_to_json(placement), f"as = {value.fraction}\n")
     return EXIT_OK, args.output, {}
 
@@ -277,9 +281,11 @@ def _cmd_sweep(args, inputs):
     text: dict[int, tuple[str, str]] = {}  # subset number -> (label, influence)
     counts: dict[int, int] = {}  # subset number -> influence count
     sums: dict[int, tuple[str, str]] = {}  # summed count -> (as, as_decimal)
+    # synthesis_key -> (T_exact, T_greedy, pieces per server); one per call.
+    synthesized: dict[tuple[int, ...], tuple[int, int, list[int]]] = {}
     rows = space.ordered()
     emitted = 0
-    for combo in islice(rows, args.budget):
+    for combo in islice(rows, args.budget or ENUMERATION_BUDGET):
         for i in combo:
             if i not in text:
                 counts[i] = space.influence(i)
@@ -289,13 +295,15 @@ def _cmd_sweep(args, inputs):
             as_value = Fraction(summed, denom)
             sums[summed] = str(as_value), repr(float(as_value))
         if space.computable(combo):
-            placement = space.config(combo)
-            exact = count_transmissions(
-                synthesize_exact(f, placement), num_servers=args.num_servers
-            )
-            t_exact = exact.total
-            t_greedy = count_transmissions(synthesize_greedy(f, placement)).total
-            pieces = list(exact.per_server)
+            key = synthesis_key(f, map(space.mask, combo))
+            if key not in synthesized:
+                placement = space.config(combo)
+                exact = count_transmissions(
+                    synthesize_exact(f, placement), num_servers=args.num_servers
+                )
+                greedy = count_transmissions(synthesize_greedy(f, placement)).total
+                synthesized[key] = exact.total, greedy, list(exact.per_server)
+            t_exact, t_greedy, pieces = synthesized[key]
         else:
             t_exact = t_greedy = ""
             pieces = [""] * args.num_servers
@@ -311,6 +319,7 @@ def _cmd_sweep(args, inputs):
         "placements_total": space.size_text,
         "placements_emitted": emitted,
         "truncated": next(rows, None) is not None,
+        "syntheses": len(synthesized),
     }
     return EXIT_OK, args.output, extras
 
@@ -333,7 +342,11 @@ def _add_estimator(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", type=float, default=1e-3)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process.  It holds no default read from a
+    module name: ``--budget`` is None when not given, and the commands
+    read ``ENUMERATION_BUDGET`` when they run."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, help="seed for all randomized paths"
@@ -388,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-M", "--cache-size", type=int, required=True)
     p.add_argument("--method", choices=["exhaustive", "aligned"], default="exhaustive")
     p.add_argument(
-        "--budget", type=_positive_int, default=ENUMERATION_BUDGET, help="search steps, at least 1"
+        "--budget", type=_positive_int, help="search steps, at least 1 (default 10^7)"
     )
     p.add_argument("-o", "--output", metavar="FILE", help="placement file (default stdout)")
     p.set_defaults(func=_cmd_place)
@@ -439,7 +452,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-N", "--num-servers", type=int, required=True)
     p.add_argument("-M", "--cache-size", type=int, required=True)
     p.add_argument(
-        "--budget", type=_positive_int, default=ENUMERATION_BUDGET, help="at least 1"
+        "--budget", type=_positive_int, help="placements, at least 1 (default 10^7)"
     )
     p.add_argument("-o", "--output", metavar="FILE", help="CSV file (default stdout)")
     p.set_defaults(func=_cmd_sweep)

@@ -54,7 +54,7 @@ from .placement import (
     count_placements,
     subset_label,
 )
-from .transmission import count_transmissions, synthesize_exact
+from .transmission import TransmissionCount, count_transmissions, synthesis_key, synthesize_exact
 
 LEMMA1_DEGREES = range(1, 9)
 LEMMA1_SUBSET_TRIALS = 20
@@ -268,6 +268,14 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
     sorted placement, and tuples are listed in the order of their members,
     so the first member of least T is ``min_T_placement``.  A tuple stands
     for N!/prod(repeats!) * prod_j M!/prod_n a_nj! ordered placements.
+
+    Permuting the products maps f to itself too, so T depends only on the
+    tuple's N x N matrix up to row and column order.  Each tuple is keyed
+    by its matrix with rows sorted, then columns, in descending order
+    until nothing moves.  A key is a matrix of the tuple's orbit, so
+    tuples with one key have one T (Gent, Petrie and Puget, "Symmetry in
+    Constraint Programming", 2006).  T is still synthesized, once per key,
+    on the member of the key's first tuple.
     """
     n, m = num_servers, cache_size
     k = n * m
@@ -304,8 +312,27 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
             free = [ds[space.count(kind, j) :] for j, ds in enumerate(free)]
         return PlacementConfig.from_indices(m, subsets)
 
+    row = {kind: tuple(space.count(kind, j) for j in range(n)) for kind in order}
+
+    def orbit_key(kinds: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+        """The tuple's server-by-product matrix, rows sorted, then columns,
+        each in descending order, until nothing moves.  Each sort raises
+        the matrix read row by row or keeps it, so this ends."""
+        rows = sorted(map(row.__getitem__, kinds), reverse=True)
+        while True:
+            resorted = sorted(zip(*sorted(zip(*rows), reverse=True)), reverse=True)
+            if resorted == rows:
+                return tuple(rows)
+            rows = resorted
+
     tuples = list(extend((), space.kind(f.support_mask), 0))
-    pieces = [count_transmissions(synthesize_exact(f, member(kinds))).total for kinds in tuples]
+    by_key: dict[tuple[tuple[int, ...], ...], int] = {}  # orbit_key -> T
+    pieces = []
+    for kinds in tuples:
+        key = orbit_key(kinds)
+        if key not in by_key:
+            by_key[key] = count_transmissions(synthesize_exact(f, member(kinds))).total
+        pieces.append(by_key[key])
     num_computable = sum(
         factorial(n) // prod(map(factorial, Counter(kinds).values()))
         * prod(factorial(m) // prod(factorial(space.count(kind, j)) for kind in kinds)
@@ -368,6 +395,45 @@ def _average_ranks(values: Sequence[float]) -> np.ndarray:
     return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
 
 
+def _discordant_count(rows: Sequence[tuple[int, int]]) -> int:
+    """How many pairs of rows the two columns order strictly oppositely,
+    in O(n log n).
+
+    Sorted by (first, second), a pair is discordant exactly when the
+    earlier row has the larger second column: rows with one first value
+    come in order of the second, so ties in either column are concordant.
+    A Fenwick tree over the second column's ranks counts, for each row,
+    the earlier rows above it.
+    """
+    values = sorted({b for _, b in rows})
+    tree = [0] * (len(values) + 1)
+    total = 0
+    for seen, (_, b) in enumerate(sorted(rows)):
+        rank = bisect_right(values, b)
+        total += seen  # less the earlier rows whose second column is at most b:
+        i = rank
+        while i:
+            total -= tree[i]
+            i &= i - 1
+        while rank <= len(values):
+            tree[rank] += 1
+            rank += rank & -rank
+    return total
+
+
+def _first_discordant(rows: Sequence[tuple[int, int]], wanted: int) -> list[tuple[int, int]]:
+    """The first ``wanted`` discordant pairs (i, j), i < j, in (i, j) order.
+    The scan stops at the last one, so ``wanted`` should be at most their count."""
+    found: list[tuple[int, int]] = []
+    for i, (a, b) in enumerate(rows if wanted else ()):
+        for j in range(i + 1, len(rows)):
+            if (a - rows[j][0]) * (b - rows[j][1]) < 0:
+                found.append((i, j))
+                if len(found) == wanted:
+                    return found
+    return found
+
+
 def corollary_study(
     f: BooleanFunctionANF, placements: Sequence[PlacementConfig]
 ) -> OracleReport:
@@ -377,10 +443,13 @@ def corollary_study(
 
     Influences are integer counts over 2^K, counted once per distinct
     subset; they are compared and ranked as counts and become fractions
-    only in the printed text.
+    only in the printed text.  Piece counts are synthesized once per
+    :func:`synthesis_key` (each server's datasets of f), which decides the
+    scheme.  Ordering violations are counted without listing the pairs.
     """
     denom = 1 << f.num_datasets
     influence: dict[int, int] = {}
+    synthesized: dict[tuple[int, ...], TransmissionCount] = {}  # per synthesis_key
     rows = []
     cases = []
     for placement in placements:
@@ -390,8 +459,12 @@ def corollary_study(
                 influence[s] = joint_influence_exact(f, s).count
             per_inf.append(influence[s])
         as_count = sum(per_inf)
-        scheme = synthesize_exact(f, placement)
-        counts = count_transmissions(scheme, num_servers=placement.num_servers)
+        key = synthesis_key(f, placement.subset_masks)
+        if key not in synthesized:
+            synthesized[key] = count_transmissions(
+                synthesize_exact(f, placement), num_servers=placement.num_servers
+            )
+        counts = synthesized[key]
         rows.append((as_count, counts.total))
         cases.append(
             OracleCase(
@@ -406,12 +479,7 @@ def corollary_study(
             )
         )
 
-    violations = [
-        (i, j)
-        for i in range(len(rows))
-        for j in range(i + 1, len(rows))
-        if (rows[i][0] - rows[j][0]) * (rows[i][1] - rows[j][1]) < 0
-    ]
+    violations = _discordant_count(rows)
 
     rho = None
     as_col = [a for a, _ in rows]
@@ -424,13 +492,12 @@ def corollary_study(
     def point(i: int) -> str:
         return f"#{i}(as={Fraction(rows[i][0], denom)},T={rows[i][1]})"
 
-    recorded = "; ".join(
-        f"{point(i)} vs {point(j)}" for i, j in violations[:RECORDED_VIOLATIONS]
-    )
+    examples = _first_discordant(rows, min(violations, RECORDED_VIOLATIONS))
+    recorded = "; ".join(f"{point(i)} vs {point(j)}" for i, j in examples)
     summary = {
         "placements": str(len(rows)),
         "spearman_rho": "n/a" if rho is None else repr(rho),
-        "ordering_violations": str(len(violations)),
+        "ordering_violations": str(violations),
         "violation_examples": recorded or "none",
     }
     grid = {"K": str(f.num_datasets), "placements": str(len(placements))}

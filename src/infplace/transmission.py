@@ -429,6 +429,21 @@ def synthesize_exact(f: BooleanFunctionANF, p: PlacementConfig) -> TransmissionS
     return _scheme_from_blocks(f, p, best)
 
 
+def synthesis_key(f: BooleanFunctionANF, subset_masks: Iterable[int]) -> tuple[int, ...]:
+    """Each server's datasets of f, in server order: all of a placement
+    that synthesis reads.
+
+    Both synthesizers and the lowest-server assignment in
+    :func:`_scheme_from_blocks` read a server's subset s only as
+    ``monomial & s`` or ``block & ~s``, and every monomial and block lies
+    inside f's support, so placements with one key get the same schemes.
+    The key keeps server order: greedy breaks ties toward the lowest
+    server, and each piece goes to the lowest server that holds it.
+    """
+    support = f.support_mask
+    return tuple(s & support for s in subset_masks)
+
+
 def count_transmissions(
     s: TransmissionScheme, num_servers: int | None = None
 ) -> TransmissionCount:

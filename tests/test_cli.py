@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
@@ -17,6 +18,7 @@ import pytest
 import argparse
 
 import infplace
+from infplace.anf import BooleanFunctionANF
 from infplace.cli import _positive_int, main
 
 from conftest import (
@@ -503,6 +505,8 @@ def test_sweep_csv_layout(capsys, tmp_path):
     manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
     assert manifest["placements_total"] == "C(4,2)^2"
     assert manifest["truncated"] is False
+    # f's support is every dataset, so the 6 computable rows are 6 syntheses.
+    assert manifest["syntheses"] == 6
 
 
 def test_sweep_output_is_pinned(files, capsys, tmp_path):
@@ -530,6 +534,85 @@ def test_sweep_output_is_pinned_when_the_support_is_narrower(capsys, tmp_path):
     assert sha256_of(out_path) == (
         "feca7fdd1858cd95d390c7d36f1b7db05ba99a0ee210f6a29c21046fd7e511da"
     )
+    manifest = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
+    assert manifest["syntheses"] == 32
+
+
+def masks_of(label: str) -> tuple[int, ...]:
+    """"{1,2}; {3}" as subset masks."""
+    return tuple(
+        sum(1 << (int(d) - 1) for d in part.strip("{}").split(",")) for part in label.split("; ")
+    )
+
+
+def test_sweep_and_corollary_synthesize_once_per_key(monkeypatch, capsys, tmp_path):
+    # On functions whose support leaves out datasets, every computable row
+    # must read as a direct synthesis on its own placement, with
+    # synthesize_exact called once per tuple of each server's datasets of f.
+    from infplace import cli, oracle
+    from infplace.placement import PlacementConfig
+    from infplace.transmission import count_transmissions, synthesize_exact, synthesize_greedy
+
+    calls = []
+
+    def counted(f, placement):
+        calls.append(placement)
+        return synthesize_exact(f, placement)
+
+    monkeypatch.setattr(cli, "synthesize_exact", counted)
+    monkeypatch.setattr(oracle, "synthesize_exact", counted)
+    rng = random.Random(21)
+    f_path, out_path = tmp_path / "f.json", tmp_path / "out"
+    sweep_rows = study_rows = 0
+    for _ in range(40):
+        k = rng.randint(4, 7)
+        support = rng.sample(range(1, k + 1), rng.randint(2, k - 1))
+        monomials = [
+            sorted(rng.sample(support, rng.randint(1, min(3, len(support)))))
+            for _ in range(rng.randint(1, 3))
+        ]
+        f = BooleanFunctionANF.from_indices(k, monomials)
+        n, m = rng.randint(2, 3), rng.randint(2, min(3, k - 1))
+        f_path.write_text(json.dumps({"K": k, "monomials": monomials}))
+        grid = ["-f", str(f_path), "-N", str(n), "-M", str(m)]
+
+        calls.clear()
+        assert main(["sweep", *grid, "--budget", "300", "-o", str(out_path)]) == 0
+        keys = set()
+        for row in csv.DictReader(io.StringIO(out_path.read_text())):
+            if not row["T_exact"]:
+                continue
+            masks = masks_of(row["subsets"])
+            placement = PlacementConfig(n, m, masks)
+            exact = count_transmissions(synthesize_exact(f, placement), num_servers=n)
+            greedy = count_transmissions(synthesize_greedy(f, placement)).total
+            pieces = [int(row[f"pieces_server_{i}"]) for i in range(1, n + 1)]
+            assert (int(row["T_exact"]), int(row["T_greedy"]), pieces) == (
+                exact.total, greedy, list(exact.per_server)
+            ), (monomials, row)
+            keys.add(tuple(s & f.support_mask for s in masks))
+            sweep_rows += 1
+        assert len(calls) == len(keys)
+        manifest = json.loads(Path(f"{out_path}.manifest.json").read_text())
+        assert manifest["syntheses"] == len(keys)
+
+        calls.clear()
+        assert main(["oracle", "corollary", *grid, "--limit", "40", "-o", str(out_path)]) == 0
+        keys = set()
+        for case in json.loads(out_path.read_text())["cases"]:
+            masks = masks_of(case["label"])
+            counts = count_transmissions(
+                synthesize_exact(f, PlacementConfig(n, m, masks)), num_servers=n
+            )
+            found = re.search(r"T=(\d+) .* pieces=\[(.*)\]$", case["observed"])
+            assert (int(found.group(1)), found.group(2)) == (
+                counts.total, ", ".join(map(str, counts.per_server))
+            ), (monomials, case)
+            keys.add(tuple(s & f.support_mask for s in masks))
+            study_rows += 1
+        assert len(calls) == len(keys)
+    capsys.readouterr()
+    assert (sweep_rows, study_rows) == (4771, 1433)
 
 
 def test_sweep_budget_truncates(capsys, tmp_path):
@@ -616,6 +699,30 @@ def test_sweep_manifest_names_a_grid_too_large_to_print(capsys, tmp_path):
 def test_threads_below_one_are_rejected(text):
     with pytest.raises(argparse.ArgumentTypeError):
         _positive_int(text)
+
+
+def test_later_calls_do_not_inherit_earlier_options(files, capsys, tmp_path, monkeypatch):
+    # One parser serves every main() call of a process.
+    influence = ["influence", "-f", files["f.json"], "--subset", "1,4,7"]
+    assert main(influence + ["--mc", "--seed", "7", "--epsilon", "0.05"]) == 0
+    assert capsys.readouterr().out.startswith("0.3")
+    assert main(influence) == 0
+    out, err = capsys.readouterr()
+    assert out == "160/512\n"
+    assert stderr_manifest(err)["seed"] == 2024
+    f_path, out_path = tmp_path / "f4.json", tmp_path / "sweep.csv"
+    f_path.write_text('{"K":4,"monomials":[[1,2],[3,4]]}\n')
+    sweep = ["sweep", "-f", str(f_path), "-N", "2", "-M", "2", "-o", str(out_path)]
+    assert main(sweep + ["--budget", "5"]) == 0
+    assert capsys.readouterr().out == "5 placements swept\n"
+    assert main(sweep) == 0
+    assert capsys.readouterr().out == "36 placements swept\n"
+    # The default budget is read when the command runs, not when the
+    # parser was built.
+    monkeypatch.setattr(infplace.cli, "ENUMERATION_BUDGET", 7)
+    assert main(sweep) == 0
+    assert capsys.readouterr().out == "7 placements swept\n"
+    assert infplace.cli._build_parser() is infplace.cli._build_parser()
 
 
 def test_threads_zero_exits_2(files, capsys):

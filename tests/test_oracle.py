@@ -8,7 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb, factorial
 
 import numpy as np
@@ -187,14 +187,29 @@ def test_theorem_five_servers_pairs_summary():
     assert Fraction(summary["min_as"]) == Fraction(n, 1 << (m - 1))
 
 
+def sorted_matrix_key(rows):
+    """Rows sorted, then columns, descending, until nothing moves."""
+    rows = sorted(rows, reverse=True)
+    while (resorted := sorted(zip(*sorted(zip(*rows), reverse=True)), reverse=True)) != rows:
+        rows = resorted
+    return tuple(rows)
+
+
+def orbit_form(rows):
+    """The least row-sorted matrix over every column order: one per orbit."""
+    return min(tuple(sorted(zip(*cols))) for cols in permutations(zip(*rows)))
+
+
 @pytest.mark.parametrize("n,m", [(3, 3), (4, 2)])
 def test_piece_count_depends_only_on_the_server_by_product_counts(n, m, monkeypatch):
-    # check_theorem synthesizes one multiset per class of equal sorted
-    # server-by-product counts; here every computable multiset is
-    # synthesized and compared with the first of its class.
+    # check_theorem synthesizes one multiset per key, the server-by-product
+    # count matrix with rows and columns sorted; here every computable
+    # multiset is synthesized and compared with the first of its row-sorted
+    # class and of its key, and each key lies in one orbit of row and
+    # column permutations.
     f = disjoint_products(n, m)
     subsets = [mask_from_indices(ix) for ix in combinations(range(1, n * m + 1), m)]
-    first_t, first_combo = {}, {}
+    first_t, key_t, first_combo, orbit = {}, {}, {}, {}
     listed = 0
     for combo in combinations_with_replacement(subsets, n):
         union = 0
@@ -203,14 +218,19 @@ def test_piece_count_depends_only_on_the_server_by_product_counts(n, m, monkeypa
         if f.support_mask & ~union:
             continue
         listed += 1
-        kinds = tuple(sorted(tuple((s & p).bit_count() for p in f.monomials) for s in combo))
+        rows = [tuple((s & p).bit_count() for p in f.monomials) for s in combo]
+        kinds, key = tuple(sorted(rows)), sorted_matrix_key(rows)
         t = count_transmissions(synthesize_exact(f, PlacementConfig(n, m, combo))).total
         assert first_t.setdefault(kinds, t) == t, combo
-        first_combo.setdefault(kinds, combo)
+        assert key_t.setdefault(key, t) == t, combo
+        assert orbit.setdefault(key, orbit_form(rows)) == orbit_form(rows), combo
+        first_combo.setdefault(key, combo)
     assert listed == factorial(n * m) // factorial(m) ** n // factorial(n)
     assert len(first_t) == {(3, 3): 10, (4, 2): 17}[n, m]
+    assert len(key_t) == {(3, 3): 6, (4, 2): 8}[n, m]
+    assert len(set(orbit.values())) == {(3, 3): 5, (4, 2): 5}[n, m]
     # The member check_theorem synthesizes is the first multiset of its
-    # class, and the classes come in the order of those first multisets.
+    # key, and the keys come in the order of those first multisets.
     synthesized = []
 
     def recorded(f, placement):
@@ -223,7 +243,7 @@ def test_piece_count_depends_only_on_the_server_by_product_counts(n, m, monkeypa
 
 
 def test_theorem_synthesizes_once_per_class_and_once_aligned(monkeypatch):
-    # The class counts are those the brute-force listing above finds.
+    # The key counts are those the brute-force listing above finds.
     calls = []
 
     def counted(f, placement):
@@ -231,12 +251,12 @@ def test_theorem_synthesizes_once_per_class_and_once_aligned(monkeypatch):
         return synthesize_exact(f, placement)
 
     monkeypatch.setattr(oracle, "synthesize_exact", counted)
-    for n, m, classes in [(3, 3, 10), (4, 2, 17)]:
+    for n, m, classes in [(3, 3, 6), (4, 2, 8)]:
         calls.clear()
         summary = check_theorem(n, m).summary
         assert summary["computable"] == str(factorial(n * m) // factorial(m) ** n)
         assert summary["min_T"] == str(n)
-        assert len(calls) == classes + 1  # one member of each class, then aligned
+        assert len(calls) == classes + 1  # one member of each key, then aligned
 
 
 # The (3,3) check takes C(9,3) = 84 steps to list the subsets' types, tries
@@ -268,7 +288,7 @@ def test_theorem_respects_enumeration_budget(monkeypatch):
     assert synthesized == [] and counted == []
     monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", THEOREM_3_3_STEPS)
     assert check_theorem(3, 3).passed
-    assert len(synthesized) == 10 + 1
+    assert len(synthesized) == 6 + 1  # one member of each key, then aligned
 
 
 # (5,3) is also what a 142 s run of the old multiset walk found, with its
@@ -314,6 +334,22 @@ def test_theorem_tries_one_type_per_server_at_single_dataset_caches(monkeypatch)
         "min_T": str(n),
         "min_T_placement": "; ".join(f"{{{d}}}" for d in range(1, n + 1)),
     }
+
+
+def test_ordering_violations_are_counted_without_the_pair_list():
+    # Few distinct values, so most pairs tie in one column or both.
+    rng = random.Random(5)
+    for trial in range(300):
+        rows = [(rng.randint(0, 4) << 70, rng.randint(0, 3)) for _ in range(rng.randint(0, 60))]
+        pairs = [
+            (i, j)
+            for i in range(len(rows))
+            for j in range(i + 1, len(rows))
+            if (rows[i][0] - rows[j][0]) * (rows[i][1] - rows[j][1]) < 0
+        ]
+        assert oracle._discordant_count(rows) == len(pairs), rows
+        for wanted in {0, 1, min(len(pairs), oracle.RECORDED_VIOLATIONS), len(pairs)}:
+            assert oracle._first_discordant(rows, wanted) == pairs[:wanted], rows
 
 
 def test_corollary_study_records_but_never_fails():
