@@ -288,7 +288,8 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
     first = space.first_of_each_type(budget)
     order = list(first)
     firsts = [space.first_class(kind) for kind in order]  # sorted, see above
-    cost = {kind: n + sum((1 << space.count(kind, j)) - 1 for j in range(n)) for kind in order}
+    row = {kind: tuple(space.count(kind, j) for j in range(n)) for kind in order}
+    cost = {kind: n + sum((1 << a) - 1 for a in row[kind]) for kind in order}
 
     def extend(kinds: tuple[int, ...], left: int, start: int) -> Iterator[tuple[int, ...]]:
         """Each sorted completion of ``kinds`` that takes exactly the packed ``left``."""
@@ -308,11 +309,9 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
         free = [indices_from_mask(cls) for cls in space.classes]
         subsets = []
         for kind in kinds:
-            subsets.append([d for j, ds in enumerate(free) for d in ds[: space.count(kind, j)]])
-            free = [ds[space.count(kind, j) :] for j, ds in enumerate(free)]
+            subsets.append([d for ds, a in zip(free, row[kind]) for d in ds[:a]])
+            free = [ds[a:] for ds, a in zip(free, row[kind])]
         return PlacementConfig.from_indices(m, subsets)
-
-    row = {kind: tuple(space.count(kind, j) for j in range(n)) for kind in order}
 
     def orbit_key(kinds: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         """The tuple's server-by-product matrix, rows sorted, then columns,
@@ -335,7 +334,7 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
         pieces.append(by_key[key])
     num_computable = sum(
         factorial(n) // prod(map(factorial, Counter(kinds).values()))
-        * prod(factorial(m) // prod(factorial(space.count(kind, j)) for kind in kinds)
+        * prod(factorial(m) // prod(factorial(row[kind][j]) for kind in kinds)
                for j in range(n))
         for kinds in tuples
     )

@@ -20,6 +20,8 @@ import argparse
 import infplace
 from infplace.anf import BooleanFunctionANF
 from infplace.cli import _positive_int, main
+from infplace.placement import PlacementConfig
+from infplace.transmission import count_transmissions, synthesize_exact, synthesize_greedy
 
 from conftest import (
     DISJOINT_PAIRS_JSON,
@@ -539,7 +541,7 @@ def test_sweep_output_is_pinned_when_the_support_is_narrower(capsys, tmp_path):
 
 
 def masks_of(label: str) -> tuple[int, ...]:
-    """"{1,2}; {3}" as subset masks."""
+    """The subset masks of a placement label such as "{1,2}; {3}"."""
     return tuple(
         sum(1 << (int(d) - 1) for d in part.strip("{}").split(",")) for part in label.split("; ")
     )
@@ -549,18 +551,14 @@ def test_sweep_and_corollary_synthesize_once_per_key(monkeypatch, capsys, tmp_pa
     # On functions whose support leaves out datasets, every computable row
     # must read as a direct synthesis on its own placement, with
     # synthesize_exact called once per tuple of each server's datasets of f.
-    from infplace import cli, oracle
-    from infplace.placement import PlacementConfig
-    from infplace.transmission import count_transmissions, synthesize_exact, synthesize_greedy
-
     calls = []
 
     def counted(f, placement):
         calls.append(placement)
         return synthesize_exact(f, placement)
 
-    monkeypatch.setattr(cli, "synthesize_exact", counted)
-    monkeypatch.setattr(oracle, "synthesize_exact", counted)
+    monkeypatch.setattr(infplace.cli, "synthesize_exact", counted)
+    monkeypatch.setattr(infplace.oracle, "synthesize_exact", counted)
     rng = random.Random(21)
     f_path, out_path = tmp_path / "f.json", tmp_path / "out"
     sweep_rows = study_rows = 0
