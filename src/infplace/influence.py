@@ -4,17 +4,18 @@ Joint sensitivity at one assignment counts how many of the given flip
 sets change the function output when flipped together.  Joint influence
 is the probability of a change over uniform inputs, the weight of the
 derivative f(x) xor f(x xor S), which only the monomials that meet the
-flip set S carry.  The exact path counts changed assignments on one
-truth table of those monomials over their variables V' only, with each
-block of private variables outside S collapsed to one weighted variable
-and S on the outermost axes, so that x and x xor S are mirrored rows and
-only half of the pairs are compared.  It scales the count to all 2^K
-inputs and stores the result as an integer count over 2^K (lemma checks
-need exact equality, floats would not do).  It refuses a flip set whose
-V' spans more than the enumeration limit of variables, counted before
-any collapse and whatever K is; a Hoeffding-calibrated Monte Carlo
-estimator, which tests the same derivative on each sample, answers at
-any width.
+flip set S carry.  The exact path builds that derivative's truth table
+over their variables V' only, with each block of private variables
+outside S collapsed to one weighted variable, bit-packed 64 cells to a
+word, and counts its set bits with a popcount.  It scales the count to
+all 2^K inputs and stores the result as an integer count over 2^K
+(lemma checks need exact equality, floats would not do).  It refuses a
+flip set whose V' spans more than the enumeration limit of variables,
+counted before any collapse and whatever K is; a Hoeffding-calibrated
+Monte Carlo estimator, which tests the same derivative on each sample,
+answers at any width.  It tests the PCG64 draws in their own bit layout,
+moving each monomial mask up to the sample's bits instead of moving
+every sample down.
 """
 
 from __future__ import annotations
@@ -27,14 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .anf import (
-    BooleanFunctionANF,
-    evaluate,
-    indices_from_mask,
-    monomial_sort_key,
-    truth_table,
-    uniform_assignments,
-)
+from .anf import BooleanFunctionANF, evaluate, indices_from_mask
 
 if TYPE_CHECKING:
     from .placement import PlacementConfig
@@ -48,6 +42,15 @@ EXACT_ENUMERATION_LIMIT = 24
 # (seed, b), so this size is part of the pinned sample stream: changing
 # it changes every Monte Carlo estimate.
 MC_BLOCK_SIZE = 8192
+# Variables indexed by bits inside one uint64 word of a packed table, and
+# per variable j and value v the word mask of the cells where bit j is v.
+_WORD_BITS = 6
+_WORD_MASK = (1 << _WORD_BITS) - 1
+_ALL_CELLS = (1 << 64) - 1
+_CELLS_WITH_BIT = tuple(
+    (_ALL_CELLS ^ upper, upper)
+    for upper in (sum(1 << x for x in range(64) if x >> j & 1) for j in range(_WORD_BITS))
+)
 
 
 class ExactLimitError(RuntimeError):
@@ -165,11 +168,16 @@ def joint_influence_exact(f: BooleanFunctionANF, flip_mask: int) -> InfluenceVal
     only one meeting monomial (its private block) enter g only through
     their product, so a block of t >= 2 of them becomes one variable z:
     z = 1 stands for the one assignment that sets the whole block, z = 0
-    for the other 2^t - 1, and rows count with that weight.  The a
-    variables of S in V' take the highest table axes, so x -> x xor S maps
-    row r of a (2^a, .) view to row 2^a - 1 - r; only the first half of
-    the rows is compared with its partners, and each changed pair counts
-    twice.
+    for the other 2^t - 1, and cells count with that weight.
+
+    The count is the popcount of the bit-packed table of the derivative
+    g(x) xor g(x xor S) (see :func:`_derivative_table`), whose z
+    variables take the highest axes, so the words of one z assignment are
+    one row of a ``(2^z, -1)`` view.  A word holds the six lowest
+    variables; for z to start on a word axis, a block that fits beside
+    the other variables below bit 6 stays single, and dummy low variables
+    fill what is left.  g ignores them, so their factor 2^pad divides out
+    exactly.
     """
     k = f.num_datasets
     if flip_mask < 0 or flip_mask >> k:
@@ -188,41 +196,77 @@ def joint_influence_exact(f: BooleanFunctionANF, flip_mask: int) -> InfluenceVal
             " use joint_influence_mc"
         )
     private = support & ~shared & ~flip_mask
-    single = support & ~flip_mask
+    candidates = [p for p in (m & private for m in meeting) if p & (p - 1)]
+    # Variables below the z axes; a block that fits beside them stays single.
+    low = support.bit_count() - sum(map(int.bit_count, candidates))
     blocks = []
-    for m in meeting:
-        p = m & private
-        if p & (p - 1):
+    for p in candidates:
+        if low + p.bit_count() <= _WORD_BITS:
+            low += p.bit_count()
+        else:
             blocks.append(p)
-            single ^= p
-    # Each unit of V' becomes one table variable, from the lowest bit up:
-    # the variables outside S left single, the collapsed blocks, then S.
-    free = [1 << (i - 1) for i in indices_from_mask(single)]
-    flipped = [1 << (i - 1) for i in indices_from_mask(support & flip_mask)]
-    units = free + blocks + flipped
-    compact = []
-    for m in meeting:
-        c = 0
-        for i, u in enumerate(units):
-            if m & u:
-                c |= 1 << i
-        compact.append(c)
-    # Relabelling moves monomials out of canonical order; sort them back.
-    g = BooleanFunctionANF(len(units), tuple(sorted(compact, key=monomial_sort_key)))
-    table = truth_table(g).reshape(1 << len(flipped), -1)
-    half = len(table) >> 1
-    pair_changed = table[:half] != table[half:][::-1]
-    if not blocks:
-        changed = int(np.count_nonzero(pair_changed))
-    else:
-        # Changed pairs per assignment of the z variables, times its weight.
-        per_z = pair_changed.reshape(half, 1 << len(blocks), 1 << len(free))
-        weights = [1]
-        for p in blocks:
-            rest = (1 << p.bit_count()) - 1
-            weights = [w * rest for w in weights] + weights
-        changed = sum(map(operator.mul, per_z.sum(axis=(0, 2)).tolist(), weights))
-    return InfluenceValue.exact_value(2 * changed << (k - support.bit_count()), 1 << k)
+    pad = max(_WORD_BITS - low, 0)
+    # Table variables from bit pad up: the single variables, then the blocks.
+    singles = support & ~sum(blocks)
+    position = {1 << (i - 1): r for r, i in enumerate(indices_from_mask(singles), pad)}
+    position.update((p, r) for r, p in enumerate(blocks, pad + len(position)))
+
+    def relabel(m: int) -> int:
+        c = 1 << position[m & ~singles] if m & ~singles else 0  # m's block
+        m &= singles
+        while m:
+            c |= 1 << position[m & -m]
+            m &= m - 1
+        return c
+
+    table = _derivative_table(
+        [relabel(m) for m in meeting], relabel(flip_mask & support), pad + len(position)
+    )
+    per_z = np.bitwise_count(table).reshape(1 << len(blocks), -1).sum(axis=1).tolist()
+    weights = [1]
+    for p in blocks:
+        rest = (1 << p.bit_count()) - 1
+        weights = [w * rest for w in weights] + weights
+    changed = sum(map(operator.mul, per_z, weights)) >> pad
+    return InfluenceValue.exact_value(changed << (k - support.bit_count()), 1 << k)
+
+
+def _derivative_table(monomials: Sequence[int], flip: int, width: int) -> np.ndarray:
+    """Bit-packed table of g(x) xor g(x xor flip), g the XOR of
+    ``monomials``, over ``width`` >= 6 variables: bit x & 63 of word x >> 6
+    holds the value at x.
+
+    A monomial m is 1 at x where x & m == m, and at x xor flip where
+    x & m == m & ~flip.  Each of the two is an in-word pattern (per low
+    variable of m, the word mask of the cells where it takes the wanted
+    value) in the words whose index takes the wanted values on m's high
+    variables, a slab of a ``(2,)*(width-6)`` view with the highest
+    variable on axis 0.  When flip misses m's high variables both lie in
+    one slab, which takes the XOR of the two patterns in one pass.
+    """
+    axes = width - _WORD_BITS
+    table = np.zeros(1 << axes, dtype=np.uint64)
+    cube = table.reshape((2,) * axes)
+    for m in monomials:
+        patterns: dict[int, int] = {}
+        for value in (m, m & ~flip):
+            pattern = _ALL_CELLS
+            low = m & _WORD_MASK
+            while low:
+                j = (low & -low).bit_length() - 1
+                pattern &= _CELLS_WITH_BIT[j][value >> j & 1]
+                low &= low - 1
+            high = value >> _WORD_BITS
+            patterns[high] = patterns.get(high, 0) ^ pattern
+        for high, pattern in patterns.items():
+            slab = [slice(None)] * axes
+            fixed = m >> _WORD_BITS
+            while fixed:
+                a = (fixed & -fixed).bit_length() - 1
+                slab[axes - 1 - a] = high >> a & 1
+                fixed &= fixed - 1
+            cube[tuple(slab)] ^= np.uint64(pattern)
+    return table
 
 
 def _mc_block_mismatches(
@@ -235,19 +279,35 @@ def _mc_block_mismatches(
 ) -> int:
     """Mismatch count for one deterministic sample block.
 
-    Each block owns an independent RNG stream keyed by (seed, block
-    index).  A meeting monomial m changes under the flip exactly when
-    w & m is m or m & ~S, so f changes when an odd number of them do.
+    Each block owns an independent PCG64 stream keyed by (seed, block
+    index), and its samples are those of ``anf.uniform_assignments`` on
+    that stream.  They are tested in the raw words' own bit layout: a
+    sample is the top K bits of a 32-bit draw (K <= 32) or of a raw word
+    (32 < K < 64), so each mask moves up by the bits below instead.  At
+    K = 64 a sample is a high and then a low 32-bit draw, from the first
+    and second half of the block's draws; each pair is joined into one
+    word by viewing it as one little-endian uint64.  A meeting
+    monomial m changes under the flip exactly when w & m is m or m & ~S,
+    so f changes when an odd number of them do.
     """
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
-    )
-    w = uniform_assignments(rng, num_datasets, block_len)
+    bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
+    k = num_datasets
+    if 32 < k < 64:
+        words, shift = bits.random_raw(block_len), 64 - k
+    elif k < 64:
+        # numpy's 32-bit draws: the low half of a raw word, then its high half.
+        draws = bits.random_raw((block_len + 1) // 2).astype("<u8", copy=False).view("<u4")
+        words, shift = draws[:block_len], 32 - k
+    else:
+        draws = bits.random_raw(block_len).astype("<u8", copy=False).view("<u4")
+        words = np.empty((block_len, 2), dtype="<u4")
+        words[:, 0], words[:, 1] = draws[block_len:], draws[:block_len]
+        words, shift = words.view("<u8").reshape(-1), 0
     changed = np.zeros(block_len, dtype=bool)
     for m in meeting:
-        t = w & np.uint64(m)
-        changed ^= t == np.uint64(m)
-        changed ^= t == np.uint64(m & ~flip_mask)
+        t = words & (m << shift)
+        changed ^= t == m << shift
+        changed ^= t == (m & ~flip_mask) << shift
     return int(np.count_nonzero(changed))
 
 

@@ -332,10 +332,11 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
         if key not in by_key:
             by_key[key] = count_transmissions(synthesize_exact(f, member(kinds))).total
         pieces.append(by_key[key])
+    # prod_j M!/prod_n a_nj! = (M!)^N / prod over the tuple's types of prod_j a_j!.
+    type_factorials = {kind: prod(map(factorial, row[kind])) for kind in order}
     num_computable = sum(
         factorial(n) // prod(map(factorial, Counter(kinds).values()))
-        * prod(factorial(m) // prod(factorial(row[kind][j]) for kind in kinds)
-               for j in range(n))
+        * (factorial(m) ** n // prod(map(type_factorials.__getitem__, kinds)))
         for kinds in tuples
     )
     min_t = min(pieces)

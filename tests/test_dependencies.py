@@ -33,3 +33,14 @@ def test_imports_match_declared_dependencies():
     project = tomllib.loads(PYPROJECT.read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", d).group() for d in project["dependencies"]}
     assert third_party_imports() == declared == {"numpy"}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
+def test_numpy_floor_has_bitwise_count():
+    # The exact influence count takes popcounts with np.bitwise_count, new in 2.0.
+    import tomllib
+
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    (spec,) = [d for d in project["dependencies"] if d.startswith("numpy")]
+    floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)(?:\.\d+)?", spec)
+    assert floor and tuple(map(int, floor.groups())) >= (2, 0), spec

@@ -7,6 +7,8 @@ products and two-product swaps.
 
 import math
 import random
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infplace import influence
-from infplace.anf import BooleanFunctionANF, evaluate, evaluate_batch, indices_from_mask, truth_table
+from infplace.anf import (
+    BooleanFunctionANF,
+    evaluate,
+    evaluate_batch,
+    indices_from_mask,
+    truth_table,
+    uniform_assignments,
+)
 from infplace.influence import (
     EstimatorConfig,
     ExactLimitError,
@@ -101,12 +110,13 @@ def test_exact_limit_enforced(monkeypatch):
     # The monomials that meet S span 25 datasets: refused before any table.
     f = BooleanFunctionANF.from_indices(30, [list(range(1, 14)), list(range(14, 26))])
     built = []
+    derivative_table = influence._derivative_table
 
-    def counting_truth_table(g):
-        built.append(g)
-        return truth_table(g)
+    def counting_derivative_table(monomials, flip, width):
+        built.append(width)
+        return derivative_table(monomials, flip, width)
 
-    monkeypatch.setattr(influence, "truth_table", counting_truth_table)
+    monkeypatch.setattr(influence, "_derivative_table", counting_derivative_table)
     with pytest.raises(ExactLimitError, match="span 25 datasets"):
         joint_influence_exact(f, 1 | 1 << 13)
     assert built == []
@@ -235,14 +245,26 @@ def test_narrow_table_count_at_k64_matches_closed_form():
     assert (v.count, v.denominator) == (disjoint_product_count(degrees, 64, flip), 1 << 64)
 
 
+def meeting_span(f, flip_mask):
+    """|V'|: the datasets of the monomials that meet S."""
+    union = 0
+    for m in f.monomials:
+        if m & flip_mask:
+            union |= m
+    return union.bit_count()
+
+
 def test_exact_count_builds_one_narrow_table(monkeypatch, example_function):
-    widths = []
+    widths, sizes = [], []
+    derivative_table = influence._derivative_table
 
-    def recording_truth_table(g):
-        widths.append(g.num_datasets)
-        return truth_table(g)
+    def recording_derivative_table(monomials, flip, width):
+        table = derivative_table(monomials, flip, width)
+        widths.append(width)
+        sizes.append(table.nbytes)
+        return table
 
-    monkeypatch.setattr(influence, "truth_table", recording_truth_table)
+    monkeypatch.setattr(influence, "_derivative_table", recording_derivative_table)
     flips = [0b111, 0b001001001, 0b100100100, 0b110000000]
     counts = [joint_influence_exact(example_function, s).count for s in flips]
     assert len(widths) == len(flips)
@@ -250,6 +272,103 @@ def test_exact_count_builds_one_narrow_table(monkeypatch, example_function):
     # S = {1,2,3} meets all three monomials, so |V'| = 9; the private
     # blocks {5,8} and {6,9} each become one table variable.
     assert widths[0] < 9
+    # One bit per cell: never more bytes than a table over V' itself.
+    for s, size in zip(flips, sizes):
+        span = meeting_span(example_function, s)
+        if span >= 6:
+            assert size <= (1 << span) // 8, (s, size)
+
+
+def truth_table_count(f, flip_mask):
+    """Changed assignments over all 2^K inputs, on anf.truth_table's
+    (2,)*K view, where x -> x xor S reverses the axes of S's datasets
+    (dataset i is axis K - i)."""
+    k = f.num_datasets
+    table = truth_table(f).reshape((2,) * k)
+    axes = tuple(k - i for i in indices_from_mask(flip_mask))
+    return int(np.count_nonzero(table != np.flip(table, axis=axes)))
+
+
+def spanning_function(rng, k, flip_mask, count):
+    """``count`` monomials over k datasets, each dataset in one of them or
+    in two, and each monomial made to meet S: V' is every dataset unless
+    two monomials come out equal and cancel."""
+    monomials = [0] * count
+    for v in range(k):
+        shared = rng.random() < 0.25
+        for j in rng.sample(range(count), 2 if shared and count > 1 else 1):
+            monomials[j] |= 1 << v
+    in_s = [1 << i for i in range(k) if flip_mask >> i & 1]
+    monomials = [m if m & flip_mask else m | rng.choice(in_s) for m in monomials]
+    return BooleanFunctionANF.from_masks(k, monomials + [0] * rng.randint(0, 1))
+
+
+def test_packed_count_matches_truth_table_on_seeded_functions(monkeypatch):
+    # Widths 1-24 of V', against the full truth table of f.  The layout
+    # cases are read off the tables built: a padded table leaves its
+    # lowest variable unused, and S has a variable inside a word when the
+    # compact flip set has a bit below 6.
+    rng = random.Random(2622)
+    built = []
+    derivative_table = influence._derivative_table
+
+    def recording_derivative_table(monomials, flip, width):
+        table = derivative_table(monomials, flip, width)
+        built.append((sum(monomials) | flip, flip, table.nbytes))
+        return table
+
+    monkeypatch.setattr(influence, "_derivative_table", recording_derivative_table)
+    seen = {"padded": 0, "S inside a word": 0, "S covers V'": 0, "4+ private blocks": 0}
+    spans = set()
+    for k in range(1, 25):
+        for i in range(24 if k <= 16 else 8 if k <= 20 else 4):
+            full = (1 << k) - 1
+            count = rng.randint(1, min(k, 8))
+            if i % 4 == 0:
+                flip = full
+            elif i % 2:  # few of V' in S, and monomials of 3 or more
+                flip = sum(1 << v for v in range(k) if rng.random() < 0.15) or 1 << rng.randrange(k)
+                count = max(1, min(8, k // 3))
+            else:
+                flip = rng.randint(1, full)
+            f = spanning_function(rng, k, flip, count)
+            v = joint_influence_exact(f, flip)
+            assert (v.count, v.denominator) == (truth_table_count(f, flip), 1 << k), (f, flip)
+            used, compact_flip, size = built[-1]
+            span = meeting_span(f, flip)
+            spans.add(span)
+            if span >= 6:
+                assert size <= (1 << span) // 8, (f, flip, size)
+            in_s = set(indices_from_mask(flip))
+            meeting = [set(ix) for ix in map(indices_from_mask, f.monomials) if set(ix) & in_s]
+            uses = Counter(d for ix in meeting for d in ix)
+            blocks = sum(len({d for d in ix if uses[d] == 1} - in_s) >= 2 for ix in meeting)
+            seen["padded"] += not used & 1
+            seen["S inside a word"] += bool(compact_flip & 63)
+            seen["S covers V'"] += meeting_structure(f, flip)["S covers V'"]
+            seen["4+ private blocks"] += blocks >= 4
+    assert set(range(1, 25)) <= spans
+    assert min(seen.values()) >= 20, seen
+
+
+def test_exact_count_memory_stays_bounded():
+    # S is all of V' = 24 datasets, so no block collapses and the table
+    # holds 2^24 cells: 2 MB packed, where a bool table took 16 MB.  A
+    # later layout that grew the table 8-fold would pass 12 MB.
+    f = BooleanFunctionANF.from_indices(24, [list(range(1, 13)), list(range(12, 25))])
+    flip = (1 << 24) - 1
+    joint_influence_exact(f, flip)
+    tracemalloc.start()
+    try:
+        v = joint_influence_exact(f, flip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # g = y (a xor b) with y = W12, a, b the products of W1..W11 and
+    # W13..W24, so g(x) != g(~x) on the 2^23 (2^-11 + 2^-12 - 2^-22)
+    # = 6142 inputs with y = 1 and a xor b = 1, and as many with y = 0.
+    assert v.count == 2 * 6142
+    assert peak < 12 << 20, peak
 
 
 def disjoint_product_count(degrees, num_datasets, flip_mask):
@@ -475,6 +594,48 @@ def test_mc_estimates_are_pinned(k, monomials, flip_indices, seed, mismatches):
     assert est == InfluenceValue.estimate_value(
         mismatches / 38005, 0.00999993583688275, 38005, seed
     )
+
+
+def reference_block_mismatches(meeting, k, flip_mask, seed, block_index, block_len):
+    """One sample block drawn through uniform_assignments on a Generator,
+    each sample tested bit by bit on every meeting monomial."""
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
+    )
+    count = 0
+    for w in uniform_assignments(rng, k, block_len).tolist():
+        changed = 0
+        for m in meeting:
+            bits = [i for i in range(k) if m >> i & 1]
+            before = all(w >> i & 1 for i in bits)
+            after = all((w >> i & 1) ^ (flip_mask >> i & 1) for i in bits)
+            changed ^= before != after
+        count += changed
+    return count
+
+
+@pytest.mark.parametrize("k", [1, 31, 32, 33, 47, 63, 64])
+def test_mc_block_kernel_matches_bitwise_reference(k):
+    rng = random.Random(4000 + k)
+    variables = rng.sample(range(k), min(k, 12))
+    monomials = [
+        sum(1 << v for v in rng.sample(variables, rng.randint(1, min(k, 4)))) for _ in range(5)
+    ]
+    f = BooleanFunctionANF.from_masks(k, monomials)
+    flip = sum(1 << v for v in rng.sample(variables, min(k, 3)))
+    meeting = [m for m in f.monomials if m & flip]
+    assert meeting
+    for block_index, block_len in ((0, 1), (1, 2), (2, 1001), (3, 4096)):
+        assert influence._mc_block_mismatches(
+            meeting, k, flip, 99, block_index, block_len
+        ) == reference_block_mismatches(meeting, k, flip, 99, block_index, block_len)
+    # A whole estimate whose last block is odd: 11775 = 8192 + 3583.
+    config = EstimatorConfig(0.015, 1e-2, seed=k)
+    n = config.sample_count
+    assert (n, n % influence.MC_BLOCK_SIZE % 2) == (11775, 1)
+    blocks = [(0, influence.MC_BLOCK_SIZE), (1, n - influence.MC_BLOCK_SIZE)]
+    total = sum(reference_block_mismatches(meeting, k, flip, k, b, size) for b, size in blocks)
+    assert joint_influence_mc(f, flip, config).mean == total / n
 
 
 def test_mc_seed_changes_stream():
