@@ -180,11 +180,13 @@ def _cmd_verify(args, inputs):
     problems = scheme_structure_errors(scheme, f, placement)
     for problem in problems:
         sys.stderr.write(f"structure: {problem}\n")
-    if len(scheme.plan) != len(f.non_constant_monomials):
-        # Decoding pairs plan rows with monomials, so it cannot start.
+    try:
+        result = verify_scheme(scheme, f, seed=args.seed)
+    except ValueError:
+        # A plan row count other than f's or a piece past K: decoding
+        # cannot start, and the structure check has named the fault.
         sys.stdout.write(f"FAIL structure errors={len(problems)}, not decoded\n")
         return EXIT_ASSERTION_FAILED, None, {}
-    result = verify_scheme(scheme, f, seed=args.seed)
     if result.mode == "sampled":
         mode = f"sampled, seed={result.seed}"
     else:

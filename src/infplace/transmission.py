@@ -18,8 +18,12 @@ alone), plus the most any one monomial needs beyond those.  Each set of
 vars is divided by the most of it one server holds, since a block lies
 on one server.  It never overestimates, and the search keeps the first
 strictly better scheme in a DFS order the bound does not affect, so the
-bound sets the running time, never the scheme.  Cost grows exponentially
-with monomial degree; the degree limit is enforced, not advisory.
+bound sets the running time, never the scheme.  Where one more new block
+already reaches the best count, the search prunes on any uncovered var
+without computing the bound.  A monomial's candidate blocks are built
+per lowest var, the first time a node asks for that var.  Cost grows
+exponentially with monomial degree; the degree limit is enforced, not
+advisory.
 
 Exhaustive verification (K <= 20) evaluates f and the decoder on all 2^K
 inputs at once, each held as one Python int with one bit per input; the
@@ -165,22 +169,26 @@ def scheme_structure_errors(
     s: TransmissionScheme, f: BooleanFunctionANF, p: PlacementConfig | None = None
 ) -> list[str]:
     """Structural invariant check: one plan row per non-constant monomial,
-    each row's pieces pairwise disjoint and uniting to the monomial support.
-    Given a placement, every piece must also come from one of its N servers
-    and use only datasets that server holds."""
+    each row's pieces pairwise disjoint and uniting to the monomial support,
+    and every piece inside f's K datasets.  Given a placement, every other
+    piece must also come from one of its N servers and use only datasets
+    that server holds."""
     errors = []
     monomials = f.non_constant_monomials
+    k = f.num_datasets
     if s.constant != f.constant_term:
         errors.append(f"constant term {s.constant} != function's {f.constant_term}")
-    if p is not None:
-        for piece in s.pieces:
-            name = f"piece {indices_from_mask(piece.vars_mask)} on server {piece.server}"
-            if not 1 <= piece.server <= p.num_servers:
-                errors.append(f"{name}: no such server among N={p.num_servers}")
-                continue
-            missing = piece.vars_mask & ~p.subset_masks[piece.server - 1]
-            if missing:
-                errors.append(f"{name}: server does not hold {indices_from_mask(missing)}")
+    for piece in s.pieces:
+        name = f"piece {indices_from_mask(piece.vars_mask)} on server {piece.server}"
+        if piece.vars_mask >> k:
+            past = indices_from_mask(piece.vars_mask >> k << k)
+            errors.append(f"{name}: dataset(s) {past} past K={k}")
+        elif p is None:
+            continue
+        elif not 1 <= piece.server <= p.num_servers:
+            errors.append(f"{name}: no such server among N={p.num_servers}")
+        elif missing := piece.vars_mask & ~p.subset_masks[piece.server - 1]:
+            errors.append(f"{name}: server does not hold {indices_from_mask(missing)}")
     if len(s.plan) != len(monomials):
         errors.append(f"plan has {len(s.plan)} rows for {len(monomials)} monomials")
         return errors
@@ -199,23 +207,28 @@ def scheme_structure_errors(
     return errors
 
 
-def _coverable_blocks(monomial: int, subset_masks: Sequence[int]) -> dict[int, list[int]]:
-    """All nonempty sub-products of the monomial that fit on one server,
-    keyed by their lowest var: widest first, then in variable order."""
+def _blocks_with_lowest(monomial: int, low: int, servers: Iterable[int]) -> list[int]:
+    """The sub-products of the monomial whose lowest var is ``low`` and that
+    fit on one server: widest first, then in variable order.
+
+    Each is ``low`` joined with a submask of what a server holding ``low``
+    has of the monomial above it.
+    """
+    above = monomial & -(low << 1)
     blocks = set()
-    for held in {monomial & s for s in subset_masks}:
+    for held in {above & s for s in servers if s & low}:
         sub = held
-        while sub:
-            blocks.add(sub)
+        while True:
+            blocks.add(sub | low)
+            if not sub:
+                break
             sub = (sub - 1) & held
     # bin(b)[:1:-1] lists b's bits lowest first.  Two blocks of one width
     # first differ at the lowest var only one holds, and the one holding
     # it comes first in variable order, so a descending sort on the
     # reversed bits is that order without building index tuples.
-    by_low: dict[int, list[int]] = {}
-    for _, _, b in sorted(((b.bit_count(), bin(b)[:1:-1], b) for b in blocks), reverse=True):
-        by_low.setdefault(b & -b, []).append(b)
-    return by_low
+    ordered = sorted([(b.bit_count(), bin(b)[:1:-1], b) for b in blocks], reverse=True)
+    return [b for _, _, b in ordered]
 
 
 def _greedy_partitions(
@@ -258,7 +271,8 @@ def _new_blocks_bound(
     Per monomial j, R_j is what is left of it, and ``uncovered`` holds
     U_j, the vars of R_j that no used block inside R_j covers.
     ``shared`` holds the vars in two or more R_j, and P_j is U_j less
-    those.  ``width(v)`` is the most vars of v that one server holds.
+    those.  ``width(v)`` is the most vars of v that one server holds; it
+    may be any lookup that gives that, such as a memo's ``__getitem__``.
     A block that covers a var of U_j is new and lies inside R_j and on
     one server, so it covers at most width(U_j) vars of U_j: R_j needs
     u_j = ceil(|U_j|/width(U_j)) new blocks, at least p_j =
@@ -280,6 +294,18 @@ def _new_blocks_bound(
     return total + extra
 
 
+class _Widths(dict):
+    """Memo of the most vars of a set that one of ``servers`` holds."""
+
+    def __init__(self, servers: Sequence[int]):
+        super().__init__()
+        self.servers = servers
+
+    def __missing__(self, v: int) -> int:
+        w = self[v] = max([(v & s).bit_count() for s in self.servers])
+        return w
+
+
 def _search_min_distinct(
     monomials: Sequence[int],
     subset_masks: Sequence[int],
@@ -291,7 +317,9 @@ def _search_min_distinct(
     The incumbent starts at the greedy solution, so the result never
     uses more distinct blocks than greedy.  Each node places the lowest
     var of the current monomial's uncovered part: reusable blocks first,
-    then new ones, each widest first and then in variable order.  Bound:
+    then new ones, each widest first and then in variable order.  Each
+    (monomial, lowest var) list is built by ``_blocks_with_lowest`` the
+    first time a node reads it, so vars no node places cost nothing.  Bound:
     blocks used so far plus ``_new_blocks_bound`` over what is left of
     the current monomial and the later monomials, each less the vars that
     used blocks inside it cover, with each set divided by the most of it
@@ -300,6 +328,9 @@ def _search_min_distinct(
     affect) is kept, so every such bound returns the same blocks; it only
     sets how much is pruned.  A node tries no more new blocks once one
     would bring the count to the best so far: no leaf below could beat it.
+    For the same reason, a node where one more new block already reaches
+    the best prunes as soon as any var is uncovered, without the bound:
+    the bound is at least 1 there, so the decision is the same.
     """
     best_choice = [list(blocks) for blocks in init]
     best_count = len({b for blocks in init for b in blocks})
@@ -308,14 +339,7 @@ def _search_min_distinct(
         return best_choice
     servers = list(dict.fromkeys(subset_masks))
 
-    widths: dict[int, int] = {}  # the same sets recur at many nodes
-
-    def width(v: int) -> int:
-        w = widths.get(v)
-        if w is None:
-            w = widths[v] = max((v & s).bit_count() for s in servers)
-        return w
-
+    width = _Widths(servers).__getitem__  # the same sets recur at many nodes
     # Vars in at least one / at least two of monomials[i + 1 :].
     once_after, twice_after = [0] * n, [0] * n
     for i in range(n - 2, -1, -1):
@@ -326,8 +350,8 @@ def _search_min_distinct(
     if _new_blocks_bound(monomials, shared, width) >= best_count:
         return best_choice
     path: list[list[int]] = [[] for _ in range(n)]
-    # Each monomial's blocks are built when the search first reaches it.
-    by_low: list[dict[int, list[int]] | None] = [None] * n
+    # Per monomial, its blocks by lowest var, each list built on first read.
+    by_low: list[dict[int, list[int]]] = [{} for _ in range(n)]
     uncovered = list(monomials)  # U_j of each monomial past the current one
 
     def go(i: int, remaining: int, used: set[int]) -> None:
@@ -344,16 +368,24 @@ def _search_min_distinct(
         for b in used:
             if b & ~remaining == 0:
                 here |= b
-        shared = twice_after[i] | (remaining & once_after[i])
-        left = (remaining & ~here, *uncovered[i + 1 :])
-        if len(used) + _new_blocks_bound(left, shared, width) >= best_count:
-            return
-        fits = by_low[i]
+        count = len(used)
+        if count + 1 >= best_count:
+            # The bound would prune here: it is at least 1 exactly when
+            # some var is uncovered.
+            if count >= best_count or remaining & ~here or any(uncovered[i + 1 :]):
+                return
+        else:
+            shared = twice_after[i] | (remaining & once_after[i])
+            left = (remaining & ~here, *uncovered[i + 1 :])
+            if count + _new_blocks_bound(left, shared, width) >= best_count:
+                return
+        low = remaining & -remaining
+        fits = by_low[i].get(low)
         if fits is None:
-            fits = by_low[i] = _coverable_blocks(monomials[i], servers)
+            fits = by_low[i][low] = _blocks_with_lowest(monomials[i], low, servers)
         reuse: list[int] = []
         new: list[int] = []
-        for b in fits[remaining & -remaining]:
+        for b in fits:
             if b & ~remaining == 0:
                 (reuse if b in used else new).append(b)
         blocks = path[i]
@@ -379,6 +411,9 @@ def _search_min_distinct(
     return best_choice
 
 
+_PRESENT_FIRST = str.maketrans("01", "10")
+
+
 def _scheme_from_blocks(
     f: BooleanFunctionANF,
     p: PlacementConfig,
@@ -393,16 +428,23 @@ def _scheme_from_blocks(
             if b & ~held == 0:
                 break
             server += 1
-        rows.append((server, indices_from_mask(b), b))
-    # Piece.sort_key order: distinct masks have distinct indices, so the
-    # mask in a row never decides it.
+        rows.append((server, bin(b)[:1:-1].translate(_PRESENT_FIRST), b))
+    # Piece.sort_key order.  The key lists b's bits lowest first, a var in
+    # b as "0" and one outside it as "1".  Two keys first differ at the
+    # lowest var one block has and the other lacks, and the block that has
+    # it sorts first, as its index tuple does; a key that is a prefix of
+    # another sorts first, as a tuple that is a prefix does.  Distinct
+    # masks have distinct keys, so the mask in a row never decides it.
     rows.sort()
-    pieces = tuple([Piece(server, b) for server, _, b in rows])
-    index_of = {b: i for i, (_, _, b) in enumerate(rows)}
+    pieces = []
+    index_of = {}
+    for server, _, b in rows:
+        index_of[b] = len(pieces)
+        pieces.append(Piece(server, b))
     plan = tuple(
         [tuple(sorted([index_of[b] for b in blocks])) for blocks in per_monomial_blocks]
     )
-    return TransmissionScheme(pieces, plan, f.constant_term)
+    return TransmissionScheme(tuple(pieces), plan, f.constant_term)
 
 
 def synthesize_greedy(
@@ -546,12 +588,19 @@ def verify_scheme(
     VERIFY_SAMPLE_COUNT seeded uniform samples otherwise.  Reports the
     first failing input: exhaustively, the lowest set bit of f XOR the
     decoder, each held as one int whose bit x is its value at input x.
+    Raises ValueError, before decoding, on a plan row count other than f's
+    non-constant monomial count or on a piece with a dataset past K.
     """
     if len(s.plan) != len(f.non_constant_monomials):
         raise ValueError(
             f"plan has {len(s.plan)} rows for {len(f.non_constant_monomials)} monomials"
         )
     k = f.num_datasets
+    for piece in s.pieces:
+        if piece.vars_mask >> k:
+            raise ValueError(
+                f"piece {indices_from_mask(piece.vars_mask)} has a dataset past K={k}"
+            )
     if k <= VERIFY_EXHAUSTIVE_LIMIT:
         columns, full = _columns(k), (1 << (1 << k)) - 1
         expect = 0

@@ -306,6 +306,29 @@ def test_verify_with_placement_fails_on_pieces_their_server_cannot_send(
     assert err.splitlines()[0] == problem
 
 
+@pytest.mark.parametrize("k,past", [(3, 9), (21, 30)])
+@pytest.mark.parametrize("with_placement", [False, True])
+def test_verify_fails_without_decoding_on_a_piece_past_k(k, past, with_placement, capsys, tmp_path):
+    # Exhaustive (K=3) and sampled (K=21) paths: the unused piece {past}
+    # names a dataset f does not have, so decoding must not start.
+    f_path = tmp_path / "w1w2.json"
+    f_path.write_text('{"K":%d,"monomials":[[1,2]]}\n' % k)
+    p_path = tmp_path / "p.json"
+    p_path.write_text('{"N":1,"M":2,"subsets":[[1,2]]}\n')
+    s_path = tmp_path / "past.json"
+    s_path.write_text(
+        '{"constant":0,"pieces":[{"server":1,"vars":[1,2]},{"server":1,"vars":[%d]}],'
+        '"plan":[[0]]}\n' % past
+    )
+    argv = ["verify", "-s", str(s_path), "-f", str(f_path)]
+    assert main(argv + (["-p", str(p_path)] if with_placement else [])) == 5
+    out, err = capsys.readouterr()
+    assert out == "FAIL structure errors=1, not decoded\n"
+    problem = f"structure: piece ({past},) on server 1: dataset(s) ({past},) past K={k}"
+    assert err.splitlines()[0] == problem
+    assert "structure:" not in err.partition("\n")[2]
+
+
 def test_verify_sampled_for_wide_functions(capsys, tmp_path):
     f_path = tmp_path / "wide.json"
     p_path = tmp_path / "wide_p.json"

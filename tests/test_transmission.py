@@ -27,8 +27,10 @@ from infplace.transmission import (
     TransmissionScheme,
     UncomputablePlacementError,
     VerifyResult,
-    _coverable_blocks,
+    _PRESENT_FIRST,
+    _blocks_with_lowest,
     _new_blocks_bound,
+    _scheme_from_blocks,
     count_transmissions,
     decode,
     parse_scheme,
@@ -324,6 +326,22 @@ def test_verify_rejects_plan_shape_mismatch(example_function):
     scheme = TransmissionScheme(pieces=(Piece(1, 0b1),), plan=((0,),), constant=0)
     with pytest.raises(ValueError):
         verify_scheme(scheme, example_function)
+
+
+@pytest.mark.parametrize("k,past", [(3, 9), (3, 4), (21, 30), (21, 22), (63, 64)])
+def test_a_piece_past_k_is_a_structure_error_and_is_not_decoded(k, past):
+    # K <= 20 decodes exhaustively, K = 21 and 63 on samples: both refuse.
+    f = BooleanFunctionANF.from_indices(k, [[1, 2]])
+    scheme = TransmissionScheme((Piece(1, 0b11), Piece(1, 1 << past - 1)), ((0,),))
+    p = PlacementConfig.from_indices(2, [[1, 2]])
+    want = [f"piece ({past},) on server 1: dataset(s) ({past},) past K={k}"]
+    assert scheme_structure_errors(scheme, f) == want
+    assert scheme_structure_errors(scheme, f, p) == want
+    with pytest.raises(ValueError, match=f"past K={k}"):
+        verify_scheme(scheme, f)
+    inside = TransmissionScheme((Piece(1, 0b11), Piece(1, 1 << k - 1)), ((0,),))
+    assert scheme_structure_errors(inside, f) == []
+    assert verify_scheme(inside, f).passed
 
 
 @st.composite
@@ -628,11 +646,12 @@ def test_exact_schemes_of_wide_monomials_are_pinned():
     )
 
 
-def test_coverable_blocks_are_widest_first_then_in_variable_order():
+def test_blocks_with_lowest_are_widest_first_then_in_variable_order():
     monomial = mask_from_indices(range(1, 11))
-    by_low = _coverable_blocks(monomial, [monomial, 0b1111100000])
-    assert sorted(by_low) == [1 << b for b in range(10)]
+    servers = [monomial, 0b1111100000]
+    by_low = {1 << v: _blocks_with_lowest(monomial, 1 << v, servers) for v in range(10)}
     for low, blocks in by_low.items():
+        assert blocks
         assert all(b & -b == low for b in blocks)
         assert blocks == sorted(blocks, key=lambda b: (-b.bit_count(), indices_from_mask(b)))
     assert sum(map(len, by_low.values())) == (1 << 10) - 1
@@ -646,7 +665,7 @@ def test_synthesis_is_deterministic(example_function, window_placement):
     assert a == b
 
 
-def test_coverable_blocks_match_the_reference_order():
+def test_blocks_with_lowest_match_the_reference_order():
     rng = random.Random(3003)
     for _ in range(300):
         k = rng.randint(1, 10)
@@ -660,5 +679,53 @@ def test_coverable_blocks_match_the_reference_order():
         want = {}
         for b in sorted(blocks, key=lambda b: (b.bit_count(), bin(b)[:1:-1]), reverse=True):
             want.setdefault(b & -b, []).append(b)
-        got = _coverable_blocks(monomial, servers)
-        assert list(got.items()) == list(want.items()), (monomial, servers)
+        # Every lowest var the monomial has on some server has a list.
+        got = {
+            1 << v: _blocks_with_lowest(monomial, 1 << v, servers)
+            for v in range(k)
+            if monomial >> v & 1 and any(s >> v & 1 for s in servers)
+        }
+        assert got.keys() == want.keys(), (monomial, servers)
+        for low, blocks in want.items():
+            assert got[low] == blocks, (monomial, servers, low)
+
+
+def test_scheme_row_key_orders_masks_as_their_index_tuples():
+    rng = random.Random(4242)
+    masks = [mask_from_indices(ix) for ix in ([1], [1, 2], [1, 2, 3], [1, 3], [2], [2, 3], [64])]
+    for _ in range(150):
+        m = rng.randrange(1, 1 << rng.randint(1, 40))
+        masks += [m, m | 1 << m.bit_length() + rng.randrange(4)]  # a prefix pair
+    masks = list(dict.fromkeys(masks))
+
+    def key(b):
+        return bin(b)[:1:-1].translate(_PRESENT_FIRST)
+
+    assert sorted(masks, key=key) == sorted(masks, key=indices_from_mask)
+    prefixes = 0
+    for a, b in itertools.combinations(masks, 2):
+        assert (key(a) < key(b)) == (indices_from_mask(a) < indices_from_mask(b)), (a, b)
+        ia, ib = indices_from_mask(a), indices_from_mask(b)
+        prefixes += ib[: len(ia)] == ia or ia[: len(ib)] == ib
+    assert prefixes >= 150
+
+
+def test_schemes_from_blocks_are_canonical():
+    rng = random.Random(5151)
+    same_server_prefixes = 0
+    for _ in range(150):
+        f, p = _draw_wide_instance(rng)
+        for scheme in (synthesize_exact(f, p), synthesize_greedy(f, p)):
+            assert scheme == scheme.canonical()
+    # Blocks on one server where one's indices are a prefix of another's.
+    for _ in range(150):
+        k = rng.randint(2, 12)
+        f = BooleanFunctionANF.from_masks(k, [(1 << k) - 1])
+        p = PlacementConfig(1, k, ((1 << k) - 1,))
+        blocks = {rng.randrange(1, 1 << k) for _ in range(rng.randint(1, 8))}
+        blocks |= {b | 1 << b.bit_length() for b in blocks if b.bit_length() < k}
+        scheme = _scheme_from_blocks(f, p, [sorted(blocks)])
+        assert scheme == scheme.canonical()
+        assert sorted(piece.vars_mask for piece in scheme.pieces) == sorted(blocks)
+        same_server_prefixes += any(b | 1 << b.bit_length() in blocks for b in blocks)
+    assert same_server_prefixes >= 100
