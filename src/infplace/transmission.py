@@ -408,6 +408,7 @@ def _search_min_distinct(
             uncovered[i + 1 :] = saved
 
     go(0, monomials[0], set())
+    del go  # go's closure holds go: clearing it lets refcounting free the search
     return best_choice
 
 
