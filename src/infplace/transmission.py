@@ -25,14 +25,16 @@ per lowest var, the first time a node asks for that var.  Cost grows
 exponentially with monomial degree; the degree limit is enforced, not
 advisory.
 
-Exhaustive verification (K <= 20) evaluates f and the decoder on all 2^K
-inputs at once, each held as one Python int with one bit per input; the
-sampled check above that stays on numpy arrays of sampled masks.
+The decoder is itself an XOR of monomials, one per plan row over the
+union of that row's pieces, so verification builds the ANF of f XOR the
+decoder, in which equal monomials cancel.  ANF is unique, so the scheme
+decodes f exactly when that ANF is empty.  Otherwise it is evaluated
+only to report a failing input: its truth table's first 1 for K <= 20,
+the first seeded sample where it is 1 above that.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -41,12 +43,14 @@ import numpy as np
 from .anf import (
     BooleanFunctionANF,
     ParseError,
+    _check_assignment,
     bits_from_assignment,
     dump_object,
     evaluate_batch,
     indices_from_mask,
     load_object,
     mask_from_indices,
+    truth_table,
     uniform_assignments,
 )
 from .placement import PlacementConfig
@@ -505,13 +509,28 @@ def count_transmissions(
     return TransmissionCount(total=len(s.pieces), per_server=tuple(per))
 
 
-def decode(s: TransmissionScheme, f: BooleanFunctionANF, assignment: int) -> int:
-    """User-side decoding from piece values only: per monomial multiply its
-    pieces, XOR across monomials, XOR the constant term."""
+def _check_decodable(s: TransmissionScheme, f: BooleanFunctionANF) -> None:
+    """Raise ValueError unless ``s`` has one plan row per non-constant
+    monomial of f and every piece inside f's K datasets."""
     if len(s.plan) != len(f.non_constant_monomials):
         raise ValueError(
             f"plan has {len(s.plan)} rows for {len(f.non_constant_monomials)} monomials"
         )
+    k = f.num_datasets
+    for piece in s.pieces:
+        if piece.vars_mask >> k:
+            raise ValueError(
+                f"piece {indices_from_mask(piece.vars_mask)} has a dataset past K={k}"
+            )
+
+
+def decode(s: TransmissionScheme, f: BooleanFunctionANF, assignment: int) -> int:
+    """User-side decoding from piece values only: per monomial multiply its
+    pieces, XOR across monomials, XOR the constant term.  Raises
+    ValueError on a scheme that :func:`verify_scheme` refuses and on an
+    assignment that does not fit K datasets."""
+    _check_decodable(s, f)
+    _check_assignment(f, assignment)
     piece_values = [
         1 if assignment & p.vars_mask == p.vars_mask else 0 for p in s.pieces
     ]
@@ -520,24 +539,6 @@ def decode(s: TransmissionScheme, f: BooleanFunctionANF, assignment: int) -> int
         prod = 1
         for r in refs:
             prod &= piece_values[r]
-        out ^= prod
-    return out
-
-
-def _decode_batch(s: TransmissionScheme, assignments: np.ndarray) -> np.ndarray:
-    """:func:`decode` at each of an array of sampled masks.  Sampled verify
-    stays on numpy: holding samples one bit each, as the exhaustive check
-    holds inputs, means packing K columns of them first, which at K = 64
-    costs more than it saves."""
-    piece_vals = []
-    for p in s.pieces:
-        mm = assignments.dtype.type(p.vars_mask)
-        piece_vals.append((assignments & mm) == mm)
-    out = np.full(assignments.shape, bool(s.constant))
-    for refs in s.plan:
-        prod = np.ones(assignments.shape, dtype=bool)
-        for r in refs:
-            prod &= piece_vals[r]
         out ^= prod
     return out
 
@@ -556,71 +557,36 @@ class VerifyResult:
         return bits_from_assignment(self.counterexample, num_datasets)
 
 
-@functools.cache
-def _columns(num_datasets: int) -> tuple[int, ...]:
-    """Per dataset i (0-based), the 2^K-bit int whose bit x is bit i of x.
-    Kept per K: about 5 MB over every K up to VERIFY_EXHAUSTIVE_LIMIT."""
-    size = 1 << num_datasets
-    columns = []
-    for i in range(num_datasets):
-        run = 1 << i
-        column, period = ((1 << run) - 1) << run, run << 1  # one period: 0s, then 1s
-        while period < size:
-            column |= column << period
-            period <<= 1
-        columns.append(column)
-    return tuple(columns)
-
-
-def _product(mask: int, columns: Sequence[int], full: int) -> int:
-    """The AND of the columns of ``mask``'s datasets: bit x is 1 where x holds them all."""
-    out = full
-    while mask:
-        low = mask & -mask
-        out &= columns[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def verify_scheme(
     s: TransmissionScheme, f: BooleanFunctionANF, seed: int = 0
 ) -> VerifyResult:
     """Check decode == evaluate: every input for K <= VERIFY_EXHAUSTIVE_LIMIT,
-    VERIFY_SAMPLE_COUNT seeded uniform samples otherwise.  Reports the
-    first failing input: exhaustively, the lowest set bit of f XOR the
-    decoder, each held as one int whose bit x is its value at input x.
-    Raises ValueError, before decoding, on a plan row count other than f's
+    VERIFY_SAMPLE_COUNT seeded uniform samples otherwise.  The scheme
+    passes exactly when the ANF of f XOR the decoder is empty (see module
+    doc), and then nothing is evaluated.  Otherwise the counterexample is
+    the lowest failing input, or the first failing sample; when no sample
+    fails, it is that ANF's first monomial, read as an input.  Raises
+    ValueError, before decoding, on a plan row count other than f's
     non-constant monomial count or on a piece with a dataset past K.
     """
-    if len(s.plan) != len(f.non_constant_monomials):
-        raise ValueError(
-            f"plan has {len(s.plan)} rows for {len(f.non_constant_monomials)} monomials"
-        )
+    _check_decodable(s, f)
     k = f.num_datasets
-    for piece in s.pieces:
-        if piece.vars_mask >> k:
-            raise ValueError(
-                f"piece {indices_from_mask(piece.vars_mask)} has a dataset past K={k}"
-            )
+    rows = [0] * s.constant  # the constant term is the empty monomial
+    for refs in s.plan:
+        row = 0
+        for r in refs:
+            row |= s.pieces[r].vars_mask
+        rows.append(row)
+    diff = BooleanFunctionANF.from_masks(k, [*f.monomials, *rows])
     if k <= VERIFY_EXHAUSTIVE_LIMIT:
-        columns, full = _columns(k), (1 << (1 << k)) - 1
-        expect = 0
-        for m in f.monomials:
-            expect ^= _product(m, columns, full)
-        pieces = [_product(p.vars_mask, columns, full) for p in s.pieces]
-        got = full if s.constant else 0
-        for refs in s.plan:
-            prod = full
-            for r in refs:
-                prod &= pieces[r]
-            got ^= prod
-        bad = expect ^ got
-        counter = (bad & -bad).bit_length() - 1 if bad else None
+        counter = int(np.argmax(truth_table(diff))) if diff.monomials else None
         return VerifyResult(counter is None, "exhaustive", 1 << k, counter, None)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
-    w = uniform_assignments(rng, k, VERIFY_SAMPLE_COUNT)
-    expect = evaluate_batch(f, w)
-    got = _decode_batch(s, w)
-    bad = np.nonzero(expect != got)[0]
-    counter = int(w[bad[0]]) if bad.size else None
+    counter = None
+    if diff.monomials:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
+        w = uniform_assignments(rng, k, VERIFY_SAMPLE_COUNT)
+        bad = np.flatnonzero(evaluate_batch(diff, w))
+        # The first monomial has the least degree, so no other lies inside
+        # it, and diff is 1 at the input that sets exactly its datasets.
+        counter = int(w[bad[0]]) if bad.size else diff.monomials[0]
     return VerifyResult(counter is None, "sampled", VERIFY_SAMPLE_COUNT, counter, seed)

@@ -344,6 +344,22 @@ def test_verify_sampled_for_wide_functions(capsys, tmp_path):
     assert capsys.readouterr().out == "PASS 100000/100000 inputs (sampled, seed=2024)\n"
 
 
+def test_verify_sampled_fails_a_wrong_scheme_that_no_sample_catches(capsys, tmp_path):
+    # W1...W23W25 for W1...W24 at K=30 differs on 2^-24 of the inputs, so
+    # no sample fails; the counterexample is where the two products differ.
+    f_path = tmp_path / "w24.json"
+    f_path.write_text('{"K":30,"monomials":[%s]}\n' % list(range(1, 25)))
+    s_path = tmp_path / "s.json"
+    s_path.write_text(
+        '{"constant":0,"pieces":[{"server":1,"vars":%s},{"server":1,"vars":[25]}],'
+        '"plan":[[0,1]]}\n' % list(range(1, 24))
+    )
+    assert main(["verify", "-s", str(s_path), "-f", str(f_path), "--seed", "1"]) == 5
+    out, err = capsys.readouterr()
+    assert out == f"FAIL counterexample={'1' * 24}{'0' * 6} (sampled, seed=1)\n"
+    assert err.startswith("structure: plan row 0: pieces cover")
+
+
 def test_oracle_lemma2_stdout(files, capsys):
     assert main(["oracle", "lemma2", "-d", "2..3"]) == 0
     out, err = capsys.readouterr()

@@ -223,6 +223,34 @@ def test_verify_sample_stream_at_k64_is_pinned():
     )
 
 
+def test_sampled_verify_fails_a_scheme_no_sample_tells_apart():
+    # Decoding W1...W23W25 for W1...W24 differs on 2^-24 of the inputs,
+    # which none of the 100 000 samples hits.  The difference's first
+    # monomial, W1...W24, is an input where the two differ.
+    f = BooleanFunctionANF.from_indices(30, [range(1, 25)])
+    wrong = TransmissionScheme(
+        (Piece(1, mask_from_indices(range(1, 24))), Piece(1, 1 << 24)), ((0, 1),)
+    )
+    result = verify_scheme(wrong, f, seed=1)
+    assert result == VerifyResult(False, "sampled", 100_000, (1 << 24) - 1, 1)
+    w = result.counterexample
+    assert decode(wrong, f, w) != evaluate(f, w)
+
+
+def test_decode_refuses_what_verify_and_evaluate_refuse():
+    f = BooleanFunctionANF.from_indices(3, [[1, 2]])
+    scheme = TransmissionScheme((Piece(1, 0b11),), ((0,),))
+    assert decode(scheme, f, 0b011) == 1
+    for assignment in (-1, 0b11 | 1 << 40):
+        with pytest.raises(ValueError, match="does not fit 3 datasets"):
+            evaluate(f, assignment)
+        with pytest.raises(ValueError, match="does not fit 3 datasets"):
+            decode(scheme, f, assignment)
+    past = TransmissionScheme((Piece(1, 0b11), Piece(1, 1 << 8)), ((0,),))
+    with pytest.raises(ValueError, match="past K=3"):
+        decode(past, f, 0b011)
+
+
 def reference_verify(s, f):
     """What exhaustive ``verify_scheme`` must report, from f's numpy truth
     table and the decoder's product of pieces per plan row on every input."""
@@ -242,7 +270,10 @@ def reference_verify(s, f):
 
 def tampered_schemes(s, k, rng):
     """``s`` with its constant flipped, with one piece's vars moved and with
-    one piece left out of its first plan row."""
+    one piece left out of its first plan row.  With two or more plan rows,
+    also ``s`` with its rows reversed, which still decodes (the decoder
+    XORs the rows), and with its last row a copy of its first, which
+    cancels the first row's monomial and drops the last's."""
     out = [TransmissionScheme(s.pieces, s.plan, 1 - s.constant)]
     if s.pieces:
         i = rng.randrange(len(s.pieces))
@@ -253,6 +284,9 @@ def tampered_schemes(s, k, rng):
         row = next(j for j, refs in enumerate(s.plan) if refs)
         plan = s.plan[:row] + (s.plan[row][1:],) + s.plan[row + 1 :]
         out.append(TransmissionScheme(s.pieces, plan, s.constant))
+    if len(s.plan) >= 2:
+        out.append(TransmissionScheme(s.pieces, s.plan[::-1], s.constant))
+        out.append(TransmissionScheme(s.pieces, s.plan[:-1] + s.plan[:1], s.constant))
     return out
 
 
@@ -297,7 +331,8 @@ def test_exhaustive_verify_at_the_ends_of_its_range():
         result = verify_scheme(s, f)
         assert result == reference_verify(s, f)
         outcomes.append(result.passed)
-    assert outcomes == [True, False, False, True] + [False] * (len(cases) - 4)
+    # f20's tampered copies all fail except the one with its rows reversed.
+    assert outcomes == [True, False, False, True] + [False, False, False, True, False]
     f21 = BooleanFunctionANF.from_indices(21, [[1, 21]])
     result = verify_scheme(TransmissionScheme((Piece(1, 1 | 1 << 20),), ((0,),)), f21, seed=3)
     assert (result.passed, result.mode, result.inputs_checked, result.seed) == (
@@ -309,8 +344,9 @@ def test_exhaustive_verify_at_the_ends_of_its_range():
 
 
 def test_exhaustive_verify_builds_no_truth_table(monkeypatch, example_function, overlap_placement):
-    # Exhaustive verify evaluates f on its own bit-parallel columns, never
-    # through numpy truth tables, under whatever name a module holds them.
+    # A passing scheme is decided by its empty ANF of f XOR the decoder:
+    # exhaustive verify builds a truth table only to find a failing input,
+    # under whatever name a module holds it.
     def refuse(f):
         raise AssertionError("exhaustive verify built a truth table")
 
