@@ -11,17 +11,21 @@ this class.  Server choice never affects the optimum (a var-set reused
 on one server costs one piece; spread over two it costs two), so the
 search runs over var-set partitions and servers are assigned afterwards
 (lowest covering index, for determinism).  The search is a depth-first
-branch-and-bound from the greedy scheme.  Its bound is the blocks used
-so far plus the new blocks still needed: per monomial, those for its
-uncovered vars that no other monomial left holds (such blocks serve it
-alone), plus the most any one monomial needs beyond those.  Each set of
-vars is divided by the most of it one server holds, since a block lies
-on one server.  It never overestimates, and the search keeps the first
-strictly better scheme in a DFS order the bound does not affect, so the
-bound sets the running time, never the scheme.  Where one more new block
-already reaches the best count, the search prunes on any uncovered var
-without computing the bound.  A monomial's candidate blocks are built
-per lowest var, the first time a node asks for that var.  Cost grows
+branch-and-bound below the greedy scheme's count.  It starts from a
+floor, the greater of two lower bounds: the new-blocks bound (per
+monomial, the blocks needed by its uncovered vars that no other
+monomial holds, plus the most any one monomial needs beyond those, each
+set of vars divided by the most of it one server holds) and the size of a
+clique of (monomial, var) items no two of which one block can cover.
+If the floor reaches the greedy count, greedy is optimal and nothing is
+searched.  Otherwise the search deepens one target t at a time from the
+floor, stopping at the first leaf of at most t blocks, and prunes a node
+once its used blocks plus either bound (the clique counted as its items
+still uncovered) exceed t.  Both bounds never overestimate, so the
+scheme is the first leaf with the fewest blocks in a DFS order they do
+not affect, or greedy when no leaf has fewer: they set the running
+time, never the scheme.  A monomial's candidate blocks are built per
+lowest var, the first time a node asks for that var.  Cost grows
 exponentially with monomial degree; the degree limit is enforced, not
 advisory.
 
@@ -310,6 +314,50 @@ class _Widths(dict):
         return w
 
 
+def _clique(monomials: Sequence[int], servers: Sequence[int]) -> list[int]:
+    """Per monomial j, the vars v of a set C of items (j, v), v in monomial
+    j, no two of which one block can cover: each needs a block of its own.
+
+    A block that covers (j, v) holds v, lies on one server and inside
+    monomial j, and inside every other monomial it is reused for.  So
+    (j, v) and (j', w) are compatible, one block covering both, when some
+    server holds both and, for j != j', both lie in both monomials; v = w
+    is always compatible, so no var is in C twice.  The items compatible
+    with (j, v) are, in each monomial j' holding v, the vars of j' in
+    ``cut``, what of monomial j the servers holding v hold.  C is built
+    greedily: items with the fewest compatible items first, each taken
+    while it is incompatible with every item taken before it.
+    """
+    held: dict[int, int] = {}  # per var, every var some server holds with it
+    for s in servers:
+        rest = s
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            held[v] = held.get(v, 0) | s
+    items = []
+    for j, m in enumerate(monomials):
+        rest = m
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            cut = m & held[v]
+            items.append((sum([(m2 & cut).bit_count() for m2 in monomials if m2 & v]), j, v))
+    items.sort()
+    candidates = list(monomials)
+    clique = [0] * len(monomials)
+    for _, j, v in items:
+        if candidates[j] & v:
+            clique[j] |= v
+            cut = monomials[j] & held[v]
+            candidates = [c & ~cut if m & v else c for c, m in zip(candidates, monomials)]
+    return clique
+
+
+class _Leaf(Exception):
+    """Ends a search at its first leaf."""
+
+
 def _search_min_distinct(
     monomials: Sequence[int],
     subset_masks: Sequence[int],
@@ -317,30 +365,45 @@ def _search_min_distinct(
 ) -> list[list[int]]:
     """Exact branch-and-bound over per-monomial partitions.
 
-    Minimizes the number of distinct var-set blocks across monomials.
-    The incumbent starts at the greedy solution, so the result never
-    uses more distinct blocks than greedy.  Each node places the lowest
-    var of the current monomial's uncovered part: reusable blocks first,
-    then new ones, each widest first and then in variable order.  Each
-    (monomial, lowest var) list is built by ``_blocks_with_lowest`` the
-    first time a node reads it, so vars no node places cost nothing.  Bound:
-    blocks used so far plus ``_new_blocks_bound`` over what is left of
-    the current monomial and the later monomials, each less the vars that
-    used blocks inside it cover, with each set divided by the most of it
-    one server holds.  It never overestimates (see there), and the first
-    strictly better leaf in the DFS order (which the bound does not
-    affect) is kept, so every such bound returns the same blocks; it only
-    sets how much is pruned.  A node tries no more new blocks once one
-    would bring the count to the best so far: no leaf below could beat it.
-    For the same reason, a node where one more new block already reaches
-    the best prunes as soon as any var is uncovered, without the bound:
-    the bound is at least 1 there, so the decision is the same.
+    Minimizes the number of distinct var-set blocks across monomials;
+    the greedy ``init`` is returned unless a search finds fewer.  Each
+    node places the lowest var of the current monomial's uncovered part:
+    reusable blocks first, then new ones, each widest first and then in
+    variable order.  Each (monomial, lowest var) list is built by
+    ``_blocks_with_lowest`` the first time a node reads it, so vars no
+    node places cost nothing.
+
+    Two lower bounds on the new blocks still needed prune a node once
+    the blocks used plus either reaches the count a leaf must stay
+    under.  ``_new_blocks_bound`` takes what is left of the current
+    monomial and the later monomials, each less the vars that used
+    blocks inside it cover, and divides each set by the most of it one
+    server holds.  The pending items are those of the clique C (see
+    ``_clique``) whose var is still uncovered in the current or a later
+    monomial: each needs a new block, and no two share one.  At the
+    root, with nothing used, the greater of ``_new_blocks_bound`` and
+    |C| is the floor (C is built only when the first falls short of the
+    greedy count); if it reaches the greedy count, greedy is optimal
+    and nothing is searched.  Otherwise the search deepens from the
+    floor: for t = floor, floor + 1, ..., one below greedy, a DFS admits
+    only leaves of at most t blocks and stops at its first leaf.
+
+    The scheme returned is the first leaf in DFS order with the fewest
+    blocks, or greedy when no leaf has fewer, whatever either bound
+    gives.  No t below the optimum admits a leaf, and at the optimum
+    neither bound prunes a node on the path to that first leaf: its
+    used blocks plus either bound is at most the optimum there, below
+    t + 1.  The bounds only set how much is searched, and a search that
+    started from the greedy count and kept each strictly better leaf
+    returns the same blocks.  A node tries no new block once one would
+    reach t + 1, and where one more new block already reaches it, the
+    node prunes as soon as any var is uncovered, without the bounds:
+    they are at least 1 exactly then.
     """
-    best_choice = [list(blocks) for blocks in init]
-    best_count = len({b for blocks in init for b in blocks})
+    greedy_count = len({b for blocks in init for b in blocks})
     n = len(monomials)
     if not n:
-        return best_choice
+        return init
     servers = list(dict.fromkeys(subset_masks))
 
     width = _Widths(servers).__getitem__  # the same sets recur at many nodes
@@ -351,21 +414,23 @@ def _search_min_distinct(
         twice_after[i] = twice_after[i + 1] | (once_after[i + 1] & m)
         once_after[i] = once_after[i + 1] | m
     shared = twice_after[0] | (monomials[0] & once_after[0])
-    if _new_blocks_bound(monomials, shared, width) >= best_count:
-        return best_choice
+    floor = _new_blocks_bound(monomials, shared, width)
+    if floor >= greedy_count:
+        return init
+    clique = _clique(monomials, servers)
+    floor = max(floor, sum([c.bit_count() for c in clique]))
+    if floor >= greedy_count:
+        return init
     path: list[list[int]] = [[] for _ in range(n)]
     # Per monomial, its blocks by lowest var, each list built on first read.
     by_low: list[dict[int, list[int]]] = [{} for _ in range(n)]
     uncovered = list(monomials)  # U_j of each monomial past the current one
+    limit = 0  # the count a leaf must stay under
 
     def go(i: int, remaining: int, used: set[int]) -> None:
-        nonlocal best_choice, best_count
         if remaining == 0:
             if i + 1 == n:
-                if len(used) < best_count:
-                    best_count = len(used)
-                    best_choice = [list(blocks) for blocks in path]
-                return
+                raise _Leaf
             go(i + 1, monomials[i + 1], used)
             return
         here = 0
@@ -373,15 +438,20 @@ def _search_min_distinct(
             if b & ~remaining == 0:
                 here |= b
         count = len(used)
-        if count + 1 >= best_count:
-            # The bound would prune here: it is at least 1 exactly when
-            # some var is uncovered.
-            if count >= best_count or remaining & ~here or any(uncovered[i + 1 :]):
+        if count + 1 >= limit:
+            # The bounds would prune here: they are at least 1 exactly
+            # when some var is uncovered.
+            if count >= limit or remaining & ~here or any(uncovered[i + 1 :]):
                 return
         else:
+            left = remaining & ~here
+            pending = (left & clique[i]).bit_count()
+            for j in range(i + 1, n):
+                pending += (uncovered[j] & clique[j]).bit_count()
+            if count + pending >= limit:
+                return
             shared = twice_after[i] | (remaining & once_after[i])
-            left = (remaining & ~here, *uncovered[i + 1 :])
-            if count + _new_blocks_bound(left, shared, width) >= best_count:
+            if count + _new_blocks_bound((left, *uncovered[i + 1 :]), shared, width) >= limit:
                 return
         low = remaining & -remaining
         fits = by_low[i].get(low)
@@ -397,9 +467,9 @@ def _search_min_distinct(
             blocks.append(block)
             go(i, remaining & ~block, used)
             blocks.pop()
+        if count + 1 >= limit:
+            return  # a new block would reach the limit
         for block in new:
-            if len(used) + 1 >= best_count:
-                break  # best_count only falls, so no later new block can beat it
             used.add(block)
             saved = uncovered[i + 1 :]
             for j in range(i + 1, n):
@@ -411,9 +481,15 @@ def _search_min_distinct(
             used.remove(block)
             uncovered[i + 1 :] = saved
 
-    go(0, monomials[0], set())
-    del go  # go's closure holds go: clearing it lets refcounting free the search
-    return best_choice
+    try:
+        for target in range(floor, greedy_count):
+            limit = target + 1
+            go(0, monomials[0], set())
+        return init
+    except _Leaf:
+        return path  # the blocks of the leaf, left in place
+    finally:
+        del go  # go's closure holds go: clearing it lets refcounting free the search
 
 
 _PRESENT_FIRST = str.maketrans("01", "10")

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import infplace.anf
+import infplace.transmission
 from infplace.anf import (
     BooleanFunctionANF,
     evaluate,
@@ -29,6 +30,7 @@ from infplace.transmission import (
     VerifyResult,
     _PRESENT_FIRST,
     _blocks_with_lowest,
+    _clique,
     _new_blocks_bound,
     _scheme_from_blocks,
     count_transmissions,
@@ -558,7 +560,7 @@ def _fixed_width_bound(rems, widest):
 
 def test_exact_piece_count_and_root_bound_match_brute_force_at_four_to_six_monomials():
     rng = random.Random(2406)
-    beaten = tighter = 0
+    beaten = tighter = floored = 0
     for _ in range(80):
         f, p, kept, servers = _draw_shared_var_instance(rng)
         want = merged_min_pieces(kept, servers)
@@ -576,8 +578,13 @@ def test_exact_piece_count_and_root_bound_match_brute_force_at_four_to_six_monom
         assert widest_need <= root <= want, (kept, servers)
         assert root >= _fixed_width_bound(monomials, widest), (kept, servers)
         tighter += root > widest_need
+        # Nor does the floor, the greater of that bound and the clique's size.
+        floor = max(root, sum(c.bit_count() for c in _clique(monomials, p.subset_masks)))
+        assert floor <= want, (kept, servers)
+        floored += floor > root
     assert beaten >= 10
     assert tighter >= 10
+    assert floored >= 60  # the clique lifts most floors above that bound
 
 
 def test_bound_at_inner_nodes_never_exceeds_the_fewest_new_blocks():
@@ -585,7 +592,7 @@ def test_bound_at_inner_nodes_never_exceeds_the_fewest_new_blocks():
     # one used block of it possibly placed already, the later monomials
     # are whole, and some coverable blocks of monomials[: i + 1] are used.
     rng = random.Random(1931)
-    tight = 0
+    tight = sharper = 0
     for _ in range(150):
         f, p, kept, servers = _draw_shared_var_instance(rng)
         i = rng.randrange(len(kept))
@@ -612,8 +619,67 @@ def test_bound_at_inner_nodes_never_exceeds_the_fewest_new_blocks():
         bound = _new_blocks_bound(uncovered, _shared_vars(masks), _held_width(p.subset_masks))
         assert bound <= want, (rems, sorted(map(sorted, used)), servers)
         tight += 0 < bound == want
+        # The pending items: the clique's items whose var is still
+        # uncovered in what is left of monomial i or in a later monomial.
+        clique = _clique(f.non_constant_monomials, p.subset_masks)
+        pending = sum(
+            (mask_from_indices(sorted(r.difference(*(b for b in used if b <= r)))) & c).bit_count()
+            for r, c in zip((rest, *kept[i + 1 :]), clique[i:])
+        )
+        assert pending <= want, (rems, sorted(map(sorted, used)), servers)
+        sharper += pending > bound
     # Most states need new blocks, and the bound often finds all of them.
     assert tight >= 50
+    # The pending items often count more of them than the bound.
+    assert sharper >= 20
+
+
+def test_no_block_covers_two_items_of_the_clique():
+    # Brute force over every block some server holds: a block covers item
+    # (j, v) when it holds v and lies inside monomial j.
+    rng = random.Random(2507)
+    sizes = []
+    for n in range(150):
+        if n % 2:
+            f, p, _, _ = _draw_shared_var_instance(rng)
+        else:
+            f, p = _draw_wide_instance(rng)
+        monomials = f.non_constant_monomials
+        clique = _clique(monomials, p.subset_masks)
+        assert all(c & ~m == 0 for c, m in zip(clique, monomials))
+        blocks = set()
+        for s in p.subset_masks:
+            sub = s
+            while sub:
+                blocks.add(sub)
+                sub = (sub - 1) & s
+        for b in blocks:
+            covered = sum((b & c).bit_count() for c, m in zip(clique, monomials) if b & ~m == 0)
+            assert covered <= 1, (monomials, p.subset_masks, clique, b)
+        sizes.append(sum(c.bit_count() for c in clique))
+    assert min(sizes) >= 1 and max(sizes) >= 6
+
+
+def test_a_clique_floor_at_the_greedy_count_skips_the_search(monkeypatch):
+    # W1W2 + W2W3 + W1W3 with one server holding all three: every var is
+    # in two monomials, so the plain bound is 1, but the items (W1W2, W2),
+    # (W2W3, W3) and (W1W3, W1) need three distinct blocks, as many as
+    # greedy uses, so no search node is visited.
+    calls = []
+    real = infplace.transmission._blocks_with_lowest
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(infplace.transmission, "_blocks_with_lowest", counted)
+    f = BooleanFunctionANF.from_indices(3, [[1, 2], [2, 3], [1, 3]])
+    p = PlacementConfig.from_indices(3, [[1, 2, 3]])
+    monomials = f.non_constant_monomials
+    assert _new_blocks_bound(monomials, 0b111, _held_width(p.subset_masks)) == 1
+    assert sum(c.bit_count() for c in _clique(monomials, p.subset_masks)) == 3
+    assert count_transmissions(synthesize_exact(f, p)).total == 3
+    assert calls == []
 
 
 def _draw_wide_instance(rng):
@@ -679,6 +745,69 @@ def test_exact_schemes_of_wide_monomials_are_pinned():
     # admissible bound must not move it (see _search_min_distinct).
     assert digest.hexdigest() == (
         "5c3318b06f095d21a9272162e163d39a039e9ba554ed1a5a8ee06273ce41d004"
+    )
+
+
+def _draw_deep_instance(rng):
+    """K 8-16, 2-6 monomials of degree at most 12, 1-5 random servers with
+    the uncovered support added to one of them.  On 23 of the 80 pinned
+    below, the search's floor falls short of the optimum, so it deepens
+    past the floor."""
+    while True:
+        k = rng.randint(8, 16)
+        masks = [
+            mask_from_indices(rng.sample(range(1, k + 1), rng.randint(1, min(12, k))))
+            for _ in range(rng.randint(2, 6))
+        ]
+        f = BooleanFunctionANF.from_masks(k, masks)
+        if len(f.non_constant_monomials) >= 2:
+            break
+    n = rng.randint(1, 5)
+    subsets = [rng.randrange(1, 1 << k) for _ in range(n)]
+    subsets[rng.randrange(n)] |= f.support_mask & ~functools.reduce(operator.or_, subsets)
+    return f, PlacementConfig(n, max(s.bit_count() for s in subsets), tuple(subsets))
+
+
+def test_exact_schemes_of_deep_instances_are_pinned():
+    rng = random.Random(2516)
+    digest = hashlib.sha256()
+    for _ in range(80):
+        f, p = _draw_deep_instance(rng)
+        digest.update(scheme_to_json(synthesize_exact(f, p)).encode())
+    # All 80 exact schemes, byte for byte.  The digest was recorded while
+    # the search started from the greedy count and kept every strictly
+    # better leaf; the floor and the deepening must not move it (see
+    # _search_min_distinct).
+    assert digest.hexdigest() == (
+        "0844e8678d6fcb8fd3cc5f1dbfb973dbe55ae64b07709131454c838cba6d91b5"
+    )
+
+
+def test_a_floor_one_below_greedy_searches_only_for_one_piece_fewer():
+    # Greedy's 9 pieces are optimal and the clique floor is 8, so the
+    # search only has to show that no leaf has 8 pieces.  Searching below
+    # the greedy count for any better leaf took about a hundred times as
+    # long.  The digest was recorded from that earlier search's scheme.
+    f = BooleanFunctionANF.from_indices(
+        16,
+        [
+            [1, 2, 4, 5, 6, 8, 10, 11, 12],
+            [1, 2, 3, 6, 7, 8, 10, 11, 13],
+            [1, 5, 6, 7, 9, 10, 11, 15],
+            [2, 4, 5, 6, 8, 9, 10, 13, 15],
+            [1, 2, 3, 4, 5, 8, 10, 11, 12, 13, 14, 15],
+            [1, 2, 3, 4, 7, 9, 10, 13, 14, 16],
+        ],
+    )
+    p = PlacementConfig.from_indices(
+        13, [[1, 2, 3, 4, 6, 7, 8, 10, 11, 12, 13, 14, 15], [2, 5, 6, 9, 11, 14, 15, 16]]
+    )
+    monomials = f.non_constant_monomials
+    assert sum(c.bit_count() for c in _clique(monomials, p.subset_masks)) == 8
+    scheme = synthesize_exact(f, p)
+    assert scheme == synthesize_greedy(f, p) and len(scheme.pieces) == 9
+    assert hashlib.sha256(scheme_to_json(scheme).encode()).hexdigest() == (
+        "f1dd94de9f79fca2f12c126833decbf4c6f70b56e9ac82f3d4369aba60877b55"
     )
 
 
