@@ -20,18 +20,19 @@ from __future__ import annotations
 import csv
 import io
 import random
-from bisect import bisect_left, bisect_right
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
-from typing import Iterable, Iterator, Sequence
+from math import factorial
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .anf import (
+    MAX_DATASETS,
     MAX_TRUTH_TABLE_DATASETS,
     BooleanFunctionANF,
+    ParseError,
     dump_object,
     indices_from_mask,
     mask_from_indices,
@@ -118,6 +119,8 @@ def _single_product(degree: int, num_datasets: int) -> BooleanFunctionANF:
 def disjoint_products(num_products: int, degree: int) -> BooleanFunctionANF:
     """XOR of ``num_products`` products on consecutive disjoint supports."""
     k = num_products * degree
+    if k > MAX_DATASETS:
+        raise ParseError(f"N*M = {k} datasets exceed the {MAX_DATASETS}-dataset limit")
     supports = [
         range(n * degree + 1, (n + 1) * degree + 1) for n in range(num_products)
     ]
@@ -249,33 +252,29 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
     N/2^(M-1), the aligned placement attains it, and no placement that
     admits a scheme beats the aligned piece count of N.
 
-    At K = N*M every computable placement is a partition of the datasets
-    and f's twin classes are its products, so a server's type
-    (:class:`PlacementSpace`) is one row of an N x N server-by-product
-    count matrix whose columns each sum to M.  Permuting datasets inside a
-    product, or the servers, maps f to itself and keeps the exact piece
-    count T.  So the check lists the tuples of types with exact column
-    sums, each in the order of the types' first subsets, which is by first
-    product (a first subset starts at its lowest dataset).  Some server
-    holds the first product still needed, so from the previous server's
-    type on only the types holding it are tried, one budget step each,
-    recursing at most ``MAX_DATASETS`` deep.  As listed, a tuple is
-    charged its synthesis's work before the search: per server, N
-    intersections and 2^a - 1 blocks of each product it holds a > 0 of, so
-    a refused grid has made no synthesis.  T is synthesized once per
-    tuple, on its member where each server in turn takes the lowest
-    datasets still free in each product; that member is the tuple's first
-    sorted placement, and tuples are listed in the order of their members,
-    so the first member of least T is ``min_T_placement``.  A tuple stands
-    for N!/prod(repeats!) * prod_j M!/prod_n a_nj! ordered placements.
+    At K = N*M every computable placement is an ordered partition of the
+    datasets into blocks of M, so (NM)!/(M!)^N of them are computable.
+    Each has an N x N server-by-product count matrix whose rows and
+    columns each sum to M.  Permuting the servers, the products, or the
+    datasets inside a product maps f to itself and keeps the exact piece
+    count T, so T depends only on the matrix up to row and column order.
+    Each such orbit holds one or more matrices whose rows and columns are
+    both in descending lexicographic order (double-lex: Flener et al.,
+    "Breaking row and column symmetries in matrix models", CP 2002), and
+    the check lists those matrices, row by row and largest
+    first.  Each row is at most the previous one, no column sum passes
+    M, what a row still takes fits in what its later columns need, and
+    within each run of columns equal so far the new entries do not
+    increase.
 
-    Permuting the products maps f to itself too, so T depends only on the
-    tuple's N x N matrix up to row and column order.  Each tuple is keyed
-    by its matrix with rows sorted, then columns, in descending order
-    until nothing moves.  A key is a matrix of the tuple's orbit, so
-    tuples with one key have one T (Gent, Petrie and Puget, "Symmetry in
-    Constraint Programming", 2006).  T is still synthesized, once per key,
-    on the member of the key's first tuple.
+    The budget is charged one step per entry tried, and as a matrix is
+    listed, the work its synthesis does before the search: per server, N
+    intersections and 2^a - 1 blocks of each product it holds a > 0 of.
+    So a refused grid has made no synthesis.  T is synthesized once per
+    matrix, on its member where each server in turn takes the lowest
+    datasets still free in each product; ``min_T_placement`` is the
+    member of the first matrix of least T.  M times the identity comes
+    first, and its member is the aligned placement.
     """
     n, m = num_servers, cache_size
     k = n * m
@@ -286,61 +285,57 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
     target_as = Fraction(n, 1 << (m - 1))
     budget = Budget(ENUMERATION_BUDGET)
     first = space.first_of_each_type(budget)
-    order = list(first)
-    firsts = [space.first_class(kind) for kind in order]  # sorted, see above
-    row = {kind: tuple(space.count(kind, j) for j in range(n)) for kind in order}
-    cost = {kind: n + sum((1 << a) - 1 for a in row[kind]) for kind in order}
 
-    def extend(kinds: tuple[int, ...], left: int, start: int) -> Iterator[tuple[int, ...]]:
-        """Each sorted completion of ``kinds`` that takes exactly the packed ``left``."""
-        if not left:
-            budget.charge(sum(map(cost.__getitem__, kinds)))
-            yield kinds
+    matrices: list[tuple[tuple[int, ...], ...]] = []
+
+    def fill(matrix: tuple[tuple[int, ...], ...]) -> None:
+        """List every double-lex completion of ``matrix``, largest first."""
+        if len(matrix) == n:
+            budget.charge(sum(n + sum((1 << a) - 1 for a in row) for row in matrix))
+            matrices.append(matrix)
             return
-        c = space.first_class(left)
-        lo = max(start, bisect_left(firsts, c))
-        rests = space.take(left, order[lo : bisect_right(firsts, c)])
-        budget.charge(len(rests))
-        for i, rest in enumerate(rests, lo):
-            if space.size(rest) == space.size(left) - m:  # all M datasets still needed
-                yield from extend(kinds + (order[i],), rest, i)
+        cols = list(zip(*matrix)) if matrix else [()] * n
+        need = [m - sum(col) for col in cols]
+        ties = [False] + [a == b for a, b in zip(cols, cols[1:])]  # column j equals j - 1
+        prev = matrix[-1] if matrix else (m,) * n
+        rows: list[tuple[int, ...]] = []
 
-    def member(kinds: tuple[int, ...]) -> PlacementConfig:
-        free = [indices_from_mask(cls) for cls in space.classes]
+        def extend(row: tuple[int, ...], left: int, room: int, below: bool) -> None:
+            """Add to ``rows`` each next row that starts with ``row``: it
+            still takes ``left``, its later columns still need ``room``, and
+            ``below`` says it is already less than ``prev``."""
+            j = len(row)
+            if j == n:
+                rows.append(row)
+                return
+            top = min(left, need[j])
+            if not below:
+                top = min(top, prev[j])
+            if ties[j]:
+                top = min(top, row[-1])
+            room -= need[j]
+            for a in range(top, max(left - room, 0) - 1, -1):
+                budget.charge()
+                extend(row + (a,), left - a, room, below or a < prev[j])
+
+        extend((), m, sum(need), False)
+        for row in rows:
+            fill(matrix + (row,))
+
+    def member(matrix: tuple[tuple[int, ...], ...]) -> PlacementConfig:
+        free = [indices_from_mask(product) for product in f.monomials]
         subsets = []
-        for kind in kinds:
-            subsets.append([d for ds, a in zip(free, row[kind]) for d in ds[:a]])
-            free = [ds[a:] for ds, a in zip(free, row[kind])]
+        for row in matrix:
+            subsets.append([d for ds, a in zip(free, row) for d in ds[:a]])
+            free = [ds[a:] for ds, a in zip(free, row)]
         return PlacementConfig.from_indices(m, subsets)
 
-    def orbit_key(kinds: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        """The tuple's server-by-product matrix, rows sorted, then columns,
-        each in descending order, until nothing moves.  Each sort raises
-        the matrix read row by row or keeps it, so this ends."""
-        rows = sorted(map(row.__getitem__, kinds), reverse=True)
-        while True:
-            resorted = sorted(zip(*sorted(zip(*rows), reverse=True)), reverse=True)
-            if resorted == rows:
-                return tuple(rows)
-            rows = resorted
-
-    tuples = list(extend((), space.kind(f.support_mask), 0))
-    by_key: dict[tuple[tuple[int, ...], ...], int] = {}  # orbit_key -> T
-    pieces = []
-    for kinds in tuples:
-        key = orbit_key(kinds)
-        if key not in by_key:
-            by_key[key] = count_transmissions(synthesize_exact(f, member(kinds))).total
-        pieces.append(by_key[key])
-    # prod_j M!/prod_n a_nj! = (M!)^N / prod over the tuple's types of prod_j a_j!.
-    type_factorials = {kind: prod(map(factorial, row[kind])) for kind in order}
-    num_computable = sum(
-        factorial(n) // prod(map(factorial, Counter(kinds).values()))
-        * (factorial(m) ** n // prod(map(type_factorials.__getitem__, kinds)))
-        for kinds in tuples
-    )
+    fill(())
+    members = list(map(member, matrices))
+    pieces = [count_transmissions(synthesize_exact(f, p)).total for p in members]
     min_t = min(pieces)
-    min_t_placement = member(tuples[pieces.index(min_t)])
+    min_t_placement = members[pieces.index(min_t)]
+    num_computable = factorial(k) // factorial(m) ** n
     # The least summed influence over every placement, computable or not,
     # puts the least subset influence on every server.
     least = min(map(space.influence, first.values()))

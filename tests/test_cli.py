@@ -503,6 +503,10 @@ THEOREM_SHA256 = {  # (N, M): JSON and CSV of `oracle theorem`
              "029f94857e5f413a2d54d7245b52dcfa1b08da2124ce9d387290537245911631"),
     (6, 2): ("41d4e332b18ffc8521ebdd32def79c78aa5463157aee1b318009d2b47cec31cc",
              "01c6d251a80fc3428e20cba9870bbade1a88d43e5e1f87fd18c35a39f606582e"),
+    (9, 2): ("d76bce7a9a59f2e95f8ee3af2d4c15e11e4f38260da6f53a1fba3ab0fe0bdff1",
+             "eff886b55b98470cf5cf21f1f7cd2d7a0909f50ef446e945be01aab376117957"),
+    (7, 3): ("18334c3f0290f083b103397fd287a671e943847fda3c577647fee1ec5c28d524",
+             "fd0002535e5ca4ba79c999521d36acd21b6901bcc6b1ff90a06a7b31ef838dfe"),
 }
 
 
@@ -828,6 +832,10 @@ PAIRS64_JSON = json.dumps({"K": 64, "monomials": [[2 * i + 1, 2 * i + 2] for i i
          "infplace oracle: error: argument -N/--num-servers: must be at least 1, got -1"),
         (["oracle", "lemma1", "--trials", "-3"], {}, 2,
          "infplace oracle: error: argument --trials: must be at least 1, got -3"),
+        (["oracle", "theorem", "-N", "65", "-M", "1"], {}, 2,
+         "error: N*M = 65 datasets exceed the 64-dataset limit"),
+        (["oracle", "theorem", "-N", "33", "-M", "2"], {}, 2,
+         "error: N*M = 66 datasets exceed the 64-dataset limit"),
     ],
 )
 def test_refused_requests_exit_with_their_message(argv, files, code, line, capsys, tmp_path):

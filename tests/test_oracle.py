@@ -202,14 +202,14 @@ def orbit_form(rows):
 
 @pytest.mark.parametrize("n,m", [(3, 3), (4, 2)])
 def test_piece_count_depends_only_on_the_server_by_product_counts(n, m, monkeypatch):
-    # check_theorem synthesizes one multiset per key, the server-by-product
-    # count matrix with rows and columns sorted; here every computable
-    # multiset is synthesized and compared with the first of its row-sorted
-    # class and of its key, and each key lies in one orbit of row and
-    # column permutations.
+    # check_theorem synthesizes one member per double-lex matrix, the
+    # server-by-product count matrix with rows and columns sorted; here
+    # every computable multiset is synthesized and compared with the first
+    # of its row-sorted class and of its key, and each key lies in one
+    # orbit of row and column permutations.
     f = disjoint_products(n, m)
     subsets = [mask_from_indices(ix) for ix in combinations(range(1, n * m + 1), m)]
-    first_t, key_t, first_combo, orbit = {}, {}, {}, {}
+    first_t, key_t, orbit = {}, {}, {}
     listed = 0
     for combo in combinations_with_replacement(subsets, n):
         union = 0
@@ -224,13 +224,12 @@ def test_piece_count_depends_only_on_the_server_by_product_counts(n, m, monkeypa
         assert first_t.setdefault(kinds, t) == t, combo
         assert key_t.setdefault(key, t) == t, combo
         assert orbit.setdefault(key, orbit_form(rows)) == orbit_form(rows), combo
-        first_combo.setdefault(key, combo)
     assert listed == factorial(n * m) // factorial(m) ** n // factorial(n)
     assert len(first_t) == {(3, 3): 10, (4, 2): 17}[n, m]
     assert len(key_t) == {(3, 3): 6, (4, 2): 8}[n, m]
     assert len(set(orbit.values())) == {(3, 3): 5, (4, 2): 5}[n, m]
-    # The member check_theorem synthesizes is the first multiset of its
-    # key, and the keys come in the order of those first multisets.
+    # check_theorem lists exactly these keys, largest first, and each
+    # member it synthesizes has its listed matrix as its key.
     synthesized = []
 
     def recorded(f, placement):
@@ -239,7 +238,12 @@ def test_piece_count_depends_only_on_the_server_by_product_counts(n, m, monkeypa
 
     monkeypatch.setattr(oracle, "synthesize_exact", recorded)
     check_theorem(n, m)
-    assert [p.subset_masks for p in synthesized[:-1]] == list(first_combo.values())
+    matrices = [
+        tuple(tuple((s & p).bit_count() for p in f.monomials) for s in placement.subset_masks)
+        for placement in synthesized[:-1]
+    ]
+    assert matrices == sorted(key_t, reverse=True)
+    assert all(sorted_matrix_key(matrix) == matrix for matrix in matrices)
 
 
 def test_theorem_synthesizes_once_per_class_and_once_aligned(monkeypatch):
@@ -251,7 +255,8 @@ def test_theorem_synthesizes_once_per_class_and_once_aligned(monkeypatch):
         return synthesize_exact(f, placement)
 
     monkeypatch.setattr(oracle, "synthesize_exact", counted)
-    for n, m, classes in [(3, 3, 6), (4, 2, 8)]:
+    grids = [(3, 3, 6), (4, 2, 8), (4, 4, 108), (5, 3, 122), (8, 2, 128), (6, 3, 755)]
+    for n, m, classes in grids:
         calls.clear()
         summary = check_theorem(n, m).summary
         assert summary["computable"] == str(factorial(n * m) // factorial(m) ** n)
@@ -260,9 +265,9 @@ def test_theorem_synthesizes_once_per_class_and_once_aligned(monkeypatch):
 
 
 # The (3,3) check takes C(9,3) = 84 steps to list the subsets' types, tries
-# 50 types while listing the 10 sorted tuples of types, and charges the 10
-# syntheses 3 intersections a server each and their 132 blocks.
-THEOREM_3_3_STEPS = 84 + 50 + 10 * 3 * 3 + 132
+# 57 entries while listing the 6 double-lex matrices, and charges the 6
+# syntheses 3 intersections a server each and their 83 blocks.
+THEOREM_3_3_STEPS = 84 + 57 + 6 * 3 * 3 + 83
 
 
 def test_theorem_respects_enumeration_budget(monkeypatch):
@@ -283,7 +288,7 @@ def test_theorem_respects_enumeration_budget(monkeypatch):
     monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", THEOREM_3_3_STEPS - 1)
     with pytest.raises(EnumerationBudgetError) as exc:
         check_theorem(3, 3)
-    assert str(exc.value) == "placement search steps exceed the enumeration budget 355"
+    assert str(exc.value) == "placement search steps exceed the enumeration budget 277"
     # Refused before any synthesis and before any influence is counted.
     assert synthesized == [] and counted == []
     monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", THEOREM_3_3_STEPS)
@@ -293,7 +298,16 @@ def test_theorem_respects_enumeration_budget(monkeypatch):
 
 # (5,3) is also what a 142 s run of the old multiset walk found, with its
 # budget guard bypassed: 168,168,000 computable, min_T 5, min_as 5/4.
-@pytest.mark.parametrize("n,m,computable", [(4, 4, "63063000"), (5, 3, "168168000")])
+@pytest.mark.parametrize(
+    "n,m,computable",
+    [
+        (4, 4, "63063000"),
+        (5, 3, "168168000"),
+        (9, 2, "12504636144000"),
+        (7, 3, "182509367040000"),
+        (6, 4, "3246670537110000"),
+    ],
+)
 def test_theorem_answers_the_grids_past_the_multiset_walk(n, m, computable):
     # Every expected value is a closed form, or the aligned placement spelled out.
     report = check_theorem(n, m)
@@ -314,11 +328,13 @@ def test_theorem_answers_the_grids_past_the_multiset_walk(n, m, computable):
 
 
 def test_theorem_tries_one_type_per_server_at_single_dataset_caches(monkeypatch):
-    # One type per product, and one tuple: C(24,1) = 24 listing steps, one
-    # type tried per server, and a synthesis charged 24 intersections and
-    # one block a server.
+    # One type per product, and one double-lex matrix, the identity:
+    # C(24,1) = 24 listing steps, and a synthesis charged 24 intersections
+    # and one block a server.  Row i < N-1 tries 2N-1-i entries: i forced
+    # zeros, a 1 and the N-1-i zeros after it, then a 0 after which the tied
+    # columns take only zeros up to the last; the last row tries N.
     n = 24
-    steps = n + n + n * (n + 1)
+    steps = n + 3 * n * (n - 1) // 2 + n + n * (n + 1)
     monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", steps - 1)
     with pytest.raises(EnumerationBudgetError):
         check_theorem(n, 1)
