@@ -233,45 +233,30 @@ def truth_table(f: BooleanFunctionANF) -> np.ndarray:
     return table.reshape(-1)
 
 
-def uniform_assignments(
-    rng: np.random.Generator, num_datasets: int, size: int
-) -> np.ndarray:
-    """``size`` uniform assignment masks over K datasets, as uint64.
+def sample_words(
+    num_datasets: int, size: int, seed: int, spawn_key: Sequence[int] = ()
+) -> tuple[np.ndarray, int]:
+    """``size`` uniform samples over K datasets from a fresh PCG64 stream
+    keyed by (seed, spawn_key), as ``(words, shift)``.
 
-    The same stream as ``rng.integers(0, 1 << K, size=size, dtype=np.uint64)``
-    (for K = 64, a high and then a low 32-bit draw), read off the raw words
-    of ``rng``'s PCG64 bit generator.  numpy draws below a power of two
-    2^K without rejection: the top K bits of a 32-bit draw for K <= 32 and
-    of a raw word for K > 32.
+    For K < 64, ``words >> shift`` holds the draws of
+    ``Generator.integers(0, 1 << K, size, dtype=np.uint64)`` on that
+    stream; for K = 64 each sample is a high and then a low 32-bit draw.
+    numpy draws below a power of two 2^K without rejection: the top K
+    bits of a 32-bit draw (K <= 32, uint32 words) or of a raw word
+    (K > 32, uint64 words).
     """
+    bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
     k = num_datasets
-    bits = rng.bit_generator
     if 32 < k < 64:
-        return bits.random_raw(size) >> np.uint64(64 - k)
-    if k <= 32:
-        return _draws32(bits, size) >> np.uint64(32 - k)
-    halves = _draws32(bits, 2 * size)
-    return (halves[:size] << np.uint64(32)) | halves[size:]
-
-
-def _draws32(bits: np.random.BitGenerator, count: int) -> np.ndarray:
-    """The next ``count`` 32-bit draws of a PCG64 bit generator, as uint64.
-
-    As numpy's own 32-bit draws: the low half of a raw word, then its
-    high half, which the generator keeps for the next 32-bit draw.
-    """
-    state = bits.state
-    carry = state["has_uint32"]
-    raw = bits.random_raw((count - carry + 1) // 2)
-    out = np.empty(carry + 2 * raw.size, dtype=np.uint64)
-    out[:carry] = state["uinteger"]
-    out[carry::2] = raw & np.uint64(0xFFFFFFFF)
-    out[carry + 1 :: 2] = raw >> np.uint64(32)
-    kept = out.size > count
-    if carry or kept:
-        state = bits.state
-        state["has_uint32"] = int(kept)
-        if kept:
-            state["uinteger"] = int(out[count])
-        bits.state = state
-    return out[:count]
+        return bits.random_raw(size), 64 - k
+    # numpy's 32-bit draws: the low half of a raw word, then its high half.
+    if k < 64:
+        draws = bits.random_raw((size + 1) // 2).astype("<u8", copy=False).view("<u4")
+        return draws[:size], 32 - k
+    # K = 64: the first ``size`` draws are the high halves, the next the low
+    # ones; each (low, high) pair read as one little-endian uint64.
+    draws = bits.random_raw(size).astype("<u8", copy=False).view("<u4")
+    words = np.empty((size, 2), dtype="<u4")
+    words[:, 0], words[:, 1] = draws[size:], draws[:size]
+    return words.view("<u8").reshape(-1), 0

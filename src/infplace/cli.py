@@ -326,14 +326,17 @@ def _cmd_sweep(args, inputs):
     return EXIT_OK, args.output, extras
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(least: int, text: str) -> int:
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n < least:
+        raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
     return n
+
+
+_positive_int = functools.partial(_int_at_least, 1)
 
 
 def _add_estimator(p: argparse.ArgumentParser) -> None:
@@ -351,7 +354,10 @@ def _build_parser() -> argparse.ArgumentParser:
     read ``ENUMERATION_BUDGET`` when they run."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="seed for all randomized paths"
+        "--seed",
+        type=functools.partial(_int_at_least, 0),
+        default=DEFAULT_SEED,
+        help="seed for all randomized paths (at least 0)",
     )
     common.add_argument(
         "--threads",

@@ -13,9 +13,9 @@ all 2^K inputs and stores the result as an integer count over 2^K
 flip set whose V' spans more than the enumeration limit of variables,
 counted before any collapse and whatever K is; a Hoeffding-calibrated
 Monte Carlo estimator, which tests the same derivative on each sample,
-answers at any width.  It tests the PCG64 draws in their own bit layout,
-moving each monomial mask up to the sample's bits instead of moving
-every sample down.
+answers at any width.  It draws its samples from ``anf.sample_words``
+and tests them in the words' own bit layout, moving each monomial mask
+up to the sample's bits instead of moving every sample down.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .anf import BooleanFunctionANF, evaluate, indices_from_mask
+from .anf import BooleanFunctionANF, evaluate, indices_from_mask, sample_words
 
 if TYPE_CHECKING:
     from .placement import PlacementConfig
@@ -279,30 +279,14 @@ def _mc_block_mismatches(
 ) -> int:
     """Mismatch count for one deterministic sample block.
 
-    Each block owns an independent PCG64 stream keyed by (seed, block
-    index), and its samples are those of ``anf.uniform_assignments`` on
-    that stream.  They are tested in the raw words' own bit layout: a
-    sample is the top K bits of a 32-bit draw (K <= 32) or of a raw word
-    (32 < K < 64), so each mask moves up by the bits below instead.  At
-    K = 64 a sample is a high and then a low 32-bit draw, from the first
-    and second half of the block's draws; each pair is joined into one
-    word by viewing it as one little-endian uint64.  A meeting
-    monomial m changes under the flip exactly when w & m is m or m & ~S,
-    so f changes when an odd number of them do.
+    Each block owns an independent stream keyed by (seed, block index):
+    the words of ``anf.sample_words`` with spawn key ``(block_index,)``.
+    They are tested in their own bit layout, each sample in the top K bits
+    of its word, so each mask moves up by ``shift`` instead of every word
+    moving down.  A meeting monomial m changes under the flip exactly when
+    w & m is m or m & ~S, so f changes when an odd number of them do.
     """
-    bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
-    k = num_datasets
-    if 32 < k < 64:
-        words, shift = bits.random_raw(block_len), 64 - k
-    elif k < 64:
-        # numpy's 32-bit draws: the low half of a raw word, then its high half.
-        draws = bits.random_raw((block_len + 1) // 2).astype("<u8", copy=False).view("<u4")
-        words, shift = draws[:block_len], 32 - k
-    else:
-        draws = bits.random_raw(block_len).astype("<u8", copy=False).view("<u4")
-        words = np.empty((block_len, 2), dtype="<u4")
-        words[:, 0], words[:, 1] = draws[block_len:], draws[:block_len]
-        words, shift = words.view("<u8").reshape(-1), 0
+    words, shift = sample_words(num_datasets, block_len, seed, (block_index,))
     changed = np.zeros(block_len, dtype=bool)
     for m in meeting:
         t = words & (m << shift)

@@ -54,8 +54,8 @@ from .anf import (
     indices_from_mask,
     load_object,
     mask_from_indices,
+    sample_words,
     truth_table,
-    uniform_assignments,
 )
 from .placement import PlacementConfig
 
@@ -637,13 +637,14 @@ def verify_scheme(
     s: TransmissionScheme, f: BooleanFunctionANF, seed: int = 0
 ) -> VerifyResult:
     """Check decode == evaluate: every input for K <= VERIFY_EXHAUSTIVE_LIMIT,
-    VERIFY_SAMPLE_COUNT seeded uniform samples otherwise.  The scheme
-    passes exactly when the ANF of f XOR the decoder is empty (see module
-    doc), and then nothing is evaluated.  Otherwise the counterexample is
-    the lowest failing input, or the first failing sample; when no sample
-    fails, it is that ANF's first monomial, read as an input.  Raises
-    ValueError, before decoding, on a plan row count other than f's
-    non-constant monomial count or on a piece with a dataset past K.
+    VERIFY_SAMPLE_COUNT uniform samples of ``anf.sample_words`` on
+    ``seed`` otherwise.  The scheme passes exactly when the ANF of f XOR
+    the decoder is empty (see module doc), and then nothing is evaluated.
+    Otherwise the counterexample is the lowest failing input, or the first
+    failing sample; when no sample fails, it is that ANF's first monomial,
+    read as an input.  Raises ValueError, before decoding, on a plan row
+    count other than f's non-constant monomial count or on a piece with a
+    dataset past K.
     """
     _check_decodable(s, f)
     k = f.num_datasets
@@ -659,8 +660,8 @@ def verify_scheme(
         return VerifyResult(counter is None, "exhaustive", 1 << k, counter, None)
     counter = None
     if diff.monomials:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy=seed)))
-        w = uniform_assignments(rng, k, VERIFY_SAMPLE_COUNT)
+        words, shift = sample_words(k, VERIFY_SAMPLE_COUNT, seed)
+        w = words >> shift
         bad = np.flatnonzero(evaluate_batch(diff, w))
         # The first monomial has the least degree, so no other lies inside
         # it, and diff is 1 at the input that sets exactly its datasets.

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from infplace.anf import BooleanFunctionANF
@@ -14,6 +15,19 @@ OVERLAP_PLACEMENT_JSON = (
     '{"N":3,"M":6,"subsets":[[1,2,4,5,6,7],[3,4,5,6,8,9],[1,2,3,7,8,9]]}\n'
 )
 DISJOINT_PAIRS_JSON = '{"K":6,"monomials":[[1,2],[3,4],[5,6]]}\n'
+
+
+def numpys_bounded_draws(k, size, seed, spawn_key):
+    """Generator.integers on the (seed, spawn_key) PCG64 stream; for K = 64
+    a high and then a low 32-bit draw."""
+    rng = np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
+    )
+    if k <= 63:
+        return rng.integers(0, 1 << k, size=size, dtype=np.uint64)
+    hi = rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
+    lo = rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
+    return (hi << np.uint64(32)) | lo
 
 
 @pytest.fixture

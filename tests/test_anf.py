@@ -19,9 +19,11 @@ from infplace.anf import (
     indices_from_mask,
     mask_from_indices,
     parse_function,
+    sample_words,
     truth_table,
-    uniform_assignments,
 )
+
+from conftest import numpys_bounded_draws
 
 
 def reference_evaluate(index_lists, k, w):
@@ -218,24 +220,15 @@ def test_function_json_digest_stability(example_function):
     assert function_to_json(other) == function_to_json(example_function)
 
 
-def test_uniform_assignments_are_numpys_bounded_draws():
-    # The sampler reads raw PCG64 words; it must give rng.integers' draws
-    # element for element at every K (K = 64 as a high and a low 32-bit
-    # draw), and leave the generator where rng.integers does, so later
-    # draws match too, also when an odd count left a 32-bit half kept.
-    def reference(rng, k, size):
-        if k <= 63:
-            return rng.integers(0, 1 << k, size=size, dtype=np.uint64)
-        hi = rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
-        lo = rng.integers(0, 1 << 32, size=size, dtype=np.uint64)
-        return (hi << np.uint64(32)) | lo
-
+def test_sample_words_are_numpys_bounded_draws():
+    # The sampler reads raw PCG64 words; shifted down, they must be
+    # rng.integers' draws element for element at every K and size, on the
+    # stream of the empty spawn key (verify) and of a block's key (MC).
     for k in range(1, 65):
-        for size in (1, 2, 3, 7, 5000, 8191, 8192):
-            ours, numpys = (np.random.Generator(np.random.PCG64(1000 * k + size)) for _ in "ab")
-            for draw in (size, 5, 0):
-                got = uniform_assignments(ours, k, draw)
-                want = reference(numpys, k, draw)
-                assert got.dtype == np.uint64 and np.array_equal(got, want), (k, size, draw)
-            after = [rng.integers(0, 1 << 32, size=3) for rng in (ours, numpys)]
-            assert np.array_equal(*after), (k, size)
+        for size in (0, 1, 2, 3, 7, 5000, 8191, 8192):
+            for spawn_key in ((), (3,)):
+                seed = 1000 * k + size
+                words, shift = sample_words(k, size, seed, spawn_key)
+                assert words.dtype == (np.uint32 if k <= 32 else np.uint64)
+                want = numpys_bounded_draws(k, size, seed, spawn_key)
+                assert np.array_equal(words >> shift, want), (k, size, spawn_key)

@@ -836,6 +836,14 @@ PAIRS64_JSON = json.dumps({"K": 64, "monomials": [[2 * i + 1, 2 * i + 2] for i i
          "error: N*M = 65 datasets exceed the 64-dataset limit"),
         (["oracle", "theorem", "-N", "33", "-M", "2"], {}, 2,
          "error: N*M = 66 datasets exceed the 64-dataset limit"),
+        # A negative seed is refused before sampling, not read as "not decoded".
+        (["verify", "-s", "s.json", "-f", "f.json", "--seed", "-1"],
+         {"s.json": '{"constant":0,"pieces":[{"server":1,"vars":[1]}],"plan":[[0]]}',
+          "f.json": '{"K":30,"monomials":[[1,2]]}'},
+         2, "infplace verify: error: argument --seed: must be at least 0, got -1"),
+        (["influence", "-f", "f.json", "--subset", "1", "--mc", "--seed", "-1"],
+         {"f.json": '{"K":30,"monomials":[[1,2]]}'},
+         2, "infplace influence: error: argument --seed: must be at least 0, got -1"),
     ],
 )
 def test_refused_requests_exit_with_their_message(argv, files, code, line, capsys, tmp_path):

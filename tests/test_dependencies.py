@@ -44,3 +44,15 @@ def test_numpy_floor_has_bitwise_count():
     (spec,) = [d for d in project["dependencies"] if d.startswith("numpy")]
     floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)(?:\.\d+)?", spec)
     assert floor and tuple(map(int, floor.groups())) >= (2, 0), spec
+
+
+def test_only_anf_builds_a_bit_generator():
+    # numpy's bounded-draw layout is decided in one place, anf.sample_words.
+    stream_names = {"PCG64", "SeedSequence", "random_raw"}
+    naming = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # A variable, an attribute, an imported or a defined name.
+            if stream_names & {getattr(node, a, None) for a in ("id", "attr", "name")}:
+                naming.add(path.name)
+    assert naming == {"anf.py"}

@@ -23,7 +23,6 @@ from infplace.anf import (
     evaluate_batch,
     indices_from_mask,
     truth_table,
-    uniform_assignments,
 )
 from infplace.influence import (
     EstimatorConfig,
@@ -37,6 +36,8 @@ from infplace.influence import (
     joint_sensitivity,
 )
 from infplace.placement import PlacementConfig
+
+from conftest import numpys_bounded_draws
 
 
 def slow_influence(f, flip_mask):
@@ -597,13 +598,10 @@ def test_mc_estimates_are_pinned(k, monomials, flip_indices, seed, mismatches):
 
 
 def reference_block_mismatches(meeting, k, flip_mask, seed, block_index, block_len):
-    """One sample block drawn through uniform_assignments on a Generator,
+    """One sample block drawn by Generator.integers on the block's stream,
     each sample tested bit by bit on every meeting monomial."""
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
-    )
     count = 0
-    for w in uniform_assignments(rng, k, block_len).tolist():
+    for w in numpys_bounded_draws(k, block_len, seed, (block_index,)).tolist():
         changed = 0
         for m in meeting:
             bits = [i for i in range(k) if m >> i & 1]
