@@ -205,15 +205,6 @@ def evaluate(f: BooleanFunctionANF, assignment: int) -> int:
     return out
 
 
-def evaluate_batch(f: BooleanFunctionANF, assignments: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`evaluate` over an unsigned integer array of masks."""
-    out = np.zeros(assignments.shape, dtype=bool)
-    for m in f.monomials:
-        mm = assignments.dtype.type(m)
-        out ^= (assignments & mm) == mm
-    return out
-
-
 def truth_table(f: BooleanFunctionANF) -> np.ndarray:
     """Dense truth table of f over all 2^K assignments (index = assignment mask).
 

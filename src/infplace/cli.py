@@ -1,9 +1,9 @@
 """Command line front end.
 
 Every command is deterministic given its inputs, --seed, and flags.
-Randomized paths (Monte Carlo estimation, sampled verification, oracle
-subset sampling) draw all randomness from --seed.  --threads is
-validated and otherwise ignored: every command runs on one thread.
+Randomized paths (Monte Carlo estimation, oracle subset sampling) draw
+all randomness from --seed.  --threads is validated and otherwise
+ignored: every command runs on one thread.
 Each completed run emits a JSON manifest: as a ``<output>.manifest.json``
 sidecar when the command writes a file, on stderr otherwise.
 
@@ -181,29 +181,25 @@ def _cmd_verify(args, inputs):
     for problem in problems:
         sys.stderr.write(f"structure: {problem}\n")
     try:
-        result = verify_scheme(scheme, f, seed=args.seed)
+        result = verify_scheme(scheme, f)
     except ValueError:
         # A plan row count other than f's or a piece past K: decoding
         # cannot start, and the structure check has named the fault.
         sys.stdout.write(f"FAIL structure errors={len(problems)}, not decoded\n")
         return EXIT_ASSERTION_FAILED, None, {}
-    if result.mode == "sampled":
-        mode = f"sampled, seed={result.seed}"
-    else:
-        mode = "exhaustive"
     if not result.passed:
         bits = result.counterexample_bits(f.num_datasets)
-        sys.stdout.write(f"FAIL counterexample={bits} ({mode})\n")
+        sys.stdout.write(f"FAIL counterexample={bits} (exhaustive)\n")
         return EXIT_ASSERTION_FAILED, None, {}
     n = result.inputs_checked
     if problems:
         # Overlapping pieces still multiply to the monomial, so decoding
         # passes, yet the row is no partition and its piece count is wrong.
         sys.stdout.write(
-            f"FAIL structure errors={len(problems)}, decoded {n}/{n} inputs ({mode})\n"
+            f"FAIL structure errors={len(problems)}, decoded {n}/{n} inputs (exhaustive)\n"
         )
         return EXIT_ASSERTION_FAILED, None, {}
-    sys.stdout.write(f"PASS {n}/{n} inputs ({mode})\n")
+    sys.stdout.write(f"PASS {n}/{n} inputs (exhaustive)\n")
     return EXIT_OK, None, {}
 
 
@@ -405,8 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "place", parents=[common], help="search for a minimum-sensitivity placement"
     )
     p.add_argument("-f", "--function", required=True, metavar="FILE")
-    p.add_argument("-N", "--num-servers", type=int, required=True)
-    p.add_argument("-M", "--cache-size", type=int, required=True)
+    p.add_argument("-N", "--num-servers", type=_positive_int, required=True)
+    p.add_argument("-M", "--cache-size", type=_positive_int, required=True)
     p.add_argument("--method", choices=["exhaustive", "aligned"], default="exhaustive")
     p.add_argument(
         "--budget", type=_positive_int, help="search steps, at least 1 (default 10^7)"
@@ -457,8 +453,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-placement CSV of sensitivities and piece counts",
     )
     p.add_argument("-f", "--function", required=True, metavar="FILE")
-    p.add_argument("-N", "--num-servers", type=int, required=True)
-    p.add_argument("-M", "--cache-size", type=int, required=True)
+    p.add_argument("-N", "--num-servers", type=_positive_int, required=True)
+    p.add_argument("-M", "--cache-size", type=_positive_int, required=True)
     p.add_argument(
         "--budget", type=_positive_int, help="placements, at least 1 (default 10^7)"
     )

@@ -32,9 +32,11 @@ advisory.
 The decoder is itself an XOR of monomials, one per plan row over the
 union of that row's pieces, so verification builds the ANF of f XOR the
 decoder, in which equal monomials cancel.  ANF is unique, so the scheme
-decodes f exactly when that ANF is empty.  Otherwise it is evaluated
-only to report a failing input: its truth table's first 1 for K <= 20,
-the first seeded sample where it is 1 above that.
+decodes f exactly when that ANF is empty.  Otherwise its least
+monomial m, read as an input, is the lowest input where the two differ:
+a monomial inside an input x is at most x, so none lies inside an input
+below m, and the only one inside m is m itself, since m's other
+submasks are lower.  Nothing is evaluated, at any K.
 """
 
 from __future__ import annotations
@@ -42,26 +44,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from .anf import (
     BooleanFunctionANF,
     ParseError,
     _check_assignment,
     bits_from_assignment,
     dump_object,
-    evaluate_batch,
     indices_from_mask,
     load_object,
     mask_from_indices,
-    sample_words,
-    truth_table,
 )
 from .placement import PlacementConfig
 
 EXACT_SYNTHESIS_DEGREE_LIMIT = 16
-VERIFY_EXHAUSTIVE_LIMIT = 20
-VERIFY_SAMPLE_COUNT = 100_000
 
 
 class UncomputablePlacementError(ValueError):
@@ -622,10 +617,9 @@ def decode(s: TransmissionScheme, f: BooleanFunctionANF, assignment: int) -> int
 @dataclass(frozen=True)
 class VerifyResult:
     passed: bool
-    mode: str  # "exhaustive" | "sampled"
     inputs_checked: int
     counterexample: int | None
-    seed: int | None
+    mode = "exhaustive"  # every input is decided; not a field
 
     def counterexample_bits(self, num_datasets: int) -> str | None:
         if self.counterexample is None:
@@ -633,18 +627,13 @@ class VerifyResult:
         return bits_from_assignment(self.counterexample, num_datasets)
 
 
-def verify_scheme(
-    s: TransmissionScheme, f: BooleanFunctionANF, seed: int = 0
-) -> VerifyResult:
-    """Check decode == evaluate: every input for K <= VERIFY_EXHAUSTIVE_LIMIT,
-    VERIFY_SAMPLE_COUNT uniform samples of ``anf.sample_words`` on
-    ``seed`` otherwise.  The scheme passes exactly when the ANF of f XOR
-    the decoder is empty (see module doc), and then nothing is evaluated.
-    Otherwise the counterexample is the lowest failing input, or the first
-    failing sample; when no sample fails, it is that ANF's first monomial,
-    read as an input.  Raises ValueError, before decoding, on a plan row
-    count other than f's non-constant monomial count or on a piece with a
-    dataset past K.
+def verify_scheme(s: TransmissionScheme, f: BooleanFunctionANF) -> VerifyResult:
+    """Check decode == evaluate on all 2^K inputs, at any K.  The scheme
+    passes exactly when the ANF of f XOR the decoder is empty; otherwise
+    the counterexample is the lowest failing input, that ANF's least
+    monomial (see module doc).  Raises ValueError, before decoding, on a
+    plan row count other than f's non-constant monomial count or on a
+    piece with a dataset past K.
     """
     _check_decodable(s, f)
     k = f.num_datasets
@@ -655,15 +644,5 @@ def verify_scheme(
             row |= s.pieces[r].vars_mask
         rows.append(row)
     diff = BooleanFunctionANF.from_masks(k, [*f.monomials, *rows])
-    if k <= VERIFY_EXHAUSTIVE_LIMIT:
-        counter = int(np.argmax(truth_table(diff))) if diff.monomials else None
-        return VerifyResult(counter is None, "exhaustive", 1 << k, counter, None)
-    counter = None
-    if diff.monomials:
-        words, shift = sample_words(k, VERIFY_SAMPLE_COUNT, seed)
-        w = words >> shift
-        bad = np.flatnonzero(evaluate_batch(diff, w))
-        # The first monomial has the least degree, so no other lies inside
-        # it, and diff is 1 at the input that sets exactly its datasets.
-        counter = int(w[bad[0]]) if bad.size else diff.monomials[0]
-    return VerifyResult(counter is None, "sampled", VERIFY_SAMPLE_COUNT, counter, seed)
+    counter = min(diff.monomials, default=None)
+    return VerifyResult(counter is None, 1 << k, counter)

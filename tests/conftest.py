@@ -17,6 +17,15 @@ OVERLAP_PLACEMENT_JSON = (
 DISJOINT_PAIRS_JSON = '{"K":6,"monomials":[[1,2],[3,4],[5,6]]}\n'
 
 
+def evaluate_batch(f, assignments):
+    """``anf.evaluate`` over an unsigned integer array of masks, in numpy."""
+    out = np.zeros(assignments.shape, dtype=bool)
+    for m in f.monomials:
+        mm = assignments.dtype.type(m)
+        out ^= (assignments & mm) == mm
+    return out
+
+
 def numpys_bounded_draws(k, size, seed, spawn_key):
     """Generator.integers on the (seed, spawn_key) PCG64 stream; for K = 64
     a high and then a low 32-bit draw."""

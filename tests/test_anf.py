@@ -14,7 +14,6 @@ from infplace.anf import (
     ParseError,
     bits_from_assignment,
     evaluate,
-    evaluate_batch,
     function_to_json,
     indices_from_mask,
     mask_from_indices,
@@ -23,7 +22,7 @@ from infplace.anf import (
     truth_table,
 )
 
-from conftest import numpys_bounded_draws
+from conftest import evaluate_batch, numpys_bounded_draws
 
 
 def reference_evaluate(index_lists, k, w):

@@ -309,7 +309,7 @@ def test_verify_with_placement_fails_on_pieces_their_server_cannot_send(
 @pytest.mark.parametrize("k,past", [(3, 9), (21, 30)])
 @pytest.mark.parametrize("with_placement", [False, True])
 def test_verify_fails_without_decoding_on_a_piece_past_k(k, past, with_placement, capsys, tmp_path):
-    # Exhaustive (K=3) and sampled (K=21) paths: the unused piece {past}
+    # Narrow (K=3) and wide (K=21) functions alike: the unused piece {past}
     # names a dataset f does not have, so decoding must not start.
     f_path = tmp_path / "w1w2.json"
     f_path.write_text('{"K":%d,"monomials":[[1,2]]}\n' % k)
@@ -329,7 +329,7 @@ def test_verify_fails_without_decoding_on_a_piece_past_k(k, past, with_placement
     assert "structure:" not in err.partition("\n")[2]
 
 
-def test_verify_sampled_for_wide_functions(capsys, tmp_path):
+def test_verify_is_exhaustive_for_wide_functions(capsys, tmp_path):
     f_path = tmp_path / "wide.json"
     p_path = tmp_path / "wide_p.json"
     s_path = tmp_path / "wide_s.json"
@@ -341,12 +341,12 @@ def test_verify_sampled_for_wide_functions(capsys, tmp_path):
     main(["synthesize", "--greedy", "-f", str(f_path), "-p", str(p_path), "-o", str(s_path)])
     capsys.readouterr()
     assert main(["verify", "-s", str(s_path), "-f", str(f_path)]) == 0
-    assert capsys.readouterr().out == "PASS 100000/100000 inputs (sampled, seed=2024)\n"
+    assert capsys.readouterr().out == "PASS 4194304/4194304 inputs (exhaustive)\n"
 
 
-def test_verify_sampled_fails_a_wrong_scheme_that_no_sample_catches(capsys, tmp_path):
-    # W1...W23W25 for W1...W24 at K=30 differs on 2^-24 of the inputs, so
-    # no sample fails; the counterexample is where the two products differ.
+def test_verify_fails_a_wide_scheme_that_differs_on_few_inputs(capsys, tmp_path):
+    # W1...W23W25 for W1...W24 at K=30 differs on 2^-24 of the inputs; the
+    # lowest of them sets exactly W1...W24.
     f_path = tmp_path / "w24.json"
     f_path.write_text('{"K":30,"monomials":[%s]}\n' % list(range(1, 25)))
     s_path = tmp_path / "s.json"
@@ -354,9 +354,9 @@ def test_verify_sampled_fails_a_wrong_scheme_that_no_sample_catches(capsys, tmp_
         '{"constant":0,"pieces":[{"server":1,"vars":%s},{"server":1,"vars":[25]}],'
         '"plan":[[0,1]]}\n' % list(range(1, 24))
     )
-    assert main(["verify", "-s", str(s_path), "-f", str(f_path), "--seed", "1"]) == 5
+    assert main(["verify", "-s", str(s_path), "-f", str(f_path)]) == 5
     out, err = capsys.readouterr()
-    assert out == f"FAIL counterexample={'1' * 24}{'0' * 6} (sampled, seed=1)\n"
+    assert out == f"FAIL counterexample={'1' * 24}{'0' * 6} (exhaustive)\n"
     assert err.startswith("structure: plan row 0: pieces cover")
 
 
@@ -836,7 +836,8 @@ PAIRS64_JSON = json.dumps({"K": 64, "monomials": [[2 * i + 1, 2 * i + 2] for i i
          "error: N*M = 65 datasets exceed the 64-dataset limit"),
         (["oracle", "theorem", "-N", "33", "-M", "2"], {}, 2,
          "error: N*M = 66 datasets exceed the 64-dataset limit"),
-        # A negative seed is refused before sampling, not read as "not decoded".
+        # A negative seed is refused by argparse, also by verify, which reads
+        # no seed; it is not read as "not decoded".
         (["verify", "-s", "s.json", "-f", "f.json", "--seed", "-1"],
          {"s.json": '{"constant":0,"pieces":[{"server":1,"vars":[1]}],"plan":[[0]]}',
           "f.json": '{"K":30,"monomials":[[1,2]]}'},
@@ -844,6 +845,14 @@ PAIRS64_JSON = json.dumps({"K": 64, "monomials": [[2 * i + 1, 2 * i + 2] for i i
         (["influence", "-f", "f.json", "--subset", "1", "--mc", "--seed", "-1"],
          {"f.json": '{"K":30,"monomials":[[1,2]]}'},
          2, "infplace influence: error: argument --seed: must be at least 0, got -1"),
+        (["place", "-f", "f.json", "-N", "0", "-M", "1"], {"f.json": W1W2_JSON}, 2,
+         "infplace place: error: argument -N/--num-servers: must be at least 1, got 0"),
+        (["place", "-f", "f.json", "-N", "1", "-M", "-2"], {"f.json": W1W2_JSON}, 2,
+         "infplace place: error: argument -M/--cache-size: must be at least 1, got -2"),
+        (["sweep", "-f", "f.json", "-N", "0", "-M", "1"], {"f.json": W1W2_JSON}, 2,
+         "infplace sweep: error: argument -N/--num-servers: must be at least 1, got 0"),
+        (["sweep", "-f", "f.json", "-N", "2", "-M", "x"], {"f.json": W1W2_JSON}, 2,
+         "infplace sweep: error: argument -M/--cache-size: not an integer: 'x'"),
     ],
 )
 def test_refused_requests_exit_with_their_message(argv, files, code, line, capsys, tmp_path):

@@ -56,3 +56,16 @@ def test_only_anf_builds_a_bit_generator():
             if stream_names & {getattr(node, a, None) for a in ("id", "attr", "name")}:
                 naming.add(path.name)
     assert naming == {"anf.py"}
+
+
+def test_only_influence_calls_sample_words():
+    # Verification decides every input exactly; only the Monte Carlo
+    # estimator samples.
+    calling = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name == "sample_words":
+                    calling.add(path.name)
+    assert calling == {"influence.py"}

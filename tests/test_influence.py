@@ -20,7 +20,6 @@ from infplace import influence
 from infplace.anf import (
     BooleanFunctionANF,
     evaluate,
-    evaluate_batch,
     indices_from_mask,
     truth_table,
 )
@@ -37,7 +36,7 @@ from infplace.influence import (
 )
 from infplace.placement import PlacementConfig
 
-from conftest import numpys_bounded_draws
+from conftest import evaluate_batch, numpys_bounded_draws
 
 
 def slow_influence(f, flip_mask):

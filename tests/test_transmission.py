@@ -6,6 +6,7 @@ import itertools
 import operator
 import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -203,38 +204,35 @@ def test_structure_errors_catch_tampering(example_function, overlap_placement):
     assert len(result.counterexample_bits(9)) == 9
 
 
-def test_verify_sampled_path_for_large_k():
+def test_verify_is_exhaustive_for_large_k():
     f = BooleanFunctionANF.from_indices(22, [[1, 2, 3], [10, 20]])
     p = PlacementConfig.from_indices(11, [list(range(1, 12)), list(range(12, 23))])
     scheme = synthesize_greedy(f, p)
-    result = verify_scheme(scheme, f, seed=9)
-    assert result.passed and result.mode == "sampled"
-    assert result.inputs_checked == 100_000 and result.seed == 9
+    result = verify_scheme(scheme, f)
+    assert result == VerifyResult(True, 1 << 22, None)
+    assert result.mode == "exhaustive"
 
 
-def test_verify_sample_stream_at_k64_is_pinned():
-    # Decoding W1W63 for W1W64 fails on the first sample where those bits
-    # differ under W1; the counterexample pins all 64 bits of the stream.
+def test_verify_counterexample_at_k64_is_pinned():
+    # Decoding W1W63 for W1W64 fails first where W1 and W63 are set and
+    # W64 is not: the lesser of the two monomials, read as an input.
     f = BooleanFunctionANF.from_indices(64, [[1, 64]])
     wrong = TransmissionScheme((Piece(1, 1), Piece(1, 1 << 62)), ((0, 1),))
-    result = verify_scheme(wrong, f, seed=11)
-    assert not result.passed and result.mode == "sampled"
-    assert result.counterexample == 0x99FBCBDEC813392B
-    assert result.counterexample_bits(64) == (
-        "1101010010011100110010000001001101111011110100111101111110011001"
-    )
+    result = verify_scheme(wrong, f)
+    assert not result.passed and result.mode == "exhaustive"
+    assert result.counterexample == 0x4000000000000001
+    assert result.counterexample_bits(64) == "1" + "0" * 61 + "10"
 
 
-def test_sampled_verify_fails_a_scheme_no_sample_tells_apart():
-    # Decoding W1...W23W25 for W1...W24 differs on 2^-24 of the inputs,
-    # which none of the 100 000 samples hits.  The difference's first
-    # monomial, W1...W24, is an input where the two differ.
+def test_verify_fails_a_scheme_that_differs_on_few_inputs():
+    # Decoding W1...W23W25 for W1...W24 differs on 2^-24 of the inputs.
+    # The lowest of them sets exactly W1...W24.
     f = BooleanFunctionANF.from_indices(30, [range(1, 25)])
     wrong = TransmissionScheme(
         (Piece(1, mask_from_indices(range(1, 24))), Piece(1, 1 << 24)), ((0, 1),)
     )
-    result = verify_scheme(wrong, f, seed=1)
-    assert result == VerifyResult(False, "sampled", 100_000, (1 << 24) - 1, 1)
+    result = verify_scheme(wrong, f)
+    assert result == VerifyResult(False, 1 << 30, (1 << 24) - 1)
     w = result.counterexample
     assert decode(wrong, f, w) != evaluate(f, w)
 
@@ -267,7 +265,47 @@ def reference_verify(s, f):
         got ^= term
     bad = np.nonzero(truth_table(f) != got)[0]
     counter = int(bad[0]) if bad.size else None
-    return VerifyResult(counter is None, "exhaustive", 1 << k, counter, None)
+    return VerifyResult(counter is None, 1 << k, counter)
+
+
+def lowest_failing_input(s, f):
+    """The lowest input where f and the decoder differ, or None, found bit
+    by bit from the highest: a bit stays 0 when the ANF of f XOR the
+    decoder, restricted to that value, is not empty (ANF is unique, so the
+    restriction is then 1 somewhere)."""
+    rows = [0] * s.constant
+    for refs in s.plan:
+        rows.append(functools.reduce(operator.or_, (s.pieces[r].vars_mask for r in refs), 0))
+    g = {m for m, n in Counter([*f.monomials, *rows]).items() if n % 2}
+    if not g:
+        return None
+    x = 0
+    for i in reversed(range(f.num_datasets)):
+        bit = 1 << i
+        low = {m for m in g if not m & bit}
+        if low:
+            g = low
+        else:
+            # Every monomial holds the bit: setting it drops the bit, and
+            # the masks stay distinct.
+            x |= bit
+            g = {m ^ bit for m in g}
+    return x
+
+
+def wide_instance(rng, k):
+    """A function of 1-4 monomials of degree 1-6 over K datasets, its greedy
+    scheme on a covering placement, the scheme's tampered copies and a
+    scheme of random pieces."""
+    degrees = [rng.randint(1, 6) for _ in range(rng.randint(1, 4))]
+    f = BooleanFunctionANF.from_masks(
+        k, [mask_from_indices(rng.sample(range(1, k + 1), d)) for d in degrees]
+    )
+    scheme = synthesize_greedy(f, covering_placement(rng, f, rng.randint(1, 4)))
+    pieces = tuple({Piece(1, rng.randrange(1, 1 << k)) for _ in range(4)})
+    plan = tuple(tuple(rng.sample(range(len(pieces)), rng.randint(1, 2))) for _ in scheme.plan)
+    randomized = TransmissionScheme(pieces, plan, rng.randint(0, 1))
+    return f, [scheme, *tampered_schemes(scheme, k, rng), randomized]
 
 
 def tampered_schemes(s, k, rng):
@@ -315,7 +353,7 @@ def test_exhaustive_verify_matches_the_truth_table_reference():
 
 
 def test_exhaustive_verify_at_the_ends_of_its_range():
-    # K = 1 and K = 20 are checked on every input, K = 21 on samples.
+    # K = 1, K = 20 and K = 21, each against the truth-table reference.
     one = BooleanFunctionANF.from_indices(1, [[], [1]])
     only = Piece(1, 0b1)
     cases = [
@@ -336,19 +374,44 @@ def test_exhaustive_verify_at_the_ends_of_its_range():
     # f20's tampered copies all fail except the one with its rows reversed.
     assert outcomes == [True, False, False, True] + [False, False, False, True, False]
     f21 = BooleanFunctionANF.from_indices(21, [[1, 21]])
-    result = verify_scheme(TransmissionScheme((Piece(1, 1 | 1 << 20),), ((0,),)), f21, seed=3)
-    assert (result.passed, result.mode, result.inputs_checked, result.seed) == (
-        True,
-        "sampled",
-        100_000,
-        3,
-    )
+    s21 = TransmissionScheme((Piece(1, 1 | 1 << 20),), ((0,),))
+    result = verify_scheme(s21, f21)
+    assert result == reference_verify(s21, f21) == VerifyResult(True, 1 << 21, None)
+
+
+def test_verify_matches_the_truth_table_reference_past_k20():
+    # Past K = 20, K = 21 and 22 still fit the numpy truth-table reference.
+    rng = random.Random(2122)
+    failed = 0
+    for k in (21, 22):
+        for _ in range(3):
+            f, schemes = wide_instance(rng, k)
+            for s in schemes:
+                result = verify_scheme(s, f)
+                assert result == reference_verify(s, f), (f, s)
+                failed += not result.passed
+    assert failed >= 25
+
+
+def test_verify_finds_the_lowest_failing_input_up_to_k64():
+    rng = random.Random(2364)
+    failed = 0
+    for k in range(23, 65):
+        f, schemes = wide_instance(rng, k)
+        for s in schemes:
+            result = verify_scheme(s, f)
+            counter = lowest_failing_input(s, f)
+            assert result == VerifyResult(counter is None, 1 << k, counter), (f, s)
+            if counter is not None:
+                failed += 1
+                assert decode(s, f, counter) != evaluate(f, counter)
+    assert failed >= 180
 
 
 def test_exhaustive_verify_builds_no_truth_table(monkeypatch, example_function, overlap_placement):
-    # A passing scheme is decided by its empty ANF of f XOR the decoder:
-    # exhaustive verify builds a truth table only to find a failing input,
-    # under whatever name a module holds it.
+    # A scheme is decided by the ANF of f XOR the decoder, and a failing
+    # one is reported at that ANF's least monomial: verify builds no truth
+    # table, under whatever name a module holds it.
     def refuse(f):
         raise AssertionError("exhaustive verify built a truth table")
 
@@ -358,6 +421,10 @@ def test_exhaustive_verify_builds_no_truth_table(monkeypatch, example_function, 
     assert infplace.anf.truth_table is refuse
     scheme = synthesize_exact(example_function, overlap_placement)
     assert verify_scheme(scheme, example_function).passed
+    # W2W5W7W8 = {2,5,7} * {8}; without {2,5,7} it first fails at W8 alone.
+    assert scheme.plan[2] == (1, 3) and scheme.pieces[3].vars_mask == 1 << 7
+    short = TransmissionScheme(scheme.pieces, (*scheme.plan[:2], (3,)), scheme.constant)
+    assert verify_scheme(short, example_function) == VerifyResult(False, 512, 1 << 7)
 
 
 def test_verify_rejects_plan_shape_mismatch(example_function):
@@ -368,7 +435,7 @@ def test_verify_rejects_plan_shape_mismatch(example_function):
 
 @pytest.mark.parametrize("k,past", [(3, 9), (3, 4), (21, 30), (21, 22), (63, 64)])
 def test_a_piece_past_k_is_a_structure_error_and_is_not_decoded(k, past):
-    # K <= 20 decodes exhaustively, K = 21 and 63 on samples: both refuse.
+    # Narrow and wide K alike refuse before decoding.
     f = BooleanFunctionANF.from_indices(k, [[1, 2]])
     scheme = TransmissionScheme((Piece(1, 0b11), Piece(1, 1 << past - 1)), ((0,),))
     p = PlacementConfig.from_indices(2, [[1, 2]])
