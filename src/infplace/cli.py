@@ -219,12 +219,6 @@ def _parse_degrees(text: str) -> list[int]:
     return out
 
 
-def _require(args, names: Sequence[str], claim: str) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
-    if missing:
-        raise ParseError(f"oracle {claim} needs {', '.join('--' + n for n in missing)}")
-
-
 def _cmd_oracle(args, inputs):
     if args.claim == "lemma1":
         degrees = _parse_degrees(args.degrees) if args.degrees else LEMMA1_DEGREES
@@ -232,10 +226,8 @@ def _cmd_oracle(args, inputs):
     elif args.claim == "lemma2":
         report = check_lemma2(_parse_degrees(args.degrees) if args.degrees else LEMMA2_DEGREES)
     elif args.claim == "theorem":
-        _require(args, ["num-servers", "cache-size"], "theorem")
         report = check_theorem(args.num_servers, args.cache_size)
     else:
-        _require(args, ["num-servers", "cache-size"], "corollary")
         if args.function:
             f = _load_function(args.function, inputs)
         else:
@@ -362,6 +354,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="accepted for compatibility and ignored (at least 1)",
     )
 
+    function = argparse.ArgumentParser(add_help=False)
+    function.add_argument("-f", "--function", required=True, metavar="FILE")
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("-N", "--num-servers", type=_positive_int, required=True)
+    grid.add_argument("-M", "--cache-size", type=_positive_int, required=True)
+
     parser = argparse.ArgumentParser(
         prog="infplace",
         description=(
@@ -376,9 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "influence", parents=[common], help="joint influence of one flip set"
+        "influence", parents=[common, function], help="joint influence of one flip set"
     )
-    p.add_argument("-f", "--function", required=True, metavar="FILE")
     p.add_argument(
         "--subset",
         required=True,
@@ -389,20 +386,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "avg-sensitivity",
-        parents=[common],
+        parents=[common, function],
         help="summed joint influence of a placement's subsets",
     )
-    p.add_argument("-f", "--function", required=True, metavar="FILE")
     p.add_argument("-p", "--placement", required=True, metavar="FILE")
     _add_estimator(p)
     p.set_defaults(func=_cmd_avg_sensitivity)
 
     p = sub.add_parser(
-        "place", parents=[common], help="search for a minimum-sensitivity placement"
+        "place", parents=[common, function, grid], help="search for a minimum-sensitivity placement"
     )
-    p.add_argument("-f", "--function", required=True, metavar="FILE")
-    p.add_argument("-N", "--num-servers", type=_positive_int, required=True)
-    p.add_argument("-M", "--cache-size", type=_positive_int, required=True)
     p.add_argument("--method", choices=["exhaustive", "aligned"], default="exhaustive")
     p.add_argument(
         "--budget", type=_positive_int, help="search steps, at least 1 (default 10^7)"
@@ -411,9 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_place)
 
     p = sub.add_parser(
-        "synthesize", parents=[common], help="build a transmission scheme"
+        "synthesize", parents=[common, function], help="build a transmission scheme"
     )
-    p.add_argument("-f", "--function", required=True, metavar="FILE")
     p.add_argument("-p", "--placement", required=True, metavar="FILE")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--exact", action="store_true", help="minimum piece count")
@@ -422,39 +414,39 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synthesize)
 
     p = sub.add_parser(
-        "verify", parents=[common], help="check that a scheme decodes the function"
+        "verify", parents=[common, function], help="check that a scheme decodes the function"
     )
     p.add_argument("-s", "--scheme", required=True, metavar="FILE")
-    p.add_argument("-f", "--function", required=True, metavar="FILE")
     p.add_argument(
         "-p", "--placement", metavar="FILE", help="also check each piece against its server"
     )
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser(
-        "oracle", parents=[common], help="brute-force checks of the closed-form claims"
-    )
-    p.add_argument("claim", choices=["lemma1", "lemma2", "theorem", "corollary"])
-    p.add_argument("-d", "--degrees", help='degree grid, e.g. "2..5" or "3,4"')
-    p.add_argument("--trials", type=_positive_int, default=LEMMA1_SUBSET_TRIALS)
-    p.add_argument("-N", "--num-servers", type=_positive_int)
-    p.add_argument("-M", "--cache-size", type=_positive_int)
-    p.add_argument("-f", "--function", metavar="FILE", help="corollary study input")
-    p.add_argument(
-        "--limit", type=_positive_int, default=200, help="corollary placement cap (at least 1)"
-    )
-    p.add_argument("-o", "--output", metavar="FILE", help="JSON report (default stdout)")
-    p.add_argument("--csv", metavar="FILE", help="also write per-case CSV")
+    p = sub.add_parser("oracle", help="brute-force checks of the closed-form claims")
     p.set_defaults(func=_cmd_oracle)
+    claims = p.add_subparsers(dest="claim", required=True)
+    report = argparse.ArgumentParser(add_help=False, parents=[common])
+    report.add_argument("-o", "--output", metavar="FILE", help="JSON report (default stdout)")
+    report.add_argument("--csv", metavar="FILE", help="also write per-case CSV")
+    degrees = argparse.ArgumentParser(add_help=False, parents=[report])
+    degrees.add_argument("-d", "--degrees", help='degree grid, e.g. "2..5" or "3,4"')
+    p = claims.add_parser("lemma1", parents=[degrees], help="single-product influence")
+    p.add_argument("--trials", type=_positive_int, default=LEMMA1_SUBSET_TRIALS)
+    claims.add_parser("lemma2", parents=[degrees], help="influence under support swaps")
+    claims.add_parser("theorem", parents=[report, grid], help="N/2^(M-1) at desk scale")
+    p = claims.add_parser(
+        "corollary", parents=[report, grid], help="sensitivity against piece count"
+    )
+    p.add_argument("-f", "--function", metavar="FILE", help="default: N disjoint products")
+    p.add_argument(
+        "--limit", type=_positive_int, default=200, help="placements studied (at least 1)"
+    )
 
     p = sub.add_parser(
         "sweep",
-        parents=[common],
+        parents=[common, function, grid],
         help="per-placement CSV of sensitivities and piece counts",
     )
-    p.add_argument("-f", "--function", required=True, metavar="FILE")
-    p.add_argument("-N", "--num-servers", type=_positive_int, required=True)
-    p.add_argument("-M", "--cache-size", type=_positive_int, required=True)
     p.add_argument(
         "--budget", type=_positive_int, help="placements, at least 1 (default 10^7)"
     )

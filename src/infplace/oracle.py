@@ -23,7 +23,8 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import combinations_with_replacement
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,9 +51,7 @@ from .placement import (
     Budget,
     PlacementConfig,
     PlacementConstraints,
-    PlacementSpace,
     aligned_placement,
-    count_placements,
     subset_label,
 )
 from .transmission import TransmissionCount, count_transmissions, synthesis_key, synthesize_exact
@@ -267,24 +266,24 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
     within each run of columns equal so far the new entries do not
     increase.
 
-    The budget is charged one step per entry tried, and as a matrix is
-    listed, the work its synthesis does before the search: per server, N
-    intersections and 2^a - 1 blocks of each product it holds a > 0 of.
-    So a refused grid has made no synthesis.  T is synthesized once per
-    matrix, on its member where each server in turn takes the lowest
-    datasets still free in each product; ``min_T_placement`` is the
-    member of the first matrix of least T.  M times the identity comes
-    first, and its member is the aligned placement.
+    The budget is charged one step per entry tried and, as each matrix
+    is listed, a fixed per-matrix charge: per server, N plus 2^a - 1 for
+    each product it holds a > 0 datasets of.  It once counted the blocks
+    a synthesis built before its search; synthesis now builds them
+    lazily, and the charge stays so that the same grids are refused,
+    before any synthesis.  T is synthesized once per matrix, on its
+    member where each server in turn takes the lowest datasets still
+    free in each product; ``min_T_placement`` is the member of the first
+    matrix of least T.  M times the identity comes first, and its member
+    is the aligned placement.
     """
     n, m = num_servers, cache_size
     k = n * m
     f = disjoint_products(n, m)
     constraints = PlacementConstraints(k, n, m)
-    space = PlacementSpace(constraints, f)
-    total = count_placements(constraints)
+    total = comb(k, m) ** n
     target_as = Fraction(n, 1 << (m - 1))
     budget = Budget(ENUMERATION_BUDGET)
-    first = space.first_of_each_type(budget)
 
     matrices: list[tuple[tuple[int, ...], ...]] = []
 
@@ -331,15 +330,18 @@ def check_theorem(num_servers: int, cache_size: int) -> OracleReport:
         return PlacementConfig.from_indices(m, subsets)
 
     fill(())
+    # A subset's influence depends only on how many datasets it takes from
+    # each product: one row of a count matrix.  The least summed influence
+    # over every placement, computable or not, puts the least of them on
+    # every server.
+    types = (tuple(map(c.count, range(n))) for c in combinations_with_replacement(range(n), m))
+    least = min(joint_influence_exact(f, member((row,)).subset_masks[0]).count for row in types)
+    min_as = Fraction(n * least, 1 << k)
     members = list(map(member, matrices))
     pieces = [count_transmissions(synthesize_exact(f, p)).total for p in members]
     min_t = min(pieces)
     min_t_placement = members[pieces.index(min_t)]
     num_computable = factorial(k) // factorial(m) ** n
-    # The least summed influence over every placement, computable or not,
-    # puts the least subset influence on every server.
-    least = min(map(space.influence, first.values()))
-    min_as = Fraction(n * least, 1 << k)
 
     aligned = aligned_placement(f, constraints)
     aligned_as = avg_joint_sensitivity(f, aligned).fraction

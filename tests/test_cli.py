@@ -19,7 +19,7 @@ import argparse
 
 import infplace
 from infplace.anf import BooleanFunctionANF
-from infplace.cli import _positive_int, main
+from infplace.cli import _build_parser, _positive_int, main
 from infplace.placement import PlacementConfig
 from infplace.transmission import count_transmissions, synthesize_exact, synthesize_greedy
 
@@ -391,8 +391,74 @@ def test_oracle_theorem_via_cli(capsys):
 
 
 def test_oracle_theorem_needs_sizes(capsys):
-    assert main(["oracle", "theorem"]) == 2
-    assert "needs --num-servers, --cache-size" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "theorem"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: -N/--num-servers, -M/--cache-size" in (
+        capsys.readouterr().err
+    )
+
+
+def _option_strings(parser: argparse.ArgumentParser) -> set[str]:
+    return {s for action in parser._actions for s in action.option_strings}
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+# Each command's and each oracle claim's own options, besides -h, --seed
+# and --threads, which all of them take.
+COMMAND_OPTIONS = {
+    "influence": "-f --function --subset --exact --mc --epsilon --delta",
+    "avg-sensitivity": "-f --function -p --placement --exact --mc --epsilon --delta",
+    "place": "-f --function -N --num-servers -M --cache-size --method --budget -o --output",
+    "synthesize": "-f --function -p --placement --exact --greedy -o --output",
+    "verify": "-f --function -s --scheme -p --placement",
+    "sweep": "-f --function -N --num-servers -M --cache-size --budget -o --output",
+}
+CLAIM_OPTIONS = {
+    "lemma1": "-d --degrees --trials -o --output --csv",
+    "lemma2": "-d --degrees -o --output --csv",
+    "theorem": "-N --num-servers -M --cache-size -o --output --csv",
+    "corollary": "-N --num-servers -M --cache-size -f --function --limit -o --output --csv",
+}
+
+
+def test_each_command_and_oracle_claim_takes_only_the_options_it_reads():
+    common = {"-h", "--help", "--seed", "--threads"}
+    commands = _subcommands(_build_parser())
+    assert set(commands) == {*COMMAND_OPTIONS, "oracle"}
+    for name, options in COMMAND_OPTIONS.items():
+        assert _option_strings(commands[name]) == common | set(options.split()), name
+    assert _option_strings(commands["oracle"]) == {"-h", "--help"}
+    claims = _subcommands(commands["oracle"])
+    assert set(claims) == set(CLAIM_OPTIONS)
+    for name, options in CLAIM_OPTIONS.items():
+        assert _option_strings(claims[name]) == common | set(options.split()), name
+    # 17 (claim, option) pairs; each claim took the same 8 options before.
+    shared = {"help", "seed", "threads"}
+    assert sum(len({a.dest for a in c._actions} - shared) for c in claims.values()) == 17
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "theorem", "-N", "2", "-M", "2", "-f", "f.json"],
+        ["oracle", "theorem", "-N", "2", "-M", "2", "--limit", "5", "--trials", "3", "-d", "4"],
+        ["oracle", "lemma2", "-d", "2", "--limit", "3"],
+        ["oracle", "lemma2", "-d", "2", "-N", "9", "-f", "nonexistent.json"],
+        ["oracle", "lemma1", "-N", "2"],
+        ["oracle", "corollary", "-N", "2", "-M", "2", "--trials", "3"],
+    ],
+)
+def test_oracle_claims_refuse_options_they_do_not_read(files, capsys, argv):
+    argv = [files.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: unrecognized arguments" in capsys.readouterr().err
 
 
 def test_oracle_corollary_default_function(capsys):
@@ -827,11 +893,11 @@ PAIRS64_JSON = json.dumps({"K": 64, "monomials": [[2 * i + 1, 2 * i + 2] for i i
         (["influence", "-f", "f.json", "--subset", "1"], {"f.json": '{"monomials":[[1]]}'}, 2,
          'error: function file needs field "K"'),
         (["oracle", "theorem", "-N", "3", "-M", "0"], {}, 2,
-         "infplace oracle: error: argument -M/--cache-size: must be at least 1, got 0"),
+         "infplace oracle theorem: error: argument -M/--cache-size: must be at least 1, got 0"),
         (["oracle", "theorem", "-N", "-1", "-M", "2"], {}, 2,
-         "infplace oracle: error: argument -N/--num-servers: must be at least 1, got -1"),
+         "infplace oracle theorem: error: argument -N/--num-servers: must be at least 1, got -1"),
         (["oracle", "lemma1", "--trials", "-3"], {}, 2,
-         "infplace oracle: error: argument --trials: must be at least 1, got -3"),
+         "infplace oracle lemma1: error: argument --trials: must be at least 1, got -3"),
         (["oracle", "theorem", "-N", "65", "-M", "1"], {}, 2,
          "error: N*M = 65 datasets exceed the 64-dataset limit"),
         (["oracle", "theorem", "-N", "33", "-M", "2"], {}, 2,

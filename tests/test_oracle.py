@@ -17,7 +17,7 @@ import pytest
 import infplace
 from infplace import oracle
 from infplace.anf import BooleanFunctionANF, mask_from_indices
-from infplace.influence import joint_influence_exact
+from infplace.influence import ExactLimitError, joint_influence_exact
 from infplace.oracle import (
     check_lemma1,
     check_lemma2,
@@ -264,15 +264,13 @@ def test_theorem_synthesizes_once_per_class_and_once_aligned(monkeypatch):
         assert len(calls) == classes + 1  # one member of each key, then aligned
 
 
-# The (3,3) check takes C(9,3) = 84 steps to list the subsets' types, tries
-# 57 entries while listing the 6 double-lex matrices, and charges the 6
-# syntheses 3 intersections a server each and their 83 blocks.
-THEOREM_3_3_STEPS = 84 + 57 + 6 * 3 * 3 + 83
+# The (3,3) check tries 57 entries while listing the 6 double-lex
+# matrices, and charges each matrix 3 a server and 2^a - 1 for each of its
+# entries a: 83 over the 6.
+THEOREM_3_3_STEPS = 57 + 6 * 3 * 3 + 83
 
 
 def test_theorem_respects_enumeration_budget(monkeypatch):
-    import infplace.placement as placement_module
-
     counted, synthesized = [], []
 
     def influence(f, flip):
@@ -283,17 +281,42 @@ def test_theorem_respects_enumeration_budget(monkeypatch):
         synthesized.append(placement)
         return synthesize_exact(f, placement)
 
-    monkeypatch.setattr(placement_module, "joint_influence_exact", influence)
+    monkeypatch.setattr(oracle, "joint_influence_exact", influence)
     monkeypatch.setattr(oracle, "synthesize_exact", synthesize)
     monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", THEOREM_3_3_STEPS - 1)
     with pytest.raises(EnumerationBudgetError) as exc:
         check_theorem(3, 3)
-    assert str(exc.value) == "placement search steps exceed the enumeration budget 277"
+    assert str(exc.value) == "placement search steps exceed the enumeration budget 193"
     # Refused before any synthesis and before any influence is counted.
     assert synthesized == [] and counted == []
     monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", THEOREM_3_3_STEPS)
     assert check_theorem(3, 3).passed
     assert len(synthesized) == 6 + 1  # one member of each key, then aligned
+
+
+def test_theorem_counts_one_influence_per_row_a_server_can_hold(monkeypatch):
+    import infplace.placement as placement_module
+
+    def no_space(*args):
+        raise AssertionError("check_theorem lists no subsets")
+
+    counted = []
+
+    def influence(f, flip):
+        counted.append(flip)
+        return joint_influence_exact(f, flip)
+
+    monkeypatch.setattr(placement_module.PlacementSpace, "__init__", no_space)
+    monkeypatch.setattr(oracle, "joint_influence_exact", influence)
+    # C(24,12) = 2,704,156 subsets, of 13 rows (a, 12 - a).
+    report = check_theorem(2, 12)
+    assert report.passed and report.summary["min_as"] == "1/1024"
+    assert [(flip & 0xFFF).bit_count() for flip in counted] == list(range(12, -1, -1))
+    # A subset that meets both products of (2,13) spans 26 datasets.
+    counted.clear()
+    with pytest.raises(ExactLimitError, match="span 26 datasets"):
+        check_theorem(2, 13)
+    assert len(counted) == 2
 
 
 # (5,3) is also what a 142 s run of the old multiset walk found, with its
@@ -328,13 +351,12 @@ def test_theorem_answers_the_grids_past_the_multiset_walk(n, m, computable):
 
 
 def test_theorem_tries_one_type_per_server_at_single_dataset_caches(monkeypatch):
-    # One type per product, and one double-lex matrix, the identity:
-    # C(24,1) = 24 listing steps, and a synthesis charged 24 intersections
-    # and one block a server.  Row i < N-1 tries 2N-1-i entries: i forced
+    # One type per product, and one double-lex matrix, the identity,
+    # charged N + 1 a server.  Row i < N-1 tries 2N-1-i entries: i forced
     # zeros, a 1 and the N-1-i zeros after it, then a 0 after which the tied
     # columns take only zeros up to the last; the last row tries N.
     n = 24
-    steps = n + 3 * n * (n - 1) // 2 + n + n * (n + 1)
+    steps = 3 * n * (n - 1) // 2 + n + n * (n + 1)
     monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", steps - 1)
     with pytest.raises(EnumerationBudgetError):
         check_theorem(n, 1)

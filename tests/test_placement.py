@@ -217,7 +217,6 @@ def test_search_budget_counts_the_steps_taken(example_function):
 
 
 def test_search_budget_below_the_subset_count_builds_no_mask(example_function, monkeypatch):
-    import infplace.oracle as oracle
     import infplace.placement as placement_module
 
     spaces = []
@@ -228,18 +227,11 @@ def test_search_budget_below_the_subset_count_builds_no_mask(example_function, m
             spaces.append(self)
 
     monkeypatch.setattr(placement_module, "PlacementSpace", Recorded)
-    monkeypatch.setattr(oracle, "PlacementSpace", Recorded)
-    monkeypatch.setattr(oracle, "ENUMERATION_BUDGET", 83)
-    refusals = [
-        lambda: search_min_as(example_function, PlacementConstraints(9, 3, 3), budget=83),
-        lambda: oracle.check_theorem(3, 3),
-    ]
-    for refused in refusals:
-        with pytest.raises(EnumerationBudgetError) as exc:
-            refused()
-        assert str(exc.value) == "84 subsets of size 3 exceed the enumeration budget 83"
-    assert len(spaces) == 2
-    assert all(space._masks == [] and space._counts == {} for space in spaces)
+    with pytest.raises(EnumerationBudgetError) as exc:
+        search_min_as(example_function, PlacementConstraints(9, 3, 3), budget=83)
+    assert str(exc.value) == "84 subsets of size 3 exceed the enumeration budget 83"
+    assert len(spaces) == 1
+    assert spaces[0]._masks == [] and spaces[0]._counts == {}
 
 
 def test_space_builds_only_the_subsets_it_visits():
