@@ -1,9 +1,10 @@
 """Command line front end.
 
-Every command is deterministic given its inputs, --seed, and flags.
-Randomized paths (Monte Carlo estimation, oracle subset sampling) draw
-all randomness from --seed.  --threads is validated and otherwise
-ignored: every command runs on one thread.
+Every command is deterministic given its inputs and options, and takes
+only the options it reads.  --seed goes with the randomized paths only:
+``influence`` and ``avg-sensitivity`` with --mc (as do --epsilon and
+--delta), and ``oracle lemma1``.  --threads, on every command, is
+validated and otherwise ignored: every command runs on one thread.
 Each completed run emits a JSON manifest: as a ``<output>.manifest.json``
 sidecar when the command writes a file, on stderr otherwise.
 
@@ -123,30 +124,42 @@ def _write_primary(path: str | None, text: str, note: str) -> None:
         sys.stderr.write(note)
 
 
-def _estimator(args: argparse.Namespace) -> EstimatorConfig:
-    return EstimatorConfig(epsilon=args.epsilon, delta=args.delta, seed=args.seed)
+def _estimator(args: argparse.Namespace) -> EstimatorConfig | None:
+    """The Monte Carlo contract with --mc, else None.  --epsilon, --delta
+    and --seed are in ``args`` only when given: without --mc each is
+    refused, with it each missing one takes its default."""
+    given = {name: getattr(args, name) for name in ("epsilon", "delta", "seed") if name in args}
+    if not args.mc:
+        if given:
+            raise ParseError(f"--{next(iter(given))} needs --mc")
+        return None
+    return EstimatorConfig(**{"epsilon": 0.01, "delta": 1e-3, "seed": DEFAULT_SEED, **given})
 
 
 def _cmd_influence(args, inputs):
+    estimator = _estimator(args)
     f = _load_function(args.function, inputs)
     flip = _parse_subset(args.subset, f.num_datasets)
-    if args.mc:
-        value = joint_influence_mc(f, flip, _estimator(args))
+    if estimator:
+        value = joint_influence_mc(f, flip, estimator)
     else:
         value = joint_influence_exact(f, flip)
     sys.stdout.write(str(value) + "\n")
-    return EXIT_OK, None, {}
+    return EXIT_OK, None, {"seed": estimator.seed} if estimator else {}
 
 
 def _cmd_avg_sensitivity(args, inputs):
+    estimator = _estimator(args)
     f = _load_function(args.function, inputs)
     p = _load_placement(args.placement, inputs)
-    value = avg_joint_sensitivity(f, p, _estimator(args) if args.mc else None)
+    value = avg_joint_sensitivity(f, p, estimator)
     sys.stdout.write(f"{value.fraction if value.is_exact else value}\n")
-    return EXIT_OK, None, {}
+    return EXIT_OK, None, {"seed": estimator.seed} if estimator else {}
 
 
 def _cmd_place(args, inputs):
+    if args.method == "aligned" and args.budget is not None:
+        raise ParseError("--budget needs --method exhaustive")
     f = _load_function(args.function, inputs)
     constraints = PlacementConstraints(f.num_datasets, args.num_servers, args.cache_size)
     if args.method == "aligned":
@@ -222,7 +235,8 @@ def _parse_degrees(text: str) -> list[int]:
 def _cmd_oracle(args, inputs):
     if args.claim == "lemma1":
         degrees = _parse_degrees(args.degrees) if args.degrees else LEMMA1_DEGREES
-        report = check_lemma1(degrees, subset_trials=args.trials, seed=args.seed)
+        seed = getattr(args, "seed", DEFAULT_SEED)
+        report = check_lemma1(degrees, subset_trials=args.trials, seed=seed)
     elif args.claim == "lemma2":
         report = check_lemma2(_parse_degrees(args.degrees) if args.degrees else LEMMA2_DEGREES)
     elif args.claim == "theorem":
@@ -251,7 +265,8 @@ def _cmd_oracle(args, inputs):
     if args.csv:
         Path(args.csv).write_text(report.to_csv_text())
     code = EXIT_OK if report.passed else EXIT_ASSERTION_FAILED
-    return code, args.output, {"claim": report.claim, "passed": report.passed}
+    extras = {"claim": report.claim, "passed": report.passed, "seed": report.seed}
+    return code, args.output, extras
 
 
 def _cmd_sweep(args, inputs):
@@ -327,14 +342,6 @@ def _int_at_least(least: int, text: str) -> int:
 _positive_int = functools.partial(_int_at_least, 1)
 
 
-def _add_estimator(p: argparse.ArgumentParser) -> None:
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="exact enumeration (default)")
-    mode.add_argument("--mc", action="store_true", help="Monte Carlo estimate")
-    p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--delta", type=float, default=1e-3)
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process.  It holds no default read from a
@@ -342,18 +349,25 @@ def _build_parser() -> argparse.ArgumentParser:
     read ``ENUMERATION_BUDGET`` when they run."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--seed",
-        type=functools.partial(_int_at_least, 0),
-        default=DEFAULT_SEED,
-        help="seed for all randomized paths (at least 0)",
-    )
-    common.add_argument(
         "--threads",
         type=_positive_int,
         default=1,
         help="accepted for compatibility and ignored (at least 1)",
     )
 
+    # --seed, --epsilon and --delta are absent from the namespace unless
+    # given: the code that reads them decides their defaults.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument(
+        "--seed",
+        type=functools.partial(_int_at_least, 0),
+        default=argparse.SUPPRESS,
+        help=f"seed of the random draws, at least 0 (default {DEFAULT_SEED})",
+    )
+    estimator = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    estimator.add_argument("--mc", action="store_true", help="Monte Carlo estimate")
+    estimator.add_argument("--epsilon", type=float, default=argparse.SUPPRESS)
+    estimator.add_argument("--delta", type=float, default=argparse.SUPPRESS)
     function = argparse.ArgumentParser(add_help=False)
     function.add_argument("-f", "--function", required=True, metavar="FILE")
     grid = argparse.ArgumentParser(add_help=False)
@@ -374,23 +388,23 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "influence", parents=[common, function], help="joint influence of one flip set"
+        "influence",
+        parents=[common, function, estimator],
+        help="joint influence of one flip set",
     )
     p.add_argument(
         "--subset",
         required=True,
         help='comma separated 1-based dataset indices ("" for the empty set)',
     )
-    _add_estimator(p)
     p.set_defaults(func=_cmd_influence)
 
     p = sub.add_parser(
         "avg-sensitivity",
-        parents=[common, function],
+        parents=[common, function, estimator],
         help="summed joint influence of a placement's subsets",
     )
     p.add_argument("-p", "--placement", required=True, metavar="FILE")
-    _add_estimator(p)
     p.set_defaults(func=_cmd_avg_sensitivity)
 
     p = sub.add_parser(
@@ -430,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--csv", metavar="FILE", help="also write per-case CSV")
     degrees = argparse.ArgumentParser(add_help=False, parents=[report])
     degrees.add_argument("-d", "--degrees", help='degree grid, e.g. "2..5" or "3,4"')
-    p = claims.add_parser("lemma1", parents=[degrees], help="single-product influence")
+    p = claims.add_parser("lemma1", parents=[degrees, seeded], help="single-product influence")
     p.add_argument("--trials", type=_positive_int, default=LEMMA1_SUBSET_TRIALS)
     claims.add_parser("lemma2", parents=[degrees], help="influence under support swaps")
     claims.add_parser("theorem", parents=[report, grid], help="N/2^(M-1) at desk scale")
@@ -494,7 +508,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     manifest = {
         "command": args.command,
         "arguments": raw_args,
-        "seed": args.seed,
+        "seed": None,  # a command that drew from a seed names it in its extras
         "version": __version__,
         "inputs": inputs,  # path -> sha256 of the canonical serialization
         "duration_seconds": time.perf_counter() - start,

@@ -12,16 +12,18 @@ on one server costs one piece; spread over two it costs two), so the
 search runs over var-set partitions and servers are assigned afterwards
 (lowest covering index, for determinism).  The search is a depth-first
 branch-and-bound below the greedy scheme's count.  It starts from a
-floor, the greater of two lower bounds: the new-blocks bound (per
+floor, the greatest of three lower bounds: the new-blocks bound (per
 monomial, the blocks needed by its uncovered vars that no other
 monomial holds, plus the most any one monomial needs beyond those, each
-set of vars divided by the most of it one server holds) and the size of a
-clique of (monomial, var) items no two of which one block can cover.
+set of vars divided by the most of it one server holds), the rank over
+GF(2) of the monomials (each is the XOR of its disjoint blocks, so the
+distinct blocks span them all), and the size of a clique of (monomial,
+var) items no two of which one block can cover.
 If the floor reaches the greedy count, greedy is optimal and nothing is
 searched.  Otherwise the search deepens one target t at a time from the
 floor, stopping at the first leaf of at most t blocks, and prunes a node
-once its used blocks plus either bound (the clique counted as its items
-still uncovered) exceed t.  Both bounds never overestimate, so the
+once its used blocks plus the new-blocks bound or the clique (counted as
+its items still uncovered) exceed t.  No bound overestimates, so the
 scheme is the first leaf with the fewest blocks in a DFS order they do
 not affect, or greedy when no leaf has fewer: they set the running
 time, never the scheme.  A monomial's candidate blocks are built per
@@ -297,6 +299,23 @@ def _new_blocks_bound(
     return total + extra
 
 
+def _rank2(vectors: Iterable[int]) -> int:
+    """Rank over GF(2) of bitmask vectors.
+
+    Each basis vector was reduced by the ones before it, so it lacks
+    their top bits.  Reducing v by the basis in order thus clears every
+    basis top bit from v for good: what is left is 0 exactly when the
+    basis spans v, and otherwise has a top bit no basis vector has.
+    """
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
+
+
 class _Widths(dict):
     """Memo of the most vars of a set that one of ``servers`` holds."""
 
@@ -376,15 +395,18 @@ def _search_min_distinct(
     server holds.  The pending items are those of the clique C (see
     ``_clique``) whose var is still uncovered in the current or a later
     monomial: each needs a new block, and no two share one.  At the
-    root, with nothing used, the greater of ``_new_blocks_bound`` and
-    |C| is the floor (C is built only when the first falls short of the
-    greedy count); if it reaches the greedy count, greedy is optimal
-    and nothing is searched.  Otherwise the search deepens from the
-    floor: for t = floor, floor + 1, ..., one below greedy, a DFS admits
-    only leaves of at most t blocks and stops at its first leaf.
+    root, with nothing used, the floor is the greatest of
+    ``_new_blocks_bound``, the GF(2) rank of the monomials (a monomial
+    is the XOR of its disjoint blocks, so the distinct blocks span every
+    monomial; see ``_rank2``) and |C| (C is built only when the first
+    two fall short of the greedy count); if it reaches the greedy count,
+    greedy is optimal and nothing is searched.  Otherwise the search
+    deepens from the floor: for t = floor, floor + 1, ..., one below
+    greedy, a DFS admits only leaves of at most t blocks and stops at
+    its first leaf.
 
     The scheme returned is the first leaf in DFS order with the fewest
-    blocks, or greedy when no leaf has fewer, whatever either bound
+    blocks, or greedy when no leaf has fewer, whatever any bound
     gives.  No t below the optimum admits a leaf, and at the optimum
     neither bound prunes a node on the path to that first leaf: its
     used blocks plus either bound is at most the optimum there, below
@@ -409,7 +431,7 @@ def _search_min_distinct(
         twice_after[i] = twice_after[i + 1] | (once_after[i + 1] & m)
         once_after[i] = once_after[i + 1] | m
     shared = twice_after[0] | (monomials[0] & once_after[0])
-    floor = _new_blocks_bound(monomials, shared, width)
+    floor = max(_new_blocks_bound(monomials, shared, width), _rank2(monomials))
     if floor >= greedy_count:
         return init
     clique = _clique(monomials, servers)

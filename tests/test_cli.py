@@ -58,7 +58,7 @@ def test_influence_exact(files, capsys):
     assert out == "160/512\n"
     manifest = stderr_manifest(err)
     assert manifest["command"] == "influence"
-    assert manifest["seed"] == 2024
+    assert manifest["seed"] is None  # nothing was drawn
     assert manifest["arguments"][0] == "influence"
     (digest,) = manifest["inputs"].values()
     assert HEX64.match(digest)
@@ -408,18 +408,18 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.Argument
     return action.choices
 
 
-# Each command's and each oracle claim's own options, besides -h, --seed
-# and --threads, which all of them take.
+# Each command's and each oracle claim's own options, besides -h and
+# --threads, which all of them take.
 COMMAND_OPTIONS = {
-    "influence": "-f --function --subset --exact --mc --epsilon --delta",
-    "avg-sensitivity": "-f --function -p --placement --exact --mc --epsilon --delta",
+    "influence": "-f --function --subset --mc --epsilon --delta --seed",
+    "avg-sensitivity": "-f --function -p --placement --mc --epsilon --delta --seed",
     "place": "-f --function -N --num-servers -M --cache-size --method --budget -o --output",
     "synthesize": "-f --function -p --placement --exact --greedy -o --output",
     "verify": "-f --function -s --scheme -p --placement",
     "sweep": "-f --function -N --num-servers -M --cache-size --budget -o --output",
 }
 CLAIM_OPTIONS = {
-    "lemma1": "-d --degrees --trials -o --output --csv",
+    "lemma1": "-d --degrees --trials --seed -o --output --csv",
     "lemma2": "-d --degrees -o --output --csv",
     "theorem": "-N --num-servers -M --cache-size -o --output --csv",
     "corollary": "-N --num-servers -M --cache-size -f --function --limit -o --output --csv",
@@ -427,7 +427,7 @@ CLAIM_OPTIONS = {
 
 
 def test_each_command_and_oracle_claim_takes_only_the_options_it_reads():
-    common = {"-h", "--help", "--seed", "--threads"}
+    common = {"-h", "--help", "--threads"}
     commands = _subcommands(_build_parser())
     assert set(commands) == {*COMMAND_OPTIONS, "oracle"}
     for name, options in COMMAND_OPTIONS.items():
@@ -437,9 +437,10 @@ def test_each_command_and_oracle_claim_takes_only_the_options_it_reads():
     assert set(claims) == set(CLAIM_OPTIONS)
     for name, options in CLAIM_OPTIONS.items():
         assert _option_strings(claims[name]) == common | set(options.split()), name
-    # 17 (claim, option) pairs; each claim took the same 8 options before.
-    shared = {"help", "seed", "threads"}
-    assert sum(len({a.dest for a in c._actions} - shared) for c in claims.values()) == 17
+    # 59 (command or claim, option) pairs; 68 when every command took
+    # --seed and influence and avg-sensitivity took --exact.
+    parsers = [*claims.values(), *(c for name, c in commands.items() if name != "oracle")]
+    assert sum(len({a.dest for a in c._actions} - {"help"}) for c in parsers) == 59
 
 
 @pytest.mark.parametrize(
@@ -816,6 +817,10 @@ def test_later_calls_do_not_inherit_earlier_options(files, capsys, tmp_path, mon
     assert main(influence) == 0
     out, err = capsys.readouterr()
     assert out == "160/512\n"
+    assert stderr_manifest(err)["seed"] is None
+    assert main(influence + ["--mc"]) == 0
+    out, err = capsys.readouterr()
+    assert out.endswith("(samples=38005, seed=2024)\n")
     assert stderr_manifest(err)["seed"] == 2024
     f_path, out_path = tmp_path / "f4.json", tmp_path / "sweep.csv"
     f_path.write_text('{"K":4,"monomials":[[1,2],[3,4]]}\n')
@@ -902,12 +907,8 @@ PAIRS64_JSON = json.dumps({"K": 64, "monomials": [[2 * i + 1, 2 * i + 2] for i i
          "error: N*M = 65 datasets exceed the 64-dataset limit"),
         (["oracle", "theorem", "-N", "33", "-M", "2"], {}, 2,
          "error: N*M = 66 datasets exceed the 64-dataset limit"),
-        # A negative seed is refused by argparse, also by verify, which reads
-        # no seed; it is not read as "not decoded".
-        (["verify", "-s", "s.json", "-f", "f.json", "--seed", "-1"],
-         {"s.json": '{"constant":0,"pieces":[{"server":1,"vars":[1]}],"plan":[[0]]}',
-          "f.json": '{"K":30,"monomials":[[1,2]]}'},
-         2, "infplace verify: error: argument --seed: must be at least 0, got -1"),
+        (["oracle", "lemma1", "--seed", "-1"], {}, 2,
+         "infplace oracle lemma1: error: argument --seed: must be at least 0, got -1"),
         (["influence", "-f", "f.json", "--subset", "1", "--mc", "--seed", "-1"],
          {"f.json": '{"K":30,"monomials":[[1,2]]}'},
          2, "infplace influence: error: argument --seed: must be at least 0, got -1"),
@@ -919,6 +920,28 @@ PAIRS64_JSON = json.dumps({"K": 64, "monomials": [[2 * i + 1, 2 * i + 2] for i i
          "infplace sweep: error: argument -N/--num-servers: must be at least 1, got 0"),
         (["sweep", "-f", "f.json", "-N", "2", "-M", "x"], {"f.json": W1W2_JSON}, 2,
          "infplace sweep: error: argument -M/--cache-size: not an integer: 'x'"),
+        # Options a command does not read.
+        (["influence", "-f", "f.json", "--subset", "1", "--epsilon", "5"],
+         {"f.json": W1W2_JSON}, 2, "error: --epsilon needs --mc"),
+        (["influence", "-f", "f.json", "--subset", "1", "--seed", "3"],
+         {"f.json": W1W2_JSON}, 2, "error: --seed needs --mc"),
+        (["influence", "-f", "f.json", "--subset", "1", "--exact"],
+         {"f.json": W1W2_JSON}, 2, "infplace: error: unrecognized arguments: --exact"),
+        (["avg-sensitivity", "-f", "f.json", "-p", "p.json", "--delta", "0.1"],
+         {"f.json": W1W2_JSON, "p.json": '{"N":1,"M":2,"subsets":[[1,2]]}'},
+         2, "error: --delta needs --mc"),
+        (["place", "-f", "f.json", "-N", "1", "-M", "2", "--method", "aligned", "--budget", "1"],
+         {"f.json": W1W2_JSON}, 2, "error: --budget needs --method exhaustive"),
+        (["place", "-f", "f.json", "-N", "1", "-M", "2", "--seed", "3"],
+         {"f.json": W1W2_JSON}, 2, "infplace: error: unrecognized arguments: --seed 3"),
+        (["oracle", "theorem", "-N", "2", "-M", "2", "--seed", "1"], {}, 2,
+         "infplace: error: unrecognized arguments: --seed 1"),
+        # verify reads no seed, so it takes none; a seed is not read as
+        # "not decoded".
+        (["verify", "-s", "s.json", "-f", "f.json", "--seed", "-1"],
+         {"s.json": '{"constant":0,"pieces":[{"server":1,"vars":[1]}],"plan":[[0]]}',
+          "f.json": '{"K":30,"monomials":[[1,2]]}'},
+         2, "infplace: error: unrecognized arguments: --seed -1"),
     ],
 )
 def test_refused_requests_exit_with_their_message(argv, files, code, line, capsys, tmp_path):

@@ -33,6 +33,7 @@ from infplace.transmission import (
     _blocks_with_lowest,
     _clique,
     _new_blocks_bound,
+    _rank2,
     _scheme_from_blocks,
     count_transmissions,
     decode,
@@ -645,8 +646,11 @@ def test_exact_piece_count_and_root_bound_match_brute_force_at_four_to_six_monom
         assert widest_need <= root <= want, (kept, servers)
         assert root >= _fixed_width_bound(monomials, widest), (kept, servers)
         tighter += root > widest_need
-        # Nor does the floor, the greater of that bound and the clique's size.
-        floor = max(root, sum(c.bit_count() for c in _clique(monomials, p.subset_masks)))
+        # Nor do the GF(2) rank of the monomials and the floor, the
+        # greatest of that bound, the rank and the clique's size.
+        rank = _rank2(monomials)
+        assert rank <= want, (kept, servers)
+        floor = max(root, rank, sum(c.bit_count() for c in _clique(monomials, p.subset_masks)))
         assert floor <= want, (kept, servers)
         floored += floor > root
     assert beaten >= 10
@@ -744,9 +748,46 @@ def test_a_clique_floor_at_the_greedy_count_skips_the_search(monkeypatch):
     p = PlacementConfig.from_indices(3, [[1, 2, 3]])
     monomials = f.non_constant_monomials
     assert _new_blocks_bound(monomials, 0b111, _held_width(p.subset_masks)) == 1
+    # W1W2 ^ W2W3 = W1W3, so the rank floor is 2 and the clique is kept.
+    assert _rank2(monomials) == 2
     assert sum(c.bit_count() for c in _clique(monomials, p.subset_masks)) == 3
     assert count_transmissions(synthesize_exact(f, p)).total == 3
     assert calls == []
+
+
+def test_a_rank_floor_at_the_greedy_count_skips_the_search(monkeypatch):
+    # Draw 0 of K = 16, six to eight monomials of degree 9-14 and one or
+    # two random servers, the first also holding f's support: one server
+    # holds all 16 datasets and six monomials of degree 12-14.  They are
+    # independent over GF(2), so greedy's 6 pieces are optimal.  The
+    # new-blocks bound is 1 and the clique 4; searching from those ran
+    # for minutes.
+    def no_search(*args):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(infplace.transmission, "_blocks_with_lowest", no_search)
+    rng = random.Random(1)
+    masks = [
+        mask_from_indices(rng.sample(range(1, 17), rng.randint(9, 14)))
+        for _ in range(rng.randint(6, 8))
+    ]
+    f = BooleanFunctionANF.from_masks(16, masks)
+    subsets = [rng.randrange(1, 1 << 16) for _ in range(rng.randint(1, 2))]
+    subsets[0] |= f.support_mask
+    p = PlacementConfig(len(subsets), max(s.bit_count() for s in subsets), tuple(subsets))
+    assert _rank2(f.non_constant_monomials) == 6
+    scheme = synthesize_exact(f, p)
+    assert scheme == synthesize_greedy(f, p) and len(scheme.pieces) == 6
+
+
+def test_rank2_is_the_log_of_the_span_size():
+    rng = random.Random(3107)
+    for _ in range(300):
+        vectors = [rng.randrange(1 << 8) for _ in range(rng.randint(0, 9))]
+        span = {0}
+        for v in vectors:
+            span |= {s ^ v for s in span}
+        assert 1 << _rank2(vectors) == len(span), vectors
 
 
 def _draw_wide_instance(rng):
