@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -224,12 +224,81 @@ def truth_table(f: BooleanFunctionANF) -> np.ndarray:
     return table.reshape(-1)
 
 
-def sample_words(
-    num_datasets: int, size: int, seed: int, spawn_key: Sequence[int] = ()
-) -> tuple[np.ndarray, int]:
-    """``size`` uniform samples over K datasets from a fresh PCG64 stream
-    keyed by (seed, spawn_key), as ``(words, shift)``.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its pool of
+# four 32-bit words, hash and mix constants and shift; and PCG64's 128-bit
+# LCG multiplier.
+_POOL_WORDS = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = (1 << 32) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hash step, on Python ints or uint64 arrays of 32-bit
+    values: XOR the running constant in, step it, multiply by it."""
+
+    def step(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> _XSHIFT
+
+    return step
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a hashed word ``y`` into pool word ``x``."""
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _block_states(seed: int, count: int) -> list[tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of blocks b < ``count``, each as
+    ``PCG64(SeedSequence(seed, spawn_key=(b,)))`` sets it, computed
+    without building either.
+
+    The entropy is the seed's 32-bit words, padded with zeros to the
+    pool size, then b.  Every hash before b's is the same for each block,
+    so it runs once on Python ints; b's round and ``generate_state(4,
+    uint64)`` run on all blocks at once.  PCG64 then takes state words
+    (s, i), each two 64-bit words high first, as inc = 2i + 1 and state =
+    (inc + s) * MULT + inc mod 2^128.
+    """
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_WORDS - len(words))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL_WORDS]]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    blocks = np.arange(count, dtype=np.uint64)
+    for word in words[_POOL_WORDS:] + [blocks]:
+        pool = [_mix(p, hashmix(word)) for p in pool]
+    generate = _hasher(_INIT_B, _MULT_B)
+    halves = [generate(pool[i % _POOL_WORDS]) for i in range(2 * _POOL_WORDS)]
+    state_words = [(lo | hi << 32).tolist() for lo, hi in zip(halves[::2], halves[1::2])]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*state_words):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        states.append(((((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def sample_blocks(
+    num_datasets: int, sizes: Sequence[int], seed: int
+) -> Iterator[tuple[np.ndarray, int]]:
+    """Blocks of ``sizes[b]`` uniform samples over K datasets, block b from
+    the PCG64 stream that ``SeedSequence(seed, spawn_key=(b,))`` keys, as
+    ``(words, shift)``.
+
+    One bit generator serves every block: its state is set to the block's,
+    computed by :func:`_block_states` without building a SeedSequence.
     For K < 64, ``words >> shift`` holds the draws of
     ``Generator.integers(0, 1 << K, size, dtype=np.uint64)`` on that
     stream; for K = 64 each sample is a high and then a low 32-bit draw.
@@ -237,17 +306,25 @@ def sample_words(
     bits of a 32-bit draw (K <= 32, uint32 words) or of a raw word
     (K > 32, uint64 words).
     """
-    bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=spawn_key))
+    bits = np.random.PCG64(0)  # each block sets its state; seed 0 is never drawn from
     k = num_datasets
-    if 32 < k < 64:
-        return bits.random_raw(size), 64 - k
-    # numpy's 32-bit draws: the low half of a raw word, then its high half.
-    if k < 64:
-        draws = bits.random_raw((size + 1) // 2).astype("<u8", copy=False).view("<u4")
-        return draws[:size], 32 - k
-    # K = 64: the first ``size`` draws are the high halves, the next the low
-    # ones; each (low, high) pair read as one little-endian uint64.
-    draws = bits.random_raw(size).astype("<u8", copy=False).view("<u4")
-    words = np.empty((size, 2), dtype="<u4")
-    words[:, 0], words[:, 1] = draws[size:], draws[:size]
-    return words.view("<u8").reshape(-1), 0
+    for size, (state, inc) in zip(sizes, _block_states(seed, len(sizes))):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        if 32 < k < 64:
+            yield bits.random_raw(size), 64 - k
+        elif k < 64:
+            # numpy's 32-bit draws: the low half of a raw word, then its high half.
+            draws = bits.random_raw((size + 1) // 2).astype("<u8", copy=False).view("<u4")
+            yield draws[:size], 32 - k
+        else:
+            # K = 64: the first ``size`` draws are the high halves, the next the
+            # low ones; each (low, high) pair read as one little-endian uint64.
+            draws = bits.random_raw(size).astype("<u8", copy=False).view("<u4")
+            words = np.empty((size, 2), dtype="<u4")
+            words[:, 0], words[:, 1] = draws[size:], draws[:size]
+            yield words.view("<u8").reshape(-1), 0

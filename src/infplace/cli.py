@@ -467,6 +467,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", metavar="FILE", help="CSV file (default stdout)")
     p.set_defaults(func=_cmd_sweep)
 
+    # The parser of the command, or of the claim, that reports a stray option.
+    for leaf in (*sub.choices.values(), *claims.choices.values()):
+        leaf.set_defaults(leaf_parser=leaf)
     return parser
 
 
@@ -487,7 +490,9 @@ def _infeasible_hint(args: argparse.Namespace, exc: Exception) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     raw_args = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
-    args = parser.parse_args(raw_args)
+    args, stray = parser.parse_known_args(raw_args)
+    if stray:
+        args.leaf_parser.error(f"unrecognized arguments: {' '.join(stray)}")
     inputs: dict[str, str] = {}
     start = time.perf_counter()
     try:

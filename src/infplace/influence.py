@@ -13,9 +13,11 @@ all 2^K inputs and stores the result as an integer count over 2^K
 flip set whose V' spans more than the enumeration limit of variables,
 counted before any collapse and whatever K is; a Hoeffding-calibrated
 Monte Carlo estimator, which tests the same derivative on each sample,
-answers at any width.  It draws its samples from ``anf.sample_words``
-and tests them in the words' own bit layout, moving each monomial mask
-up to the sample's bits instead of moving every sample down.
+answers at any width.  It draws its samples from ``anf.sample_blocks``,
+block b keyed as ``SeedSequence(seed, spawn_key=(b,))`` would key it but
+computed without building one, and tests them in the words' own bit
+layout, moving each monomial mask up to the sample's bits instead of
+moving every sample down.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .anf import BooleanFunctionANF, evaluate, indices_from_mask, sample_words
+from .anf import BooleanFunctionANF, evaluate, indices_from_mask, sample_blocks
 
 if TYPE_CHECKING:
     from .placement import PlacementConfig
@@ -63,8 +65,9 @@ class InfluenceValue:
 
     Exact values are ``count / denominator`` with a power-of-two
     denominator.  Estimates carry the sample mean plus a Hoeffding
-    half-width; summed estimates lose ``samples``/``seed`` (set to None)
-    and add half-widths conservatively.
+    half-width; a summed estimate carries the sample count of each
+    subset's estimate and the seed they all drew from, and adds the
+    half-widths conservatively.
     """
 
     kind: str  # "exact" | "estimate"
@@ -119,7 +122,8 @@ class EstimatorConfig:
     The sample count comes from the Hoeffding bound, rounded up, so the
     estimate lands within ``epsilon`` of the true influence with
     probability at least ``1 - delta`` under no distributional
-    assumptions.
+    assumptions.  The seed, an integer at least 0, keys every sample
+    stream.
     """
 
     epsilon: float
@@ -131,6 +135,8 @@ class EstimatorConfig:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @property
     def sample_count(self) -> int:
@@ -270,24 +276,19 @@ def _derivative_table(monomials: Sequence[int], flip: int, width: int) -> np.nda
 
 
 def _mc_block_mismatches(
-    meeting: Sequence[int],
-    num_datasets: int,
-    flip_mask: int,
-    seed: int,
-    block_index: int,
-    block_len: int,
+    meeting: Sequence[int], flip_mask: int, words: np.ndarray, shift: int
 ) -> int:
-    """Mismatch count for one deterministic sample block.
+    """Mismatch count of one block of samples from ``anf.sample_blocks``,
+    block b keyed as ``SeedSequence(seed, spawn_key=(b,))`` would key it.
 
-    Each block owns an independent stream keyed by (seed, block index):
-    the words of ``anf.sample_words`` with spawn key ``(block_index,)``.
-    They are tested in their own bit layout, each sample in the top K bits
-    of its word, so each mask moves up by ``shift`` instead of every word
-    moving down.  A meeting monomial m changes under the flip exactly when
-    w & m is m or m & ~S, so f changes when an odd number of them do.
+    The words are tested in their own bit layout, each sample in the top
+    K bits of its word, so each mask moves up by ``shift`` instead of
+    every word moving down.  A meeting monomial m changes under the flip
+    exactly when w & m is m or m & ~S, so f changes when an odd number of
+    them do.  The masks may be Python ints or scalars of the words' type;
+    the estimator passes scalars, so that no operation converts them.
     """
-    words, shift = sample_words(num_datasets, block_len, seed, (block_index,))
-    changed = np.zeros(block_len, dtype=bool)
+    changed = np.zeros(len(words), dtype=bool)
     for m in meeting:
         t = words & (m << shift)
         changed ^= t == m << shift
@@ -301,10 +302,10 @@ def joint_influence_mc(
     """Monte Carlo joint influence under the (epsilon, delta) Hoeffding contract.
 
     Deterministic for a fixed seed: samples are partitioned into fixed
-    blocks with per-block RNG streams and the per-block counts are
-    summed in block order.  Each sample is tested on the derivative
-    f(w) xor f(w xor S), which only the monomials that meet S carry; when
-    S meets none, the mean is 0 and nothing is drawn.
+    blocks, block b drawn from the stream keyed by (seed, b), and the
+    per-block counts are summed in block order.  Each sample is tested on
+    the derivative f(w) xor f(w xor S), which only the monomials that
+    meet S carry; when S meets none, the mean is 0 and nothing is drawn.
     """
     k = f.num_datasets
     if flip_mask < 0 or flip_mask >> k:
@@ -313,12 +314,13 @@ def joint_influence_mc(
     meeting = [m for m in f.monomials if m & flip_mask]
     mismatches = 0
     if meeting:
-        mismatches = sum(
-            _mc_block_mismatches(
-                meeting, k, flip_mask, config.seed, b, min(MC_BLOCK_SIZE, n - b * MC_BLOCK_SIZE)
-            )
-            for b in range((n + MC_BLOCK_SIZE - 1) // MC_BLOCK_SIZE)
-        )
+        sizes = [min(MC_BLOCK_SIZE, n - start) for start in range(0, n, MC_BLOCK_SIZE)]
+        scalar = None
+        for words, shift in sample_blocks(k, sizes, config.seed):
+            if scalar is None:  # the masks in the words' type, once per estimate
+                scalar = words.dtype.type
+                meeting, flip = [scalar(m) for m in meeting], scalar(flip_mask)
+            mismatches += _mc_block_mismatches(meeting, flip, words, shift)
     mean = mismatches / n
     half_width = math.sqrt(math.log(2.0 / config.delta) / (2.0 * n))
     return InfluenceValue.estimate_value(mean, half_width, n, config.seed)
@@ -350,7 +352,7 @@ def avg_joint_sensitivity(
     per = [joint_influence_mc(f, mask, estimator) for mask in masks]
     mean = sum(v.mean for v in per)
     half = sum(v.half_width for v in per)
-    return InfluenceValue.estimate_value(mean, half, None, None)
+    return InfluenceValue.estimate_value(mean, half, estimator.sample_count, estimator.seed)
 
 
 def analytic_influence_product(degree: int) -> Fraction:

@@ -12,13 +12,14 @@ from infplace.anf import (
     MAX_TRUTH_TABLE_DATASETS,
     BooleanFunctionANF,
     ParseError,
+    _block_states,
     bits_from_assignment,
     evaluate,
     function_to_json,
     indices_from_mask,
     mask_from_indices,
     parse_function,
-    sample_words,
+    sample_blocks,
     truth_table,
 )
 
@@ -219,15 +220,31 @@ def test_function_json_digest_stability(example_function):
     assert function_to_json(other) == function_to_json(example_function)
 
 
-def test_sample_words_are_numpys_bounded_draws():
-    # The sampler reads raw PCG64 words; shifted down, they must be
-    # rng.integers' draws element for element at every K and size, on the
-    # stream of the empty spawn key (verify) and of a block's key (MC).
+def test_block_states_are_numpys_seeding():
+    # Seeds of one to seven 32-bit words, the edges of a word among them:
+    # block b's PCG64 state is the one numpy sets from (seed, spawn key (b,)).
+    rng = random.Random(33)
+    seeds = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3, 2**200 + 7]
+    seeds += [rng.getrandbits(32 * rng.randint(1, 7)) for _ in range(205)]
+    for seed in seeds:
+        states = _block_states(seed, 130)
+        assert len(states) == 130
+        for b, (state, inc) in enumerate(states):
+            bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(b,)))
+            assert bits.state["state"] == {"state": state, "inc": inc}, (seed, b)
+    assert _block_states(5, 0) == []
+
+
+def test_sample_blocks_are_numpys_bounded_draws():
+    # The sampler reads raw PCG64 words from one bit generator; shifted
+    # down, block b must be rng.integers' draws on the stream of spawn key
+    # (b,), element for element at every K, with every size in one call.
+    sizes = (0, 1, 2, 3, 7, 5000, 8191, 8192)
     for k in range(1, 65):
-        for size in (0, 1, 2, 3, 7, 5000, 8191, 8192):
-            for spawn_key in ((), (3,)):
-                seed = 1000 * k + size
-                words, shift = sample_words(k, size, seed, spawn_key)
-                assert words.dtype == (np.uint32 if k <= 32 else np.uint64)
-                want = numpys_bounded_draws(k, size, seed, spawn_key)
-                assert np.array_equal(words >> shift, want), (k, size, spawn_key)
+        seed = 1000 * k
+        blocks = list(sample_blocks(k, sizes, seed))
+        assert len(blocks) == len(sizes)
+        for b, (size, (words, shift)) in enumerate(zip(sizes, blocks)):
+            assert words.dtype == (np.uint32 if k <= 32 else np.uint64)
+            want = numpys_bounded_draws(k, size, seed, (b,))
+            assert np.array_equal(words >> shift, want), (k, size, b)

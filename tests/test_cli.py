@@ -90,7 +90,7 @@ def test_avg_sensitivity_mc_is_seeded(files, capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first
-    assert first == "1.1871858965925537 ± 0.02999980751064825 (samples=None, seed=None)\n"
+    assert first == "1.1871858965925537 ± 0.02999980751064825 (samples=38005, seed=2024)\n"
 
 
 def test_avg_sensitivity_mc_rejects_out_of_range_subsets(files, capsys, tmp_path):
@@ -926,22 +926,22 @@ PAIRS64_JSON = json.dumps({"K": 64, "monomials": [[2 * i + 1, 2 * i + 2] for i i
         (["influence", "-f", "f.json", "--subset", "1", "--seed", "3"],
          {"f.json": W1W2_JSON}, 2, "error: --seed needs --mc"),
         (["influence", "-f", "f.json", "--subset", "1", "--exact"],
-         {"f.json": W1W2_JSON}, 2, "infplace: error: unrecognized arguments: --exact"),
+         {"f.json": W1W2_JSON}, 2, "infplace influence: error: unrecognized arguments: --exact"),
         (["avg-sensitivity", "-f", "f.json", "-p", "p.json", "--delta", "0.1"],
          {"f.json": W1W2_JSON, "p.json": '{"N":1,"M":2,"subsets":[[1,2]]}'},
          2, "error: --delta needs --mc"),
         (["place", "-f", "f.json", "-N", "1", "-M", "2", "--method", "aligned", "--budget", "1"],
          {"f.json": W1W2_JSON}, 2, "error: --budget needs --method exhaustive"),
         (["place", "-f", "f.json", "-N", "1", "-M", "2", "--seed", "3"],
-         {"f.json": W1W2_JSON}, 2, "infplace: error: unrecognized arguments: --seed 3"),
+         {"f.json": W1W2_JSON}, 2, "infplace place: error: unrecognized arguments: --seed 3"),
         (["oracle", "theorem", "-N", "2", "-M", "2", "--seed", "1"], {}, 2,
-         "infplace: error: unrecognized arguments: --seed 1"),
+         "infplace oracle theorem: error: unrecognized arguments: --seed 1"),
         # verify reads no seed, so it takes none; a seed is not read as
         # "not decoded".
         (["verify", "-s", "s.json", "-f", "f.json", "--seed", "-1"],
          {"s.json": '{"constant":0,"pieces":[{"server":1,"vars":[1]}],"plan":[[0]]}',
           "f.json": '{"K":30,"monomials":[[1,2]]}'},
-         2, "infplace: error: unrecognized arguments: --seed -1"),
+         2, "infplace verify: error: unrecognized arguments: --seed -1"),
     ],
 )
 def test_refused_requests_exit_with_their_message(argv, files, code, line, capsys, tmp_path):

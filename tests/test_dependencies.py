@@ -47,7 +47,7 @@ def test_numpy_floor_has_bitwise_count():
 
 
 def test_only_anf_builds_a_bit_generator():
-    # numpy's bounded-draw layout is decided in one place, anf.sample_words.
+    # numpy's bounded-draw layout is decided in one place, anf.sample_blocks.
     stream_names = {"PCG64", "SeedSequence", "random_raw"}
     naming = set()
     for path in PACKAGE_DIR.glob("*.py"):
@@ -58,7 +58,7 @@ def test_only_anf_builds_a_bit_generator():
     assert naming == {"anf.py"}
 
 
-def test_only_influence_calls_sample_words():
+def test_only_influence_calls_sample_blocks():
     # Verification decides every input exactly; only the Monte Carlo
     # estimator samples.
     calling = set()
@@ -66,6 +66,6 @@ def test_only_influence_calls_sample_words():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                if name == "sample_words":
+                if name == "sample_blocks":
                     calling.add(path.name)
     assert calling == {"influence.py"}

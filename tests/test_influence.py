@@ -21,6 +21,7 @@ from infplace.anf import (
     BooleanFunctionANF,
     evaluate,
     indices_from_mask,
+    sample_blocks,
     truth_table,
 )
 from infplace.influence import (
@@ -514,7 +515,7 @@ def test_avg_sensitivity_is_exact_without_estimator_and_estimated_with_one():
     per = [joint_influence_mc(g, s, cfg) for s in q.subset_masks]
     assert not est.is_exact
     assert est == InfluenceValue.estimate_value(
-        sum(v.mean for v in per), sum(v.half_width for v in per), None, None
+        sum(v.mean for v in per), sum(v.half_width for v in per), cfg.sample_count, cfg.seed
     )
     assert abs(est.mean - avg_joint_sensitivity(g, q).value) <= 2 * 0.02
     # A subset whose monomials span 25 datasets needs the estimator.
@@ -563,7 +564,34 @@ def test_estimator_config_validation(eps, delta):
         EstimatorConfig(epsilon=eps, delta=delta, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "3", None])
+def test_estimator_config_refuses_a_bad_seed(seed):
+    # The seed keys every stream; a negative one would never run out of words.
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        EstimatorConfig(epsilon=0.1, delta=0.1, seed=seed)
+
+
 # --- Monte Carlo ----------------------------------------------------------
+
+
+def test_mc_builds_one_bit_generator_per_estimate(monkeypatch):
+    # 950113 samples are 116 blocks; each block's stream is set on one PCG64
+    # rather than hashed by a SeedSequence of its own.
+    built = Counter()
+    for name in ("PCG64", "SeedSequence"):
+        real = getattr(np.random, name)
+
+        def counting(*args, real=real, name=name, **kwargs):
+            built[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counting)
+    config = EstimatorConfig(0.002, 1e-3, seed=3)
+    assert config.sample_count == 950113 == 115 * influence.MC_BLOCK_SIZE + 8033
+    f = BooleanFunctionANF.from_indices(30, [[1, 2, 3], [3, 4]])
+    est = joint_influence_mc(f, 0b100, config)
+    assert abs(est.mean - joint_influence_exact(f, 0b100).value) <= 0.002
+    assert built == {"PCG64": 1}
 
 
 def test_mc_sample_stream_at_k64_is_pinned():
@@ -622,10 +650,11 @@ def test_mc_block_kernel_matches_bitwise_reference(k):
     flip = sum(1 << v for v in rng.sample(variables, min(k, 3)))
     meeting = [m for m in f.monomials if m & flip]
     assert meeting
-    for block_index, block_len in ((0, 1), (1, 2), (2, 1001), (3, 4096)):
+    sizes = (1, 2, 1001, 4096)
+    for block_index, (words, shift) in enumerate(sample_blocks(k, sizes, 99)):
         assert influence._mc_block_mismatches(
-            meeting, k, flip, 99, block_index, block_len
-        ) == reference_block_mismatches(meeting, k, flip, 99, block_index, block_len)
+            meeting, flip, words, shift
+        ) == reference_block_mismatches(meeting, k, flip, 99, block_index, sizes[block_index])
     # A whole estimate whose last block is odd: 11775 = 8192 + 3583.
     config = EstimatorConfig(0.015, 1e-2, seed=k)
     n = config.sample_count
