@@ -7,17 +7,19 @@ derivative f(x) xor f(x xor S), which only the monomials that meet the
 flip set S carry.  The exact path builds that derivative's truth table
 over their variables V' only, with each block of private variables
 outside S collapsed to one weighted variable, bit-packed 64 cells to a
-word, and counts its set bits with a popcount.  It scales the count to
-all 2^K inputs and stores the result as an integer count over 2^K
-(lemma checks need exact equality, floats would not do).  It refuses a
-flip set whose V' spans more than the enumeration limit of variables,
-counted before any collapse and whatever K is; a Hoeffding-calibrated
-Monte Carlo estimator, which tests the same derivative on each sample,
-answers at any width.  It draws its samples from ``anf.sample_blocks``,
-block b keyed as ``SeedSequence(seed, spawn_key=(b,))`` would key it but
-computed without building one, and tests them in the words' own bit
-layout, moving each monomial mask up to the sample's bits instead of
-moving every sample down.
+word, and counts its set bits with a popcount; a V' of at most 6
+variables is one word, built and counted as a Python int without
+numpy.  It scales the count to all 2^K inputs and stores the result as
+an integer count over 2^K (lemma checks need exact equality, floats
+would not do).  It refuses a flip set whose V' spans more than the
+enumeration limit of variables, counted before any collapse and
+whatever K is; a Hoeffding-calibrated Monte Carlo estimator, which
+tests the same derivative on each sample, answers at any width.  It
+draws its samples from ``anf.sample_blocks``, block b keyed as
+``SeedSequence(seed, spawn_key=(b,))`` would key it but computed
+without building one, and tests them in the words' own bit layout,
+moving each monomial mask up to the sample's bits instead of moving
+every sample down.
 """
 
 from __future__ import annotations
@@ -183,7 +185,9 @@ def joint_influence_exact(f: BooleanFunctionANF, flip_mask: int) -> InfluenceVal
     variables; for z to start on a word axis, a block that fits beside
     the other variables below bit 6 stays single, and dummy low variables
     fill what is left.  g ignores them, so their factor 2^pad divides out
-    exactly.
+    exactly.  A V' of at most 6 datasets collapses no block and pads to
+    exactly one word, which :func:`_derivative_word` builds as a Python
+    int and ``int.bit_count`` counts.
     """
     k = f.num_datasets
     if flip_mask < 0 or flip_mask >> k:
@@ -225,16 +229,40 @@ def joint_influence_exact(f: BooleanFunctionANF, flip_mask: int) -> InfluenceVal
             m &= m - 1
         return c
 
-    table = _derivative_table(
-        [relabel(m) for m in meeting], relabel(flip_mask & support), pad + len(position)
-    )
-    per_z = np.bitwise_count(table).reshape(1 << len(blocks), -1).sum(axis=1).tolist()
-    weights = [1]
-    for p in blocks:
-        rest = (1 << p.bit_count()) - 1
-        weights = [w * rest for w in weights] + weights
-    changed = sum(map(operator.mul, per_z, weights)) >> pad
+    monomials, flip = [relabel(m) for m in meeting], relabel(flip_mask & support)
+    width = pad + len(position)
+    if width == _WORD_BITS:  # |V'| <= 6: no blocks, the table is one word
+        changed = _derivative_word(monomials, flip).bit_count() >> pad
+    else:
+        table = _derivative_table(monomials, flip, width)
+        per_z = np.bitwise_count(table).reshape(1 << len(blocks), -1).sum(axis=1).tolist()
+        weights = [1]
+        for p in blocks:
+            rest = (1 << p.bit_count()) - 1
+            weights = [w * rest for w in weights] + weights
+        changed = sum(map(operator.mul, per_z, weights)) >> pad
     return InfluenceValue.exact_value(changed << (k - support.bit_count()), 1 << k)
+
+
+def _cells(m: int, value: int) -> int:
+    """The in-word pattern of m's low variables taking their values in
+    ``value``: the word mask of the cells x & 63 where they do."""
+    pattern = _ALL_CELLS
+    low = m & _WORD_MASK
+    while low:
+        j = (low & -low).bit_length() - 1
+        pattern &= _CELLS_WITH_BIT[j][value >> j & 1]
+        low &= low - 1
+    return pattern
+
+
+def _derivative_word(monomials: Sequence[int], flip: int) -> int:
+    """The one-word table of g(x) xor g(x xor flip) over 6 variables, as
+    a Python int: :func:`_derivative_table` at width 6 without numpy."""
+    word = 0
+    for m in monomials:
+        word ^= _cells(m, m) ^ _cells(m, m & ~flip)
+    return word
 
 
 def _derivative_table(monomials: Sequence[int], flip: int, width: int) -> np.ndarray:
@@ -256,14 +284,8 @@ def _derivative_table(monomials: Sequence[int], flip: int, width: int) -> np.nda
     for m in monomials:
         patterns: dict[int, int] = {}
         for value in (m, m & ~flip):
-            pattern = _ALL_CELLS
-            low = m & _WORD_MASK
-            while low:
-                j = (low & -low).bit_length() - 1
-                pattern &= _CELLS_WITH_BIT[j][value >> j & 1]
-                low &= low - 1
             high = value >> _WORD_BITS
-            patterns[high] = patterns.get(high, 0) ^ pattern
+            patterns[high] = patterns.get(high, 0) ^ _cells(m, value)
         for high, pattern in patterns.items():
             slab = [slice(None)] * axes
             fixed = m >> _WORD_BITS
@@ -336,7 +358,10 @@ def avg_joint_sensitivity(
     Overlapping and repeated subsets count independently.  Without an
     estimator every subset is counted exactly, so a subset whose
     monomials are too wide raises :class:`ExactLimitError`; with one
-    every subset is estimated and the half-widths add up.
+    every subset is estimated and the half-widths add up.  Every subset
+    reads the same (seed, block b) sample streams, so the estimates are
+    correlated; the summed half-width is a plain sum, a union bound that
+    holds under any correlation and is conservative.
     """
     k = f.num_datasets
     full = (1 << k) - 1

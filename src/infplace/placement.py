@@ -247,6 +247,12 @@ class PlacementSpace:
         self._width = c.num_datasets.bit_length() + 1
         self._fold = (1 << self._width) - 1
         self._guards = sum(1 << (self._width * (cls + 1) - 1) for cls in range(len(self.classes)))
+        # Per dataset bit, the packed type of that one dataset: :meth:`kind`
+        # sums them.  A dataset in no class of f (past its K) counts nowhere.
+        self._units = dict.fromkeys([1 << b for b in range(c.num_datasets)], 0)
+        for i, cls in enumerate(self.classes):
+            for b in indices_from_mask(cls):
+                self._units[1 << (b - 1)] = 1 << (self._width * i)
 
     @property
     def size_text(self) -> str:
@@ -263,8 +269,12 @@ class PlacementSpace:
     def kind(self, mask: int) -> int:
         """How many datasets of ``mask`` lie in each twin class of f, packed:
         a subset's type."""
-        w = self._width
-        return sum((mask & cls).bit_count() << (w * i) for i, cls in enumerate(self.classes))
+        units, kind = self._units, 0
+        while mask:
+            low = mask & -mask
+            kind += units[low]
+            mask ^= low
+        return kind
 
     def count(self, kind: int, cls: int) -> int:
         """The count of class ``cls`` in a packed type or need."""

@@ -32,19 +32,20 @@ exponentially with monomial degree; the degree limit is enforced, not
 advisory.
 
 The decoder is itself an XOR of monomials, one per plan row over the
-union of that row's pieces, so verification builds the ANF of f XOR the
-decoder, in which equal monomials cancel.  ANF is unique, so the scheme
-decodes f exactly when that ANF is empty.  Otherwise its least
-monomial m, read as an input, is the lowest input where the two differ:
-a monomial inside an input x is at most x, so none lies inside an input
-below m, and the only one inside m is m itself, since m's other
-submasks are lower.  Nothing is evaluated, at any K.
+union of that row's pieces, so verification toggles each row's monomial
+in the set of f's: what is left, equal monomials cancelled, is the ANF
+of f XOR the decoder.  ANF is unique, so the scheme decodes f exactly
+when that set is empty.  Otherwise its least monomial m, read as an
+input, is the lowest input where the two differ: a monomial inside an
+input x is at most x, so none lies inside an input below m, and the
+only one inside m is m itself, since m's other submasks are lower.
+Nothing is evaluated, at any K.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .anf import (
     BooleanFunctionANF,
@@ -77,9 +78,12 @@ class SynthesisLimitError(RuntimeError):
     """A monomial degree exceeds the exact-synthesis limit."""
 
 
-@dataclass(frozen=True)
-class Piece:
-    """One transmitted unit: a partial product of ``vars_mask`` sent by ``server``."""
+class Piece(NamedTuple):
+    """One transmitted unit: a partial product of ``vars_mask`` sent by ``server``.
+
+    A named tuple, so building and hashing one are tuple operations, and
+    a piece equals the plain tuple ``(server, vars_mask)``.
+    """
 
     server: int  # 1-based
     vars_mask: int
@@ -658,13 +662,17 @@ def verify_scheme(s: TransmissionScheme, f: BooleanFunctionANF) -> VerifyResult:
     piece with a dataset past K.
     """
     _check_decodable(s, f)
-    k = f.num_datasets
     rows = [0] * s.constant  # the constant term is the empty monomial
     for refs in s.plan:
         row = 0
         for r in refs:
             row |= s.pieces[r].vars_mask
         rows.append(row)
-    diff = BooleanFunctionANF.from_masks(k, [*f.monomials, *rows])
-    counter = min(diff.monomials, default=None)
-    return VerifyResult(counter is None, 1 << k, counter)
+    odd = set(f.monomials)  # toggled into the monomials of f XOR the decoder
+    for row in rows:
+        if row in odd:
+            odd.remove(row)
+        else:
+            odd.add(row)
+    counter = min(odd, default=None)
+    return VerifyResult(counter is None, 1 << f.num_datasets, counter)

@@ -856,92 +856,199 @@ W1W2_PIECE = '[{"server":1,"vars":[1,2]}]'
 PAIRS64_JSON = json.dumps({"K": 64, "monomials": [[2 * i + 1, 2 * i + 2] for i in range(32)]})
 
 
+# Each case's id is a fixed string, the one pytest once derived from its
+# arguments, so that editing a message or an argument renames no test.
 @pytest.mark.parametrize(
     "argv,files,code,line",
     [
-        (["influence", "-f", "f.json", "--subset", "1,x"], {"f.json": W1W2_JSON}, 2,
-         "error: bad subset spec '1,x': invalid literal for int() with base 10: 'x'"),
-        (["oracle", "lemma2", "-d", "3,4"], {}, 0, None),
-        (["oracle", "lemma2", "-d", "5..2"], {}, 2, "error: bad degree range '5..2'"),
-        (["oracle", "lemma2", "-d", "0"], {}, 2, "error: bad degree range '0'"),
-        (["oracle", "lemma2", "-d", "a..b"], {}, 2,
-         "error: bad degree range 'a..b': invalid literal for int() with base 10: 'a'"),
-        (["verify", "-s", "s.json", "-f", "f.json"], {"s.json": "nope", "f.json": W1W2_JSON}, 2,
-         "error: invalid JSON: Expecting value: line 1 column 1 (char 0)"),
-        (["verify", "-s", "s.json", "-f", "f.json"], {"s.json": "[1]", "f.json": W1W2_JSON}, 2,
-         "error: scheme file must be a JSON object"),
-        (["verify", "-s", "s.json", "-f", "f.json"],
-         {"s.json": '{"constant":0,"pieces":{},"plan":[[0]]}', "f.json": W1W2_JSON}, 2,
-         'error: "pieces" must be an array'),
-        (["verify", "-s", "s.json", "-f", "f.json"],
-         {"s.json": '{"constant":0,"pieces":' + W1W2_PIECE + ',"plan":{}}', "f.json": W1W2_JSON},
-         2, 'error: "plan" must be an array of arrays of piece indices'),
-        (["verify", "-s", "s.json", "-f", "f.json"],
-         {"s.json": '{"constant":1,"pieces":' + W1W2_PIECE + ',"plan":[[0]]}',
-          "f.json": W1W2_JSON},
-         5, "structure: constant term 1 != function's 0"),
-        (["avg-sensitivity", "-f", "f.json", "-p", "p.json"],
-         {"f.json": EXAMPLE_FUNCTION_JSON,
-          "p.json": '{"N":2,"M":1,"subsets":[[1,2,3,4,5,6],[4,5,6,7,8,9]]}'},
-         2, "error: server 1 holds 6 datasets, more than M=1"),
+        pytest.param(
+            ["influence", "-f", "f.json", "--subset", "1,x"], {"f.json": W1W2_JSON}, 2,
+            "error: bad subset spec '1,x': invalid literal for int() with base 10: 'x'",
+            id="argv0-files0-2-error: bad subset spec '1,x': invalid literal for int() with base 10: 'x'",
+        ),
+        pytest.param(
+            ["oracle", "lemma2", "-d", "3,4"], {}, 0, None,
+            id="argv1-files1-0-None",
+        ),
+        pytest.param(
+            ["oracle", "lemma2", "-d", "5..2"], {}, 2, "error: bad degree range '5..2'",
+            id="argv2-files2-2-error: bad degree range '5..2'",
+        ),
+        pytest.param(
+            ["oracle", "lemma2", "-d", "0"], {}, 2, "error: bad degree range '0'",
+            id="argv3-files3-2-error: bad degree range '0'",
+        ),
+        pytest.param(
+            ["oracle", "lemma2", "-d", "a..b"], {}, 2,
+            "error: bad degree range 'a..b': invalid literal for int() with base 10: 'a'",
+            id="argv4-files4-2-error: bad degree range 'a..b': invalid literal for int() with base 10: 'a'",
+        ),
+        pytest.param(
+            ["verify", "-s", "s.json", "-f", "f.json"], {"s.json": "nope", "f.json": W1W2_JSON}, 2,
+            "error: invalid JSON: Expecting value: line 1 column 1 (char 0)",
+            id="argv5-files5-2-error: invalid JSON: Expecting value: line 1 column 1 (char 0)",
+        ),
+        pytest.param(
+            ["verify", "-s", "s.json", "-f", "f.json"], {"s.json": "[1]", "f.json": W1W2_JSON}, 2,
+            "error: scheme file must be a JSON object",
+            id="argv6-files6-2-error: scheme file must be a JSON object",
+        ),
+        pytest.param(
+            ["verify", "-s", "s.json", "-f", "f.json"],
+            {"s.json": '{"constant":0,"pieces":{},"plan":[[0]]}', "f.json": W1W2_JSON}, 2,
+            'error: "pieces" must be an array',
+            id='argv7-files7-2-error: "pieces" must be an array',
+        ),
+        pytest.param(
+            ["verify", "-s", "s.json", "-f", "f.json"],
+            {"s.json": '{"constant":0,"pieces":' + W1W2_PIECE + ',"plan":{}}', "f.json": W1W2_JSON},
+            2, 'error: "plan" must be an array of arrays of piece indices',
+            id='argv8-files8-2-error: "plan" must be an array of arrays of piece indices',
+        ),
+        pytest.param(
+            ["verify", "-s", "s.json", "-f", "f.json"],
+            {"s.json": '{"constant":1,"pieces":' + W1W2_PIECE + ',"plan":[[0]]}',
+             "f.json": W1W2_JSON},
+            5, "structure: constant term 1 != function's 0",
+            id="argv9-files9-5-structure: constant term 1 != function's 0",
+        ),
+        pytest.param(
+            ["avg-sensitivity", "-f", "f.json", "-p", "p.json"],
+            {"f.json": EXAMPLE_FUNCTION_JSON,
+             "p.json": '{"N":2,"M":1,"subsets":[[1,2,3,4,5,6],[4,5,6,7,8,9]]}'},
+            2, "error: server 1 holds 6 datasets, more than M=1",
+            id="argv10-files10-2-error: server 1 holds 6 datasets, more than M=1",
+        ),
         # C(64,32) is about 1.8e18 subsets; the first row must not list them.
-        (["sweep", "-f", "f.json", "-N", "2", "-M", "32", "--budget", "1"],
-         {"f.json": PAIRS64_JSON},
-         3, "error: the monomials that meet the flip set span 32 datasets,"
-         " past the exact enumeration limit 24; use joint_influence_mc"),
-        (["place", "-f", "f.json", "-N", "2", "-M", "2", "--method", "best"],
-         {"f.json": W1W2_JSON}, 2, None),
-        (["oracle", "lemma1", "-d", "25"], {}, 3,
-         "error: truth table for K=27 exceeds the K<=26 cap"),
-        (["oracle", "lemma2", "-d", "14"], {}, 3,
-         "error: truth table for K=28 exceeds the K<=26 cap"),
-        (["influence", "-f", "f.json", "--subset", "1"], {"f.json": '{"monomials":[[1]]}'}, 2,
-         'error: function file needs field "K"'),
-        (["oracle", "theorem", "-N", "3", "-M", "0"], {}, 2,
-         "infplace oracle theorem: error: argument -M/--cache-size: must be at least 1, got 0"),
-        (["oracle", "theorem", "-N", "-1", "-M", "2"], {}, 2,
-         "infplace oracle theorem: error: argument -N/--num-servers: must be at least 1, got -1"),
-        (["oracle", "lemma1", "--trials", "-3"], {}, 2,
-         "infplace oracle lemma1: error: argument --trials: must be at least 1, got -3"),
-        (["oracle", "theorem", "-N", "65", "-M", "1"], {}, 2,
-         "error: N*M = 65 datasets exceed the 64-dataset limit"),
-        (["oracle", "theorem", "-N", "33", "-M", "2"], {}, 2,
-         "error: N*M = 66 datasets exceed the 64-dataset limit"),
-        (["oracle", "lemma1", "--seed", "-1"], {}, 2,
-         "infplace oracle lemma1: error: argument --seed: must be at least 0, got -1"),
-        (["influence", "-f", "f.json", "--subset", "1", "--mc", "--seed", "-1"],
-         {"f.json": '{"K":30,"monomials":[[1,2]]}'},
-         2, "infplace influence: error: argument --seed: must be at least 0, got -1"),
-        (["place", "-f", "f.json", "-N", "0", "-M", "1"], {"f.json": W1W2_JSON}, 2,
-         "infplace place: error: argument -N/--num-servers: must be at least 1, got 0"),
-        (["place", "-f", "f.json", "-N", "1", "-M", "-2"], {"f.json": W1W2_JSON}, 2,
-         "infplace place: error: argument -M/--cache-size: must be at least 1, got -2"),
-        (["sweep", "-f", "f.json", "-N", "0", "-M", "1"], {"f.json": W1W2_JSON}, 2,
-         "infplace sweep: error: argument -N/--num-servers: must be at least 1, got 0"),
-        (["sweep", "-f", "f.json", "-N", "2", "-M", "x"], {"f.json": W1W2_JSON}, 2,
-         "infplace sweep: error: argument -M/--cache-size: not an integer: 'x'"),
+        pytest.param(
+            ["sweep", "-f", "f.json", "-N", "2", "-M", "32", "--budget", "1"],
+            {"f.json": PAIRS64_JSON},
+            3, "error: the monomials that meet the flip set span 32 datasets,"
+            " past the exact enumeration limit 24; use joint_influence_mc",
+            id="argv11-files11-3-error: the monomials that meet the flip set span 32 datasets, past the exact enumeration limit 24; use joint_influence_mc",
+        ),
+        pytest.param(
+            ["place", "-f", "f.json", "-N", "2", "-M", "2", "--method", "best"],
+            {"f.json": W1W2_JSON}, 2, None,
+            id="argv12-files12-2-None",
+        ),
+        pytest.param(
+            ["oracle", "lemma1", "-d", "25"], {}, 3,
+            "error: truth table for K=27 exceeds the K<=26 cap",
+            id="argv13-files13-3-error: truth table for K=27 exceeds the K<=26 cap",
+        ),
+        pytest.param(
+            ["oracle", "lemma2", "-d", "14"], {}, 3,
+            "error: truth table for K=28 exceeds the K<=26 cap",
+            id="argv14-files14-3-error: truth table for K=28 exceeds the K<=26 cap",
+        ),
+        pytest.param(
+            ["influence", "-f", "f.json", "--subset", "1"], {"f.json": '{"monomials":[[1]]}'}, 2,
+            'error: function file needs field "K"',
+            id='argv15-files15-2-error: function file needs field "K"',
+        ),
+        pytest.param(
+            ["oracle", "theorem", "-N", "3", "-M", "0"], {}, 2,
+            "infplace oracle theorem: error: argument -M/--cache-size: must be at least 1, got 0",
+            id="argv16-files16-2-infplace oracle theorem: error: argument -M/--cache-size: must be at least 1, got 0",
+        ),
+        pytest.param(
+            ["oracle", "theorem", "-N", "-1", "-M", "2"], {}, 2,
+            "infplace oracle theorem: error: argument -N/--num-servers: must be at least 1, got -1",
+            id="argv17-files17-2-infplace oracle theorem: error: argument -N/--num-servers: must be at least 1, got -1",
+        ),
+        pytest.param(
+            ["oracle", "lemma1", "--trials", "-3"], {}, 2,
+            "infplace oracle lemma1: error: argument --trials: must be at least 1, got -3",
+            id="argv18-files18-2-infplace oracle lemma1: error: argument --trials: must be at least 1, got -3",
+        ),
+        pytest.param(
+            ["oracle", "theorem", "-N", "65", "-M", "1"], {}, 2,
+            "error: N*M = 65 datasets exceed the 64-dataset limit",
+            id="argv19-files19-2-error: N*M = 65 datasets exceed the 64-dataset limit",
+        ),
+        pytest.param(
+            ["oracle", "theorem", "-N", "33", "-M", "2"], {}, 2,
+            "error: N*M = 66 datasets exceed the 64-dataset limit",
+            id="argv20-files20-2-error: N*M = 66 datasets exceed the 64-dataset limit",
+        ),
+        pytest.param(
+            ["oracle", "lemma1", "--seed", "-1"], {}, 2,
+            "infplace oracle lemma1: error: argument --seed: must be at least 0, got -1",
+            id="argv21-files21-2-infplace oracle lemma1: error: argument --seed: must be at least 0, got -1",
+        ),
+        pytest.param(
+            ["influence", "-f", "f.json", "--subset", "1", "--mc", "--seed", "-1"],
+            {"f.json": '{"K":30,"monomials":[[1,2]]}'},
+            2, "infplace influence: error: argument --seed: must be at least 0, got -1",
+            id="argv22-files22-2-infplace influence: error: argument --seed: must be at least 0, got -1",
+        ),
+        pytest.param(
+            ["place", "-f", "f.json", "-N", "0", "-M", "1"], {"f.json": W1W2_JSON}, 2,
+            "infplace place: error: argument -N/--num-servers: must be at least 1, got 0",
+            id="argv23-files23-2-infplace place: error: argument -N/--num-servers: must be at least 1, got 0",
+        ),
+        pytest.param(
+            ["place", "-f", "f.json", "-N", "1", "-M", "-2"], {"f.json": W1W2_JSON}, 2,
+            "infplace place: error: argument -M/--cache-size: must be at least 1, got -2",
+            id="argv24-files24-2-infplace place: error: argument -M/--cache-size: must be at least 1, got -2",
+        ),
+        pytest.param(
+            ["sweep", "-f", "f.json", "-N", "0", "-M", "1"], {"f.json": W1W2_JSON}, 2,
+            "infplace sweep: error: argument -N/--num-servers: must be at least 1, got 0",
+            id="argv25-files25-2-infplace sweep: error: argument -N/--num-servers: must be at least 1, got 0",
+        ),
+        pytest.param(
+            ["sweep", "-f", "f.json", "-N", "2", "-M", "x"], {"f.json": W1W2_JSON}, 2,
+            "infplace sweep: error: argument -M/--cache-size: not an integer: 'x'",
+            id="argv26-files26-2-infplace sweep: error: argument -M/--cache-size: not an integer: 'x'",
+        ),
         # Options a command does not read.
-        (["influence", "-f", "f.json", "--subset", "1", "--epsilon", "5"],
-         {"f.json": W1W2_JSON}, 2, "error: --epsilon needs --mc"),
-        (["influence", "-f", "f.json", "--subset", "1", "--seed", "3"],
-         {"f.json": W1W2_JSON}, 2, "error: --seed needs --mc"),
-        (["influence", "-f", "f.json", "--subset", "1", "--exact"],
-         {"f.json": W1W2_JSON}, 2, "infplace influence: error: unrecognized arguments: --exact"),
-        (["avg-sensitivity", "-f", "f.json", "-p", "p.json", "--delta", "0.1"],
-         {"f.json": W1W2_JSON, "p.json": '{"N":1,"M":2,"subsets":[[1,2]]}'},
-         2, "error: --delta needs --mc"),
-        (["place", "-f", "f.json", "-N", "1", "-M", "2", "--method", "aligned", "--budget", "1"],
-         {"f.json": W1W2_JSON}, 2, "error: --budget needs --method exhaustive"),
-        (["place", "-f", "f.json", "-N", "1", "-M", "2", "--seed", "3"],
-         {"f.json": W1W2_JSON}, 2, "infplace place: error: unrecognized arguments: --seed 3"),
-        (["oracle", "theorem", "-N", "2", "-M", "2", "--seed", "1"], {}, 2,
-         "infplace oracle theorem: error: unrecognized arguments: --seed 1"),
+        pytest.param(
+            ["influence", "-f", "f.json", "--subset", "1", "--epsilon", "5"],
+            {"f.json": W1W2_JSON}, 2, "error: --epsilon needs --mc",
+            id="argv27-files27-2-error: --epsilon needs --mc",
+        ),
+        pytest.param(
+            ["influence", "-f", "f.json", "--subset", "1", "--seed", "3"],
+            {"f.json": W1W2_JSON}, 2, "error: --seed needs --mc",
+            id="argv28-files28-2-error: --seed needs --mc",
+        ),
+        pytest.param(
+            ["influence", "-f", "f.json", "--subset", "1", "--exact"],
+            {"f.json": W1W2_JSON}, 2, "infplace influence: error: unrecognized arguments: --exact",
+            id="argv29-files29-2-infplace influence: error: unrecognized arguments: --exact",
+        ),
+        pytest.param(
+            ["avg-sensitivity", "-f", "f.json", "-p", "p.json", "--delta", "0.1"],
+            {"f.json": W1W2_JSON, "p.json": '{"N":1,"M":2,"subsets":[[1,2]]}'},
+            2, "error: --delta needs --mc",
+            id="argv30-files30-2-error: --delta needs --mc",
+        ),
+        pytest.param(
+            ["place", "-f", "f.json", "-N", "1", "-M", "2", "--method", "aligned", "--budget", "1"],
+            {"f.json": W1W2_JSON}, 2, "error: --budget needs --method exhaustive",
+            id="argv31-files31-2-error: --budget needs --method exhaustive",
+        ),
+        pytest.param(
+            ["place", "-f", "f.json", "-N", "1", "-M", "2", "--seed", "3"],
+            {"f.json": W1W2_JSON}, 2, "infplace place: error: unrecognized arguments: --seed 3",
+            id="argv32-files32-2-infplace place: error: unrecognized arguments: --seed 3",
+        ),
+        pytest.param(
+            ["oracle", "theorem", "-N", "2", "-M", "2", "--seed", "1"], {}, 2,
+            "infplace oracle theorem: error: unrecognized arguments: --seed 1",
+            id="argv33-files33-2-infplace oracle theorem: error: unrecognized arguments: --seed 1",
+        ),
         # verify reads no seed, so it takes none; a seed is not read as
         # "not decoded".
-        (["verify", "-s", "s.json", "-f", "f.json", "--seed", "-1"],
-         {"s.json": '{"constant":0,"pieces":[{"server":1,"vars":[1]}],"plan":[[0]]}',
-          "f.json": '{"K":30,"monomials":[[1,2]]}'},
-         2, "infplace verify: error: unrecognized arguments: --seed -1"),
+        pytest.param(
+            ["verify", "-s", "s.json", "-f", "f.json", "--seed", "-1"],
+            {"s.json": '{"constant":0,"pieces":[{"server":1,"vars":[1]}],"plan":[[0]]}',
+             "f.json": '{"K":30,"monomials":[[1,2]]}'},
+            2, "infplace verify: error: unrecognized arguments: --seed -1",
+            id="argv34-files34-2-infplace verify: error: unrecognized arguments: --seed -1",
+        ),
     ],
 )
 def test_refused_requests_exit_with_their_message(argv, files, code, line, capsys, tmp_path):

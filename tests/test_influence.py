@@ -10,6 +10,8 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 import numpy as np
 import pytest
@@ -255,21 +257,37 @@ def meeting_span(f, flip_mask):
     return union.bit_count()
 
 
-def test_exact_count_builds_one_narrow_table(monkeypatch, example_function):
-    widths, sizes = [], []
-    derivative_table = influence._derivative_table
+def record_tables(monkeypatch):
+    """Record every derivative table built, by either route, as (route,
+    the variables its monomials and flip set use, the flip set, width,
+    bytes): a numpy table, or one word in a Python int (width 6, 8 bytes)."""
+    built = []
+    derivative_table, derivative_word = influence._derivative_table, influence._derivative_word
 
     def recording_derivative_table(monomials, flip, width):
         table = derivative_table(monomials, flip, width)
-        widths.append(width)
-        sizes.append(table.nbytes)
+        built.append(("table", reduce(or_, monomials, flip), flip, width, table.nbytes))
         return table
 
+    def recording_derivative_word(monomials, flip):
+        word = derivative_word(monomials, flip)
+        built.append(("word", reduce(or_, monomials, flip), flip, 6, 8))
+        return word
+
     monkeypatch.setattr(influence, "_derivative_table", recording_derivative_table)
+    monkeypatch.setattr(influence, "_derivative_word", recording_derivative_word)
+    return built
+
+
+def test_exact_count_builds_one_narrow_table(monkeypatch, example_function):
+    built = record_tables(monkeypatch)
     flips = [0b111, 0b001001001, 0b100100100, 0b110000000]
     counts = [joint_influence_exact(example_function, s).count for s in flips]
-    assert len(widths) == len(flips)
+    assert len(built) == len(flips)
+    routes, _, _, widths, sizes = zip(*built)
     assert counts == [full_table_count(example_function, s) for s in flips]
+    # |V'| is 9, 6, 3 and 7: a V' of at most 6 datasets is one word.
+    assert routes == ("table", "word", "word", "table")
     # S = {1,2,3} meets all three monomials, so |V'| = 9; the private
     # blocks {5,8} and {6,9} each become one table variable.
     assert widths[0] < 9
@@ -310,15 +328,7 @@ def test_packed_count_matches_truth_table_on_seeded_functions(monkeypatch):
     # lowest variable unused, and S has a variable inside a word when the
     # compact flip set has a bit below 6.
     rng = random.Random(2622)
-    built = []
-    derivative_table = influence._derivative_table
-
-    def recording_derivative_table(monomials, flip, width):
-        table = derivative_table(monomials, flip, width)
-        built.append((sum(monomials) | flip, flip, table.nbytes))
-        return table
-
-    monkeypatch.setattr(influence, "_derivative_table", recording_derivative_table)
+    built = record_tables(monkeypatch)
     seen = {"padded": 0, "S inside a word": 0, "S covers V'": 0, "4+ private blocks": 0}
     spans = set()
     for k in range(1, 25):
@@ -335,9 +345,10 @@ def test_packed_count_matches_truth_table_on_seeded_functions(monkeypatch):
             f = spanning_function(rng, k, flip, count)
             v = joint_influence_exact(f, flip)
             assert (v.count, v.denominator) == (truth_table_count(f, flip), 1 << k), (f, flip)
-            used, compact_flip, size = built[-1]
+            route, used, compact_flip, _, size = built[-1]
             span = meeting_span(f, flip)
             spans.add(span)
+            assert route == ("word" if span <= 6 else "table"), (f, flip)
             if span >= 6:
                 assert size <= (1 << span) // 8, (f, flip, size)
             in_s = set(indices_from_mask(flip))
@@ -350,6 +361,51 @@ def test_packed_count_matches_truth_table_on_seeded_functions(monkeypatch):
             seen["4+ private blocks"] += blocks >= 4
     assert set(range(1, 25)) <= spans
     assert min(seen.values()) >= 20, seen
+
+
+def test_one_word_table_matches_the_numpy_table(monkeypatch):
+    # Every V' of 1 to 6 datasets is counted in one Python int: that word
+    # must be the one word numpy's table builds at width 6 from the same
+    # monomials, and the count the full truth table's.  Every dataset of S
+    # in V' lies inside that word.
+    rng = random.Random(6406)
+    words = []
+    derivative_word = influence._derivative_word
+
+    def recording_derivative_word(monomials, flip):
+        words.append((monomials, flip))
+        return derivative_word(monomials, flip)
+
+    monkeypatch.setattr(influence, "_derivative_word", recording_derivative_word)
+    seen = {"padded": 0, "unpadded": 0, "S covers V'": 0, "S inside V'": 0}
+    spans = Counter()
+    while len(words) < 2000:
+        k = rng.randint(1, 16)
+        pool = rng.sample(range(k), rng.randint(1, min(k, 6)))
+        monomials = [
+            sum(1 << v for v in rng.sample(pool, rng.randint(1, len(pool))))
+            for _ in range(rng.randint(1, 4))
+        ]
+        flip = sum(1 << v for v in pool if rng.random() < 0.5) or 1 << pool[0]
+        if rng.random() < 0.25:  # S covers V', with datasets outside it too
+            flip |= sum(1 << v for v in pool) | rng.randrange(1 << k)
+        f = BooleanFunctionANF.from_masks(k, monomials + [0] * rng.randint(0, 1))
+        before = len(words)
+        v = joint_influence_exact(f, flip)
+        assert (v.count, v.denominator) == (truth_table_count(f, flip), 1 << k), (f, flip)
+        span = meeting_span(f, flip)
+        if span == 0:
+            assert len(words) == before
+            continue
+        spans[span] += 1
+        word_monomials, word_flip = words[-1]
+        table = influence._derivative_table(word_monomials, word_flip, 6)
+        assert table.shape == (1,)
+        assert int(table[0]) == derivative_word(word_monomials, word_flip), (f, flip)
+        seen["padded" if span < 6 else "unpadded"] += 1
+        seen["S covers V'" if meeting_structure(f, flip)["S covers V'"] else "S inside V'"] += 1
+    assert sorted(spans) == [1, 2, 3, 4, 5, 6] and min(spans.values()) >= 50, spans
+    assert min(seen.values()) >= 100, seen
 
 
 def test_exact_count_memory_stays_bounded():

@@ -234,6 +234,29 @@ def test_search_budget_below_the_subset_count_builds_no_mask(example_function, m
     assert spaces[0]._masks == [] and spaces[0]._counts == {}
 
 
+def test_kind_matches_the_popcount_per_twin_class():
+    # kind sums one packed unit per dataset; the reference counts each
+    # class's datasets in the mask, over every subset of [K].  208
+    # functions, two at each K past 12, where the subsets grow costly.
+    rng = random.Random(1616)
+    seen = {"free datasets": 0, "no free dataset": 0}
+    for k in [1 + case % 12 for case in range(200)] + [13, 14, 15, 16] * 2:
+        monomials = [rng.randrange(1 << k) for _ in range(rng.randint(0, 5))]
+        f = BooleanFunctionANF.from_masks(k, monomials)
+        space = PlacementSpace(PlacementConstraints(k, 2, rng.randint(1, k)), f)
+        classes, w = space.classes, space._width
+        assert reduce(or_, classes) == (1 << k) - 1 and classes[-1] & f.support_mask == 0
+        seen["free datasets" if classes[-1] else "no free dataset"] += 1
+        assert [space.kind(mask) for mask in range(1 << k)] == [
+            sum((mask & cls).bit_count() << (w * i) for i, cls in enumerate(classes))
+            for mask in range(1 << k)
+        ]
+    assert min(seen.values()) >= 40, seen
+    # In a grid wider than f, a dataset past f's K lies in no class.
+    wide = PlacementSpace(PlacementConstraints(k + 1, 2, 1), f)
+    assert all(wide.kind(mask | 1 << k) == space.kind(mask) for mask in range(1 << k))
+
+
 def test_space_builds_only_the_subsets_it_visits():
     f = BooleanFunctionANF.from_indices(24, [[2 * i + 1, 2 * i + 2] for i in range(12)])
     space = PlacementSpace(PlacementConstraints(24, 2, 12), f)

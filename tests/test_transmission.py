@@ -149,6 +149,23 @@ def test_lowest_covering_server_wins():
     assert scheme.pieces == (Piece(server=2, vars_mask=0b011),)
 
 
+def test_piece_is_an_immutable_tuple(example_function, overlap_placement):
+    piece = Piece(server=2, vars_mask=0b1001)
+    assert piece == (2, 0b1001) and hash(piece) == hash((2, 0b1001))
+    assert (piece.server, piece.vars_mask) == (2, 0b1001)
+    assert piece.sort_key() == (2, (1, 4))
+    with pytest.raises(AttributeError):
+        piece.server = 1
+    with pytest.raises(AttributeError):
+        piece.vars_mask = 0b1
+    # A synthesized scheme's pieces equal plain tuples, and its JSON is pinned.
+    scheme = synthesize_exact(example_function, overlap_placement)
+    assert scheme.pieces == (
+        (1, 0b001001001), (1, 0b001010010), (2, 0b100100100), (2, 0b010000000)
+    )
+    assert scheme_to_json(scheme) == OVERLAP_SCHEME_JSON
+
+
 def test_decode_by_hand(example_function, overlap_placement):
     scheme = synthesize_exact(example_function, overlap_placement)
     for w in (0, 0b111111111, 0b001001001, 0b100110010):
