@@ -21,8 +21,8 @@ import numpy as np
 
 # Masks are machine words; desk-scale tool, larger inputs are rejected.
 MAX_DATASETS = 64
-# Hard memory stop for dense truth tables (2^26 bytes each).  Tables are
-# built on a (2,)*K view, and numpy 1.x allows at most 32 dimensions.
+# Only a memory stop for dense truth tables (2^26 bytes each): numpy 2
+# allows the (2,)*K view they are built on up to 64 dimensions.
 MAX_TRUTH_TABLE_DATASETS = 26
 
 
@@ -94,6 +94,14 @@ def bits_from_assignment(mask: int, num_datasets: int) -> str:
     return "".join("1" if mask >> k & 1 else "0" for k in range(num_datasets))
 
 
+def _check_num_datasets(k: object) -> None:
+    """K is an integer, not a bool, in 1..MAX_DATASETS."""
+    if type(k) is not int or k < 1:
+        raise ParseError(f'"K" must be a positive integer, got {k!r}')
+    if k > MAX_DATASETS:
+        raise ParseError(f"number of datasets {k} exceeds the {MAX_DATASETS} limit")
+
+
 @dataclass(frozen=True)
 class BooleanFunctionANF:
     """Canonical ANF: XOR of distinct monomials over ``num_datasets`` inputs.
@@ -109,10 +117,7 @@ class BooleanFunctionANF:
 
     def __post_init__(self) -> None:
         k = self.num_datasets
-        if not isinstance(k, int) or k < 1:
-            raise ParseError(f"number of datasets must be a positive integer, got {k!r}")
-        if k > MAX_DATASETS:
-            raise ParseError(f"number of datasets {k} exceeds the {MAX_DATASETS} limit")
+        _check_num_datasets(k)
         full = (1 << k) - 1
         for m in self.monomials:
             if not isinstance(m, int) or m < 0 or m & ~full:
@@ -133,6 +138,7 @@ class BooleanFunctionANF:
 
     @classmethod
     def from_indices(cls, num_datasets: int, index_lists: Iterable[Iterable[int]]) -> "BooleanFunctionANF":
+        _check_num_datasets(num_datasets)  # before any index is compared with it
         masks = [mask_from_indices(ix, num_datasets) for ix in index_lists]
         return cls.from_masks(num_datasets, masks)
 
@@ -172,13 +178,10 @@ def parse_function(text: str) -> BooleanFunctionANF:
     cancel pairwise (XOR over F2).
     """
     obj = load_object(text, "function", ("K", "monomials"))
-    k = obj["K"]
-    if not isinstance(k, int) or isinstance(k, bool) or k <= 0:
-        raise ParseError(f'"K" must be a positive integer, got {k!r}')
     mon = obj["monomials"]
     if not isinstance(mon, list) or any(not isinstance(row, list) for row in mon):
         raise ParseError('"monomials" must be an array of arrays of indices')
-    return BooleanFunctionANF.from_indices(k, mon)
+    return BooleanFunctionANF.from_indices(obj["K"], mon)
 
 
 def function_to_json(f: BooleanFunctionANF) -> str:

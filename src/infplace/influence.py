@@ -68,8 +68,8 @@ class InfluenceValue:
     Exact values are ``count / denominator`` with a power-of-two
     denominator.  Estimates carry the sample mean plus a Hoeffding
     half-width; a summed estimate carries the sample count of each
-    subset's estimate and the seed they all drew from, and adds the
-    half-widths conservatively.
+    subset's estimate and the seed they all drew from, and the sum of
+    their half-widths (see :func:`avg_joint_sensitivity`).
     """
 
     kind: str  # "exact" | "estimate"
@@ -103,10 +103,6 @@ class InfluenceValue:
         if not self.is_exact:
             raise ValueError("not an exact value")
         return Fraction(self.count, self.denominator)
-
-    @property
-    def value(self) -> float:
-        return self.count / self.denominator if self.is_exact else self.mean
 
     def __str__(self) -> str:
         if self.is_exact:
@@ -145,6 +141,14 @@ class EstimatorConfig:
         return math.ceil(math.log(2.0 / self.delta) / (2.0 * self.epsilon**2))
 
 
+def _check_flip_set(
+    f: BooleanFunctionANF, mask: int, refusal: str = "flip set {!r} not within [1, {}]"
+) -> None:
+    """Refuse a mask that is negative or has a dataset past f's K."""
+    if mask < 0 or mask >> f.num_datasets:
+        raise ValueError(refusal.format(mask, f.num_datasets))
+
+
 def joint_sensitivity(
     f: BooleanFunctionANF, flip_masks: Sequence[int], assignment: int
 ) -> int:
@@ -154,11 +158,9 @@ def joint_sensitivity(
     list yields 0.
     """
     base = evaluate(f, assignment)
-    k = f.num_datasets
     total = 0
     for mask in flip_masks:
-        if mask < 0 or mask >> k:
-            raise ValueError(f"flip set {mask!r} not within [1, {k}]")
+        _check_flip_set(f, mask)
         if evaluate(f, assignment ^ mask) != base:
             total += 1
     return total
@@ -189,9 +191,8 @@ def joint_influence_exact(f: BooleanFunctionANF, flip_mask: int) -> InfluenceVal
     exactly one word, which :func:`_derivative_word` builds as a Python
     int and ``int.bit_count`` counts.
     """
+    _check_flip_set(f, flip_mask)
     k = f.num_datasets
-    if flip_mask < 0 or flip_mask >> k:
-        raise ValueError(f"flip set {flip_mask!r} not within [1, {k}]")
     meeting = [m for m in f.monomials if m & flip_mask]
     if not meeting:
         return InfluenceValue.exact_value(0, 1 << k)
@@ -329,9 +330,8 @@ def joint_influence_mc(
     the derivative f(w) xor f(w xor S), which only the monomials that
     meet S carry; when S meets none, the mean is 0 and nothing is drawn.
     """
+    _check_flip_set(f, flip_mask)
     k = f.num_datasets
-    if flip_mask < 0 or flip_mask >> k:
-        raise ValueError(f"flip set {flip_mask!r} not within [1, {k}]")
     n = config.sample_count
     meeting = [m for m in f.monomials if m & flip_mask]
     mismatches = 0
@@ -359,21 +359,19 @@ def avg_joint_sensitivity(
     estimator every subset is counted exactly, so a subset whose
     monomials are too wide raises :class:`ExactLimitError`; with one
     every subset is estimated and the half-widths add up.  Every subset
-    reads the same (seed, block b) sample streams, so the estimates are
-    correlated; the summed half-width is a plain sum, a union bound that
-    holds under any correlation and is conservative.
+    reads the same (seed, block b) samples, so the summed mean is the
+    sample mean of the joint sensitivity js(x) over the N subsets, which
+    lies in [0, N].  Hoeffding's inequality on js puts that mean within
+    N times one subset's half-width h of the true sum with probability at
+    least 1 - delta, and N*h is the summed half-width: it holds at the
+    stated delta, not only at 1 - N*delta.
     """
-    k = f.num_datasets
-    full = (1 << k) - 1
-    for mask in placement.subset_masks:
-        if mask < 0 or mask & ~full:
-            raise ValueError(
-                f"placement subset {mask!r} references datasets outside [1, {k}]"
-            )
     masks = placement.subset_masks
-    if estimator is None or not masks:
+    for mask in masks:
+        _check_flip_set(f, mask, "placement subset {!r} references datasets outside [1, {}]")
+    if estimator is None:
         count = sum(joint_influence_exact(f, mask).count for mask in masks)
-        return InfluenceValue.exact_value(count, 1 << k)
+        return InfluenceValue.exact_value(count, 1 << f.num_datasets)
     per = [joint_influence_mc(f, mask, estimator) for mask in masks]
     mean = sum(v.mean for v in per)
     half = sum(v.half_width for v in per)

@@ -16,6 +16,7 @@ from math import comb
 from typing import Iterator, Sequence
 
 from .anf import (
+    MAX_DATASETS,
     BooleanFunctionANF,
     ParseError,
     dump_object,
@@ -62,20 +63,29 @@ class PlacementConstraints:
 
 @dataclass(frozen=True)
 class PlacementConfig:
-    """The ordered server subsets of one placement, as bitmasks."""
+    """The ordered server subsets of one placement, as bitmasks.
+    Refuses, with :class:`ParseError`, what no placement file can hold."""
 
     num_servers: int
     cache_size: int
     subset_masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.num_servers != len(self.subset_masks):
-            raise ValueError(
-                f"{len(self.subset_masks)} subsets for {self.num_servers} servers"
-            )
-        for m in self.subset_masks:
-            if not isinstance(m, int) or m < 0:
-                raise ValueError(f"bad subset mask {m!r}")
+        n, m = self.num_servers, self.cache_size
+        if type(n) is not int or n < 1:
+            raise ParseError(f'"N" must be a positive integer, got {n!r}')
+        if type(m) is not int or m < 1:
+            raise ParseError(f'"M" must be a positive integer, got {m!r}')
+        if len(self.subset_masks) != n:
+            raise ParseError(f'"subsets" has {len(self.subset_masks)} entries for N={n}')
+        past = 1 << MAX_DATASETS
+        for server, mask in enumerate(self.subset_masks, 1):
+            if type(mask) is not int or not 0 <= mask < past:
+                raise ParseError(f"bad subset mask {mask!r}")
+            if mask.bit_count() > m:
+                raise ParseError(
+                    f"server {server} holds {mask.bit_count()} datasets, more than M={m}"
+                )
 
     @classmethod
     def from_indices(
@@ -94,22 +104,10 @@ class PlacementConfig:
 def parse_placement(text: str) -> PlacementConfig:
     """Parse the JSON placement format: {"N": int, "M": int, "subsets": [[int,...],...]}."""
     obj = load_object(text, "placement", ("N", "M", "subsets"))
-    n, m, subsets = obj["N"], obj["M"], obj["subsets"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParseError(f'"N" must be a positive integer, got {n!r}')
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise ParseError(f'"M" must be a positive integer, got {m!r}')
+    subsets = obj["subsets"]
     if not isinstance(subsets, list) or any(not isinstance(s, list) for s in subsets):
         raise ParseError('"subsets" must be an array of arrays of indices')
-    if len(subsets) != n:
-        raise ParseError(f'"subsets" has {len(subsets)} entries for N={n}')
-    masks = tuple(mask_from_indices(s) for s in subsets)
-    for server, mask in enumerate(masks, 1):
-        if mask.bit_count() > m:
-            raise ParseError(
-                f"server {server} holds {mask.bit_count()} datasets, more than M={m}"
-            )
-    return PlacementConfig(n, m, masks)
+    return PlacementConfig(obj["N"], obj["M"], tuple(mask_from_indices(s) for s in subsets))
 
 
 def placement_to_json(p: PlacementConfig) -> str:

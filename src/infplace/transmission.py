@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .anf import (
+    MAX_DATASETS,
     BooleanFunctionANF,
     ParseError,
     _check_assignment,
@@ -78,6 +79,18 @@ class SynthesisLimitError(RuntimeError):
     """A monomial degree exceeds the exact-synthesis limit."""
 
 
+_PRESENT_FIRST = str.maketrans("01", "10")
+
+
+def _vars_key(mask: int) -> str:
+    """Orders var masks as their ascending index tuples: the bits lowest
+    first, a var in the mask as "0" and one outside it as "1".  Two keys
+    first differ at the lowest var one mask has and the other lacks, and
+    the mask that has it sorts first, as its tuple does; a key that is a
+    prefix of another sorts first, as a prefix tuple does."""
+    return bin(mask)[:1:-1].translate(_PRESENT_FIRST)
+
+
 class Piece(NamedTuple):
     """One transmitted unit: a partial product of ``vars_mask`` sent by ``server``.
 
@@ -88,28 +101,37 @@ class Piece(NamedTuple):
     server: int  # 1-based
     vars_mask: int
 
-    def sort_key(self) -> tuple[int, tuple[int, ...]]:
-        return (self.server, indices_from_mask(self.vars_mask))
+    def sort_key(self) -> tuple[int, str]:
+        """Canonical order: by server, then vars as ascending index tuples."""
+        return (self.server, _vars_key(self.vars_mask))
 
 
 @dataclass(frozen=True)
 class TransmissionScheme:
     """Pieces plus, per non-constant monomial of f (canonical order), the
-    piece indices whose var sets partition that monomial's support."""
+    piece indices whose var sets partition that monomial's support.
+    Refuses, with :class:`ParseError`, what no scheme file can hold."""
 
     pieces: tuple[Piece, ...]
     plan: tuple[tuple[int, ...], ...]
     constant: int = 0
 
     def __post_init__(self) -> None:
-        if self.constant not in (0, 1):
-            raise ValueError(f"constant term must be 0 or 1, got {self.constant}")
-        if len(set(self.pieces)) != len(self.pieces):
-            raise ValueError("duplicate (server, vars) piece")
+        past = 1 << MAX_DATASETS
+        for server, v in self.pieces:
+            if type(server) is not int or server < 1:
+                raise ParseError(f"piece server must be a positive integer, got {server!r}")
+            if type(v) is not int or not 0 < v < past:
+                raise ParseError("piece with empty vars" if v == 0 else f"bad piece vars {v!r}")
+        n = len(self.pieces)
         for refs in self.plan:
             for r in refs:
-                if not 0 <= r < len(self.pieces):
-                    raise ValueError(f"dangling piece reference {r}")
+                if type(r) is not int or not 0 <= r < n:
+                    raise ParseError(f"plan references unknown piece {r!r}")
+        if self.constant not in (0, 1):
+            raise ParseError(f'"constant" must be 0 or 1, got {self.constant!r}')
+        if len(set(self.pieces)) != n:
+            raise ParseError("duplicate (server, vars) piece")
 
     def canonical(self) -> "TransmissionScheme":
         """Pieces sorted by (server, vars), plan indices remapped and ascending."""
@@ -138,26 +160,11 @@ def parse_scheme(text: str) -> TransmissionScheme:
     for entry in obj["pieces"]:
         if not isinstance(entry, dict) or "server" not in entry or "vars" not in entry:
             raise ParseError(f"bad piece entry {entry!r}")
-        server = entry["server"]
-        if not isinstance(server, int) or isinstance(server, bool) or server < 1:
-            raise ParseError(f"piece server must be a positive integer, got {server!r}")
-        vmask = mask_from_indices(entry["vars"])
-        if vmask == 0:
-            raise ParseError("piece with empty vars")
-        pieces.append(Piece(server, vmask))
-    plan_obj = obj["plan"]
-    if not isinstance(plan_obj, list) or any(not isinstance(row, list) for row in plan_obj):
+        pieces.append(Piece(entry["server"], mask_from_indices(entry["vars"])))
+    plan = obj["plan"]
+    if not isinstance(plan, list) or any(not isinstance(row, list) for row in plan):
         raise ParseError('"plan" must be an array of arrays of piece indices')
-    plan = []
-    for row in plan_obj:
-        for r in row:
-            if not isinstance(r, int) or isinstance(r, bool) or not 0 <= r < len(pieces):
-                raise ParseError(f"plan references unknown piece {r!r}")
-        plan.append(tuple(row))
-    constant = obj["constant"]
-    if constant not in (0, 1):
-        raise ParseError(f'"constant" must be 0 or 1, got {constant!r}')
-    return TransmissionScheme(tuple(pieces), tuple(plan), constant)
+    return TransmissionScheme(tuple(pieces), tuple(map(tuple, plan)), obj["constant"])
 
 
 def scheme_to_json(s: TransmissionScheme) -> str:
@@ -194,7 +201,7 @@ def scheme_structure_errors(
             errors.append(f"{name}: dataset(s) {past} past K={k}")
         elif p is None:
             continue
-        elif not 1 <= piece.server <= p.num_servers:
+        elif piece.server > p.num_servers:
             errors.append(f"{name}: no such server among N={p.num_servers}")
         elif missing := piece.vars_mask & ~p.subset_masks[piece.server - 1]:
             errors.append(f"{name}: server does not hold {indices_from_mask(missing)}")
@@ -513,9 +520,6 @@ def _search_min_distinct(
         del go  # go's closure holds go: clearing it lets refcounting free the search
 
 
-_PRESENT_FIRST = str.maketrans("01", "10")
-
-
 def _scheme_from_blocks(
     f: BooleanFunctionANF,
     p: PlacementConfig,
@@ -530,13 +534,9 @@ def _scheme_from_blocks(
             if b & ~held == 0:
                 break
             server += 1
-        rows.append((server, bin(b)[:1:-1].translate(_PRESENT_FIRST), b))
-    # Piece.sort_key order.  The key lists b's bits lowest first, a var in
-    # b as "0" and one outside it as "1".  Two keys first differ at the
-    # lowest var one block has and the other lacks, and the block that has
-    # it sorts first, as its index tuple does; a key that is a prefix of
-    # another sorts first, as a tuple that is a prefix does.  Distinct
-    # masks have distinct keys, so the mask in a row never decides it.
+        rows.append((server, _vars_key(b), b))
+    # Piece(server, b).sort_key() order: the keys are distinct, so b never
+    # decides.  Sorting rows costs less than a key function per piece.
     rows.sort()
     pieces = []
     index_of = {}

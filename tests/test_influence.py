@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from infplace import influence
 from infplace.anf import (
     BooleanFunctionANF,
+    ParseError,
     evaluate,
     indices_from_mask,
     sample_blocks,
@@ -536,11 +537,33 @@ def test_avg_sensitivity_counts_repeats(disjoint_pairs):
     v = avg_joint_sensitivity(disjoint_pairs, p)
     assert v.fraction == Fraction(1)  # 1/2 + 1/2, same subset twice
     assert (v.count, v.denominator) == (64, 64)
-    # No subsets sum to an exact 0 over 2^K, with or without an estimator.
-    empty = PlacementConfig(0, 2, ())
-    for est in (None, EstimatorConfig(0.1, 0.1, seed=1)):
-        v = avg_joint_sensitivity(disjoint_pairs, empty, est)
-        assert (v.kind, v.count, v.denominator) == ("exact", 0, 64)
+    # A placement has at least one server, as a placement file must.
+    with pytest.raises(ParseError, match='"N" must be a positive integer, got 0'):
+        PlacementConfig(0, 2, ())
+
+
+def test_empty_flip_set_has_influence_exactly_zero(example_function, monkeypatch):
+    def no_samples(*args, **kwargs):
+        raise AssertionError("an empty flip set drew samples")
+
+    monkeypatch.setattr(influence, "sample_blocks", no_samples)
+    v = joint_influence_exact(example_function, 0)
+    assert (v.kind, v.count, v.denominator) == ("exact", 0, 512)
+    est = joint_influence_mc(example_function, 0, EstimatorConfig(0.1, 0.1, seed=1))
+    assert (est.mean, est.samples) == (0.0, 150)
+
+
+def test_an_empty_server_adds_zero(example_function, window_placement):
+    with_empty = PlacementConfig(4, 6, window_placement.subset_masks + (0,))
+    assert avg_joint_sensitivity(example_function, with_empty) == avg_joint_sensitivity(
+        example_function, window_placement
+    )
+    cfg = EstimatorConfig(0.1, 0.1, seed=1)
+    three = avg_joint_sensitivity(example_function, window_placement, cfg)
+    four = avg_joint_sensitivity(example_function, with_empty, cfg)
+    per = joint_influence_mc(example_function, 0, cfg)
+    assert four.mean == three.mean and per.mean == 0.0
+    assert four.half_width == three.half_width + per.half_width
 
 
 def test_avg_sensitivity_fixture(example_function, window_placement):
@@ -573,7 +596,7 @@ def test_avg_sensitivity_is_exact_without_estimator_and_estimated_with_one():
     assert est == InfluenceValue.estimate_value(
         sum(v.mean for v in per), sum(v.half_width for v in per), cfg.sample_count, cfg.seed
     )
-    assert abs(est.mean - avg_joint_sensitivity(g, q).value) <= 2 * 0.02
+    assert abs(est.mean - avg_joint_sensitivity(g, q).fraction) <= 2 * 0.02
     # A subset whose monomials span 25 datasets needs the estimator.
     wide = BooleanFunctionANF.from_indices(30, [list(range(1, 26))])
     r = PlacementConfig.from_indices(1, [[1]])
@@ -589,7 +612,6 @@ def test_influence_value_exact_formatting():
     v = InfluenceValue.exact_value(2, 8)
     assert str(v) == "2/8"
     assert v.fraction == Fraction(1, 4)
-    assert v.value == 0.25
 
 
 def test_influence_value_estimate_formatting():
@@ -646,7 +668,7 @@ def test_mc_builds_one_bit_generator_per_estimate(monkeypatch):
     assert config.sample_count == 950113 == 115 * influence.MC_BLOCK_SIZE + 8033
     f = BooleanFunctionANF.from_indices(30, [[1, 2, 3], [3, 4]])
     est = joint_influence_mc(f, 0b100, config)
-    assert abs(est.mean - joint_influence_exact(f, 0b100).value) <= 0.002
+    assert abs(est.mean - joint_influence_exact(f, 0b100).fraction) <= 0.002
     assert built == {"PCG64": 1}
 
 
@@ -739,6 +761,6 @@ def test_mc_honors_contract_on_known_value():
 
 def test_mc_small_k_agrees_with_exact_loosely():
     f = BooleanFunctionANF.from_indices(10, [[1, 2], [3, 4, 5]])
-    exact = joint_influence_exact(f, 0b10011).value
+    exact = joint_influence_exact(f, 0b10011).fraction
     est = joint_influence_mc(f, 0b10011, EstimatorConfig(0.02, 1e-3, seed=3))
     assert abs(est.mean - exact) <= 0.02

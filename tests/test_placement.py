@@ -1,6 +1,7 @@
 """Placement construction, enumeration, and search."""
 
 import random
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, combinations, combinations_with_replacement, permutations, product
@@ -46,6 +47,10 @@ def test_parse_serialize_round_trip(window_placement):
         '{"N": true, "M": 2, "subsets": [[1], [2]]}',
         '{"N": 1, "M": 2, "subsets": [[1, 1]]}',
         '{"N": 2, "M": 1, "subsets": [[1, 2, 3, 4, 5, 6], [4, 5, 6, 7, 8, 9]]}',
+        '{"N": 2, "M": 2, "subsets": [[1], 2]}',
+        '{"N": 1, "M": 2, "subsets": {"1": [1]}}',
+        '{"N": "1", "M": 2, "subsets": [[1]]}',
+        '{"N": 1, "M": "2", "subsets": [[1]]}',
     ],
 )
 def test_parse_rejects_malformed_input(text):
@@ -56,6 +61,18 @@ def test_parse_rejects_malformed_input(text):
 def test_config_requires_matching_server_count():
     with pytest.raises(ValueError):
         PlacementConfig(3, 2, (0b11, 0b1100))
+
+
+@pytest.mark.parametrize("mask", [-1, True, False, 1.0, "1", None, 1 << 64])
+def test_config_refuses_a_bad_subset_mask(mask):
+    with pytest.raises(ParseError, match=f"bad subset mask {re.escape(repr(mask))}"):
+        PlacementConfig(2, 2, (0b11, mask))
+
+
+def test_config_accepts_an_empty_subset():
+    p = PlacementConfig(2, 2, (0b11, 0))
+    assert p.subset_masks == (0b11, 0)
+    assert parse_placement(placement_to_json(p)) == p
 
 
 def test_cyclic_windows():

@@ -29,12 +29,12 @@ from infplace.transmission import (
     TransmissionScheme,
     UncomputablePlacementError,
     VerifyResult,
-    _PRESENT_FIRST,
     _blocks_with_lowest,
     _clique,
     _new_blocks_bound,
     _rank2,
     _scheme_from_blocks,
+    _vars_key,
     count_transmissions,
     decode,
     parse_scheme,
@@ -153,7 +153,7 @@ def test_piece_is_an_immutable_tuple(example_function, overlap_placement):
     piece = Piece(server=2, vars_mask=0b1001)
     assert piece == (2, 0b1001) and hash(piece) == hash((2, 0b1001))
     assert (piece.server, piece.vars_mask) == (2, 0b1001)
-    assert piece.sort_key() == (2, (1, 4))
+    assert piece.sort_key() == (2, "0110")  # vars {1,4}: present, absent, absent, present
     with pytest.raises(AttributeError):
         piece.server = 1
     with pytest.raises(AttributeError):
@@ -197,6 +197,10 @@ def test_scheme_round_trip(example_function, window_placement):
         '{"pieces": [{"server": 1, "vars": []}], "plan": [], "constant": 0}',
         '{"pieces": [{"server": 1, "vars": [1]}], "plan": [], "constant": 2}',
         '{"pieces": [{"server": 1}], "plan": [], "constant": 0}',
+        '{"pieces": [{"server": 1, "vars": [1]}], "plan": [[true]], "constant": 0}',
+        '{"pieces": [{"server": 1, "vars": [1]}], "plan": [["0"]], "constant": 0}',
+        '{"pieces": [{"server": "1", "vars": [1]}], "plan": [[0]], "constant": 0}',
+        '{"pieces": [{"server": true, "vars": [1]}], "plan": [[0]], "constant": 0}',
     ],
 )
 def test_parse_scheme_rejects_malformed_input(text):
@@ -981,23 +985,28 @@ def test_blocks_with_lowest_match_the_reference_order():
 
 
 def test_scheme_row_key_orders_masks_as_their_index_tuples():
+    # _vars_key is the one vars order: Piece.sort_key, and so canonical(),
+    # and the schemes synthesis builds all sort by it.
     rng = random.Random(4242)
     masks = [mask_from_indices(ix) for ix in ([1], [1, 2], [1, 2, 3], [1, 3], [2], [2, 3], [64])]
-    for _ in range(150):
+    for _ in range(1200):
         m = rng.randrange(1, 1 << rng.randint(1, 40))
         masks += [m, m | 1 << m.bit_length() + rng.randrange(4)]  # a prefix pair
     masks = list(dict.fromkeys(masks))
+    assert len(masks) >= 2000
 
-    def key(b):
-        return bin(b)[:1:-1].translate(_PRESENT_FIRST)
-
-    assert sorted(masks, key=key) == sorted(masks, key=indices_from_mask)
+    # Distinct keys, and equal sorts: the two orders agree on every pair.
+    assert len(set(map(_vars_key, masks))) == len(masks)
+    assert sorted(masks, key=_vars_key) == sorted(masks, key=indices_from_mask)
     prefixes = 0
-    for a, b in itertools.combinations(masks, 2):
-        assert (key(a) < key(b)) == (indices_from_mask(a) < indices_from_mask(b)), (a, b)
+    for a, b in itertools.combinations(masks[:300], 2):
         ia, ib = indices_from_mask(a), indices_from_mask(b)
         prefixes += ib[: len(ia)] == ia or ia[: len(ib)] == ib
     assert prefixes >= 150
+    pieces = [Piece(rng.randint(1, 3), m) for m in masks]
+    assert sorted(pieces, key=Piece.sort_key) == sorted(
+        pieces, key=lambda p: (p.server, indices_from_mask(p.vars_mask))
+    )
 
 
 def test_schemes_from_blocks_are_canonical():
