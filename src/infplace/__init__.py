@@ -13,6 +13,8 @@ from .anf import (
 )
 from .influence import (
     EstimatorConfig,
+    ExactInfluence,
+    InfluenceEstimate,
     InfluenceValue,
     avg_joint_sensitivity,
     joint_influence_exact,
@@ -42,6 +44,8 @@ from .transmission import (
 __all__ = [
     "BooleanFunctionANF",
     "EstimatorConfig",
+    "ExactInfluence",
+    "InfluenceEstimate",
     "InfluenceValue",
     "ParseError",
     "PlacementConfig",

@@ -9,13 +9,14 @@ over their variables V' only, with each block of private variables
 outside S collapsed to one weighted variable, bit-packed 64 cells to a
 word, and counts its set bits with a popcount; a V' of at most 6
 variables is one word, built and counted as a Python int without
-numpy.  It scales the count to all 2^K inputs and stores the result as
-an integer count over 2^K (lemma checks need exact equality, floats
-would not do).  It refuses a flip set whose V' spans more than the
-enumeration limit of variables, counted before any collapse and
-whatever K is; a Hoeffding-calibrated Monte Carlo estimator, which
-tests the same derivative on each sample, answers at any width.  It
-draws its samples from ``anf.sample_blocks``, block b keyed as
+numpy.  It scales the count to all 2^K inputs and returns it as an
+:class:`ExactInfluence`, an integer count over 2^K (lemma checks need
+exact equality, floats would not do).  It refuses a flip set whose V'
+spans more than the enumeration limit of variables, counted before any
+collapse and whatever K is; a Hoeffding-calibrated Monte Carlo
+estimator, which tests the same derivative on each sample, answers at
+any width with an :class:`InfluenceEstimate`.  It draws its samples
+from ``anf.sample_blocks``, block b keyed as
 ``SeedSequence(seed, spawn_key=(b,))`` would key it but computed
 without building one, and tests them in the words' own bit layout,
 moving each monomial mask up to the sample's bits instead of moving
@@ -28,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -61,56 +62,44 @@ class ExactLimitError(RuntimeError):
     """Exact enumeration refused as too large; influences have a Monte Carlo path."""
 
 
-@dataclass(frozen=True)
-class InfluenceValue:
-    """An influence (or summed-influence) value, exact or estimated.
+class ExactInfluence(NamedTuple):
+    """An exact influence (or summed influence): ``count`` changed inputs
+    over ``denominator``, which is 2^K."""
 
-    Exact values are ``count / denominator`` with a power-of-two
-    denominator.  Estimates carry the sample mean plus a Hoeffding
-    half-width; a summed estimate carries the sample count of each
-    subset's estimate and the seed they all drew from, and the sum of
-    their half-widths (see :func:`avg_joint_sensitivity`).
-    """
+    count: int
+    denominator: int
 
-    kind: str  # "exact" | "estimate"
-    count: int | None = None
-    denominator: int | None = None
-    mean: float | None = None
-    half_width: float | None = None
-    samples: int | None = None
-    seed: int | None = None
-
-    @classmethod
-    def exact_value(cls, count: int, denominator: int) -> "InfluenceValue":
-        if denominator <= 0 or denominator & (denominator - 1):
-            raise ValueError(f"denominator must be a power of two, got {denominator}")
-        if count < 0:
-            raise ValueError(f"negative count {count}")
-        return cls(kind="exact", count=count, denominator=denominator)
-
-    @classmethod
-    def estimate_value(
-        cls, mean: float, half_width: float, samples: int | None, seed: int | None
-    ) -> "InfluenceValue":
-        return cls(kind="estimate", mean=mean, half_width=half_width, samples=samples, seed=seed)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == "exact"
+    is_exact = True
 
     @property
     def fraction(self) -> Fraction:
-        if not self.is_exact:
-            raise ValueError("not an exact value")
         return Fraction(self.count, self.denominator)
 
     def __str__(self) -> str:
-        if self.is_exact:
-            return f"{self.count}/{self.denominator}"
+        return f"{self.count}/{self.denominator}"
+
+
+class InfluenceEstimate(NamedTuple):
+    """A Monte Carlo influence: the sample mean plus a Hoeffding
+    half-width, the sample count and the seed it drew from.  A summed
+    estimate carries each subset's sample count and the sum of their
+    half-widths (see :func:`avg_joint_sensitivity`)."""
+
+    mean: float
+    half_width: float
+    samples: int
+    seed: int
+
+    is_exact = False
+
+    def __str__(self) -> str:
         return (
             f"{self.mean!r} ± {self.half_width!r}"
             f" (samples={self.samples}, seed={self.seed})"
         )
+
+
+InfluenceValue = ExactInfluence | InfluenceEstimate
 
 
 @dataclass(frozen=True)
@@ -166,8 +155,9 @@ def joint_sensitivity(
     return total
 
 
-def joint_influence_exact(f: BooleanFunctionANF, flip_mask: int) -> InfluenceValue:
-    """Exact joint influence: changed assignments counted over all 2^K inputs.
+def joint_influence_exact(f: BooleanFunctionANF, flip_mask: int) -> ExactInfluence:
+    """Exact joint influence: changed assignments counted over all 2^K
+    inputs, as an :class:`ExactInfluence`.
 
     f(x) xor f(x xor S) cancels every monomial disjoint from S, so the
     count is taken on g, the XOR of the monomials that meet S, over
@@ -195,7 +185,7 @@ def joint_influence_exact(f: BooleanFunctionANF, flip_mask: int) -> InfluenceVal
     k = f.num_datasets
     meeting = [m for m in f.monomials if m & flip_mask]
     if not meeting:
-        return InfluenceValue.exact_value(0, 1 << k)
+        return ExactInfluence(0, 1 << k)
     support = shared = 0
     for m in meeting:
         shared |= support & m
@@ -242,7 +232,7 @@ def joint_influence_exact(f: BooleanFunctionANF, flip_mask: int) -> InfluenceVal
             rest = (1 << p.bit_count()) - 1
             weights = [w * rest for w in weights] + weights
         changed = sum(map(operator.mul, per_z, weights)) >> pad
-    return InfluenceValue.exact_value(changed << (k - support.bit_count()), 1 << k)
+    return ExactInfluence(changed << (k - support.bit_count()), 1 << k)
 
 
 def _cells(m: int, value: int) -> int:
@@ -321,8 +311,9 @@ def _mc_block_mismatches(
 
 def joint_influence_mc(
     f: BooleanFunctionANF, flip_mask: int, config: EstimatorConfig
-) -> InfluenceValue:
-    """Monte Carlo joint influence under the (epsilon, delta) Hoeffding contract.
+) -> InfluenceEstimate:
+    """Monte Carlo joint influence under the (epsilon, delta) Hoeffding
+    contract, as an :class:`InfluenceEstimate`.
 
     Deterministic for a fixed seed: samples are partitioned into fixed
     blocks, block b drawn from the stream keyed by (seed, b), and the
@@ -345,7 +336,7 @@ def joint_influence_mc(
             mismatches += _mc_block_mismatches(meeting, flip, words, shift)
     mean = mismatches / n
     half_width = math.sqrt(math.log(2.0 / config.delta) / (2.0 * n))
-    return InfluenceValue.estimate_value(mean, half_width, n, config.seed)
+    return InfluenceEstimate(mean, half_width, n, config.seed)
 
 
 def avg_joint_sensitivity(
@@ -356,26 +347,27 @@ def avg_joint_sensitivity(
     """Sum of the joint influences of the placed subsets.
 
     Overlapping and repeated subsets count independently.  Without an
-    estimator every subset is counted exactly, so a subset whose
-    monomials are too wide raises :class:`ExactLimitError`; with one
-    every subset is estimated and the half-widths add up.  Every subset
-    reads the same (seed, block b) samples, so the summed mean is the
-    sample mean of the joint sensitivity js(x) over the N subsets, which
-    lies in [0, N].  Hoeffding's inequality on js puts that mean within
-    N times one subset's half-width h of the true sum with probability at
-    least 1 - delta, and N*h is the summed half-width: it holds at the
-    stated delta, not only at 1 - N*delta.
+    estimator every subset is counted exactly, into one
+    :class:`ExactInfluence`, so a subset whose monomials are too wide
+    raises :class:`ExactLimitError`; with one every subset is estimated
+    and the half-widths add up in one :class:`InfluenceEstimate`.
+    Every subset reads the same (seed, block b) samples, so the summed
+    mean is the sample mean of the joint sensitivity js(x) over the N
+    subsets, which lies in [0, N].  Hoeffding's inequality on js puts
+    that mean within N times one subset's half-width h of the true sum
+    with probability at least 1 - delta, and N*h is the summed
+    half-width: it holds at the stated delta, not only at 1 - N*delta.
     """
     masks = placement.subset_masks
     for mask in masks:
         _check_flip_set(f, mask, "placement subset {!r} references datasets outside [1, {}]")
     if estimator is None:
         count = sum(joint_influence_exact(f, mask).count for mask in masks)
-        return InfluenceValue.exact_value(count, 1 << f.num_datasets)
+        return ExactInfluence(count, 1 << f.num_datasets)
     per = [joint_influence_mc(f, mask, estimator) for mask in masks]
     mean = sum(v.mean for v in per)
     half = sum(v.half_width for v in per)
-    return InfluenceValue.estimate_value(mean, half, estimator.sample_count, estimator.seed)
+    return InfluenceEstimate(mean, half, estimator.sample_count, estimator.seed)
 
 
 def analytic_influence_product(degree: int) -> Fraction:

@@ -24,7 +24,7 @@ from .anf import (
     load_object,
     mask_from_indices,
 )
-from .influence import InfluenceValue, joint_influence_exact
+from .influence import ExactInfluence, joint_influence_exact
 
 # Steps one placement search may take; ordered rows one corollary scan may read.
 ENUMERATION_BUDGET = 10**7
@@ -240,8 +240,6 @@ class PlacementSpace:
         self._masks: list[int] = []
         self.classes = [] if f is None else twin_classes(f)
         self._counts: dict[int, int] = {}  # influence count per type
-        self._prefix: Sequence[int] | None = None
-        self._prefix_missing = 0
         self._width = c.num_datasets.bit_length() + 1
         self._fold = (1 << self._width) - 1
         self._guards = sum(1 << (self._width * (cls + 1) - 1) for cls in range(len(self.classes)))
@@ -320,18 +318,11 @@ class PlacementSpace:
         return first
 
     def computable(self, combo: Sequence[int]) -> bool:
-        """Every dataset of f is held by some server of the placement.
-
-        Keeps what ``combo[:-1]`` leaves uncovered for the next call,
-        since :meth:`ordered` mostly changes only the last server.
-        """
-        prefix = combo[:-1]
-        if prefix != self._prefix:
-            missing = self.function.support_mask
-            for i in prefix:
-                missing &= ~self.mask(i)
-            self._prefix, self._prefix_missing = prefix, missing
-        return not self._prefix_missing & ~self.mask(combo[-1])
+        """Every dataset of f is held by some server of the placement."""
+        missing = self.function.support_mask
+        for i in combo:
+            missing &= ~self.mask(i)
+        return not missing
 
     def config(self, combo: Sequence[int]) -> PlacementConfig:
         c = self.constraints
@@ -365,8 +356,9 @@ def enumerate_placements(c: PlacementConstraints) -> Iterator[PlacementConfig]:
 
 def search_min_as(
     f: BooleanFunctionANF, c: PlacementConstraints, *, budget: int = ENUMERATION_BUDGET
-) -> tuple[PlacementConfig, InfluenceValue]:
-    """Find a placement minimizing the summed joint influence, exactly.
+) -> tuple[PlacementConfig, ExactInfluence]:
+    """Find a placement minimizing the summed joint influence, exactly,
+    returned as an :class:`ExactInfluence`.
 
     Returns the lexicographically first strict placement of least summed
     influence among those that can compute f.  Summed influence and
@@ -457,4 +449,4 @@ def search_min_as(
             j += 1
         combo.append(j)
         left, total = rest, total + count
-    return space.config(combo), InfluenceValue.exact_value(value, 1 << c.num_datasets)
+    return space.config(combo), ExactInfluence(value, 1 << c.num_datasets)

@@ -128,7 +128,7 @@ class TransmissionScheme:
             for r in refs:
                 if type(r) is not int or not 0 <= r < n:
                     raise ParseError(f"plan references unknown piece {r!r}")
-        if self.constant not in (0, 1):
+        if type(self.constant) is not int or self.constant not in (0, 1):
             raise ParseError(f'"constant" must be 0 or 1, got {self.constant!r}')
         if len(set(self.pieces)) != n:
             raise ParseError("duplicate (server, vars) piece")

@@ -2,10 +2,10 @@
 
 ``bench/tracing.py`` wraps functions by name and reads placement names
 at call time, and ``bench/workloads.py`` calls the CLI with options of
-its own; a rename in ``src/`` breaks the benchmark without breaking any
-other test.  The check runs in a subprocess, so the tracer's wrappers
-never reach this process, and with ``-B`` and stdout-only commands, so
-it writes no file.
+its own and reads attributes of the answers; a rename in ``src/``
+breaks the benchmark without breaking any other test.  The checks run
+in subprocesses, so the tracer's wrappers never reach this process,
+and with ``-B``, so they write no file outside ``tmp_path``.
 """
 
 import subprocess
@@ -60,3 +60,34 @@ def test_benchmark_tracer_runs_a_search_and_a_sweep(tmp_path):
     # `--method aligned` builds the aligned placement once.
     assert proc.stdout.splitlines()[-2:] == ["{1,2}; {3,4} 16/16 0 1 36 6", "0 0 36 1"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f.json"]
+
+
+WARM_UP = """
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+sys.path[:0] = [{src!r}, {bench!r}]
+import workloads
+
+for name, (_, warm_up) in workloads.WORKLOADS.items():
+    workdir = Path({tmp!r}) / name
+    workdir.mkdir()
+    jobs = warm_up(workdir)
+    with redirect_stdout(io.StringIO()):
+        for job in jobs:
+            job.check(job.run())
+    print(name, len(jobs))
+"""
+
+
+def test_every_workloads_warm_up_answers_pass_their_checks(tmp_path):
+    # Each check reads what the benchmark reads of an answer: is_exact,
+    # count, denominator, fraction, mean, samples, and a verification's
+    # mode and inputs_checked.
+    code = WARM_UP.format(src=str(SRC), bench=str(BENCH), tmp=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code], capture_output=True, text=True, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["synth-corpus 1", "placement-study 5", "influence-wide 4"]

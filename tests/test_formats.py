@@ -45,9 +45,10 @@ def build(cls, *args):
         return None
 
 
-# Values that the constructors accepted while their parsers refused the
-# file written from them.  count_transmissions counted the server-0
-# piece for the last server; no scheme can hold it now.
+# Values that the constructors accepted although no file may hold them:
+# their parsers refused the file written from them, or, for a constant
+# of true or 1.0, read it back unchanged.  count_transmissions counted the
+# server-0 piece for the last server; no scheme can hold it now.
 NO_FILE_HOLDS = [
     pytest.param(BooleanFunctionANF, (True, (1,)), '"K" must be a positive integer, got True',
                  id="function-K-true"),
@@ -65,6 +66,10 @@ NO_FILE_HOLDS = [
                  "piece server must be a positive integer, got 0", id="scheme-server-0"),
     pytest.param(TransmissionScheme, ((Piece(1, 0),), ((0,),)), "piece with empty vars",
                  id="scheme-empty-vars"),
+    pytest.param(TransmissionScheme, ((Piece(1, 1),), ((0,),), True),
+                 '"constant" must be 0 or 1, got True', id="scheme-constant-true"),
+    pytest.param(TransmissionScheme, ((Piece(1, 1),), ((0,),), 1.0),
+                 '"constant" must be 0 or 1, got 1.0', id="scheme-constant-float"),
 ]
 
 
@@ -157,8 +162,11 @@ FUNCTION = '{"K":2,"monomials":[[1,2]]}'
         (["verify", "-s", "s.json", "-f", "f.json"], "s.json",
          '{"constant":0,"pieces":[{"server":1,"vars":[1,2]}],"plan":[["0"]]}',
          "error: plan references unknown piece '0'"),
+        (["verify", "-s", "s.json", "-f", "f.json"], "s.json",
+         '{"constant":true,"pieces":[{"server":1,"vars":[1,2]}],"plan":[[0]]}',
+         'error: "constant" must be 0 or 1, got True'),
     ],
-    ids=["K", "N", "M", "server", "plan-reference"],
+    ids=["K", "N", "M", "server", "plan-reference", "constant-true"],
 )
 def test_a_string_field_exits_2_with_a_message(argv, name, text, line, tmp_path, capsys):
     for path, content in {"f.json": FUNCTION, name: text}.items():

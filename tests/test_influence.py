@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infplace import influence
+from infplace import InfluenceValue, influence
 from infplace.anf import (
     BooleanFunctionANF,
     ParseError,
@@ -29,8 +29,9 @@ from infplace.anf import (
 )
 from infplace.influence import (
     EstimatorConfig,
+    ExactInfluence,
     ExactLimitError,
-    InfluenceValue,
+    InfluenceEstimate,
     analytic_influence_one_swap,
     analytic_influence_product,
     avg_joint_sensitivity,
@@ -548,7 +549,7 @@ def test_empty_flip_set_has_influence_exactly_zero(example_function, monkeypatch
 
     monkeypatch.setattr(influence, "sample_blocks", no_samples)
     v = joint_influence_exact(example_function, 0)
-    assert (v.kind, v.count, v.denominator) == ("exact", 0, 512)
+    assert (v.is_exact, v.count, v.denominator) == (True, 0, 512)
     est = joint_influence_mc(example_function, 0, EstimatorConfig(0.1, 0.1, seed=1))
     assert (est.mean, est.samples) == (0.0, 150)
 
@@ -593,7 +594,7 @@ def test_avg_sensitivity_is_exact_without_estimator_and_estimated_with_one():
     est = avg_joint_sensitivity(g, q, cfg)
     per = [joint_influence_mc(g, s, cfg) for s in q.subset_masks]
     assert not est.is_exact
-    assert est == InfluenceValue.estimate_value(
+    assert est == InfluenceEstimate(
         sum(v.mean for v in per), sum(v.half_width for v in per), cfg.sample_count, cfg.seed
     )
     assert abs(est.mean - avg_joint_sensitivity(g, q).fraction) <= 2 * 0.02
@@ -605,28 +606,22 @@ def test_avg_sensitivity_is_exact_without_estimator_and_estimated_with_one():
     assert abs(avg_joint_sensitivity(wide, r, cfg).mean - 2.0**-24) <= 0.02
 
 
-# --- InfluenceValue / EstimatorConfig -------------------------------------
+# --- ExactInfluence / InfluenceEstimate / EstimatorConfig -----------------
 
 
 def test_influence_value_exact_formatting():
-    v = InfluenceValue.exact_value(2, 8)
+    v = ExactInfluence(2, 8)
+    assert isinstance(v, InfluenceValue) and v == (2, 8)
     assert str(v) == "2/8"
     assert v.fraction == Fraction(1, 4)
 
 
 def test_influence_value_estimate_formatting():
-    v = InfluenceValue.estimate_value(0.0625, 0.01, 38005, 2024)
-    assert not v.is_exact
+    v = InfluenceEstimate(0.0625, 0.01, 38005, 2024)
+    assert isinstance(v, InfluenceValue) and not v.is_exact
     assert "samples=38005" in str(v) and "seed=2024" in str(v)
-    with pytest.raises(ValueError):
+    with pytest.raises(AttributeError):
         _ = v.fraction
-
-
-def test_influence_value_rejects_bad_denominator():
-    with pytest.raises(ValueError):
-        InfluenceValue.exact_value(1, 6)
-    with pytest.raises(ValueError):
-        InfluenceValue.exact_value(-1, 8)
 
 
 def test_sample_count_from_hoeffding_bound():
@@ -697,7 +692,7 @@ def test_mc_estimates_are_pinned(k, monomials, flip_indices, seed, mismatches):
     f = BooleanFunctionANF.from_indices(k, monomials)
     flip = sum(1 << (i - 1) for i in flip_indices)
     est = joint_influence_mc(f, flip, EstimatorConfig(0.01, 1e-3, seed=seed))
-    assert est == InfluenceValue.estimate_value(
+    assert est == InfluenceEstimate(
         mismatches / 38005, 0.00999993583688275, 38005, seed
     )
 

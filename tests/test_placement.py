@@ -205,8 +205,7 @@ def test_space_scans_match_product_and_multiset_counts():
 
 
 def test_computable_matches_the_union_of_its_subsets_in_any_call_order():
-    # computable keeps what a row's first N-1 subsets leave uncovered for
-    # the next row; a shuffled order changes that prefix on almost every call.
+    # A shuffled call order, and lists in place of tuples, give the same answers.
     f = BooleanFunctionANF.from_indices(5, [[1, 2], [3, 4, 5]])
     space = PlacementSpace(PlacementConstraints(5, 3, 2), f)
     rows = list(space.ordered())
